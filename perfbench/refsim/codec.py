@@ -1,0 +1,140 @@
+"""Frames (the 128-bit image of one plate generation) and message segmentation.
+
+Bit convention: Up carries raw 1 and Down raw 0; the receiving side inverts
+every observed raw bit, so decode(encode(f)) == f across an anti-correlated
+channel. Frames pack bits most-significant-bit-first into 16 bytes, and the
+hex dump used in traces is 32 lowercase characters with bit 0 as the most
+significant bit of the first character.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Iterable
+
+from .entanglement import PLATE_WIDTH, PairPool, Plate, _DOWN, _UP
+from .errors import LengthOverrun, PlateAlreadyUsed
+
+FRAME_BITS = PLATE_WIDTH
+FRAME_BYTES = FRAME_BITS // 8
+
+# header layout: bits 0-63 payload byte count (big-endian), bits 64-127 zero
+_LENGTH_BYTES = 8
+
+
+@dataclass(frozen=True)
+class Frame:
+    data: bytes
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.data, bytes):
+            object.__setattr__(self, "data", bytes(self.data))
+        if len(self.data) != FRAME_BYTES:
+            raise ValueError(f"a frame is exactly {FRAME_BYTES} bytes, got {len(self.data)}")
+
+    @classmethod
+    def from_bits(cls, bits: Iterable[int]) -> "Frame":
+        seq = list(bits)
+        if len(seq) != FRAME_BITS:
+            raise ValueError(f"a frame is exactly {FRAME_BITS} bits, got {len(seq)}")
+        out = bytearray(FRAME_BYTES)
+        for i, bit in enumerate(seq):
+            if bit:
+                out[i >> 3] |= 0x80 >> (i & 7)
+        return cls(bytes(out))
+
+    @classmethod
+    def zeros(cls) -> "Frame":
+        return cls(bytes(FRAME_BYTES))
+
+    def bit(self, i: int) -> int:
+        return (self.data[i >> 3] >> (7 - (i & 7))) & 1
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.bit(i) for i in range(FRAME_BITS))
+
+    def hex(self) -> str:
+        return self.data.hex()
+
+
+def random_frame(rng: random.Random) -> Frame:
+    return Frame(rng.randbytes(FRAME_BYTES))
+
+
+def encode_frame(pool: PairPool, tx: Plate, frame: Frame) -> None:
+    """Trigger the whole Tx plate: bit 1 -> Up, bit 0 -> Down."""
+    if not pool.plate_fresh(tx):
+        raise PlateAlreadyUsed(f"tx plate generation {tx.generation} already carries data")
+    directions = [_UP if frame.bit(i) else _DOWN for i in range(FRAME_BITS)]
+    pool.trigger_plate(tx, directions)
+
+
+def decode_frame(pool: PairPool, rx: Plate) -> Frame:
+    """Observe the whole Rx plate and invert each raw bit."""
+    spins = pool.observe_plate(rx)
+    out = bytearray(FRAME_BYTES)
+    for i, v in enumerate(spins):
+        if v != _UP:  # partner observed Down, so the sender wrote 1
+            out[i >> 3] |= 0x80 >> (i & 7)
+    return Frame(bytes(out))
+
+
+def segment_message(payload: bytes) -> list[Frame]:
+    """Split a byte message into a header frame plus 16-byte data frames.
+
+    The final data frame is zero-padded; an empty payload is just the header.
+    """
+    if len(payload) >= 2**64:
+        raise ValueError("payload length must fit an unsigned 64-bit count")
+    header = len(payload).to_bytes(_LENGTH_BYTES, "big") + bytes(FRAME_BYTES - _LENGTH_BYTES)
+    frames = [Frame(header)]
+    for off in range(0, len(payload), FRAME_BYTES):
+        chunk = payload[off : off + FRAME_BYTES]
+        frames.append(Frame(chunk.ljust(FRAME_BYTES, b"\x00")))
+    return frames
+
+
+def frame_count(payload_bytes: int) -> int:
+    """Frames needed for a payload: 1 header + ceil(n / 16) data frames."""
+    return 1 + -(-payload_bytes // FRAME_BYTES)
+
+
+class MessageBuffer:
+    """Reassembles one segmented message from in-order frames."""
+
+    def __init__(self) -> None:
+        self.declared_length: int | None = None
+        self.received_frames = 0
+        self._data = bytearray()
+        self._complete = False
+
+    @property
+    def complete(self) -> bool:
+        return self._complete
+
+    def push(self, frame: Frame) -> bytes | None:
+        """Feed the next frame; returns the payload once complete, else None."""
+        if self._complete:
+            raise LengthOverrun("data frame after message completion")
+        self.received_frames += 1
+        if self.declared_length is None:
+            self.declared_length = int.from_bytes(frame.data[:_LENGTH_BYTES], "big")
+        else:
+            self._data += frame.data
+        if len(self._data) >= self.declared_length:
+            self._complete = True
+            return bytes(self._data[: self.declared_length])
+        return None
+
+
+def reassemble(frames: Iterable[Frame]) -> bytes:
+    """Reassemble a full frame sequence; raises if it does not complete."""
+    buffer = MessageBuffer()
+    result: bytes | None = None
+    for frame in frames:
+        result = buffer.push(frame)
+    if result is None:
+        raise ValueError("frame sequence ended before the declared length")
+    return result

@@ -1,0 +1,601 @@
+"""Deterministic discrete-event loop, topology construction, traces, latency.
+
+Time is an integer tick. Entangled channels deliver in zero ticks at any
+distance; each relaying station spends one tick of processing per frame,
+which keeps same-tick cascades well founded. Events execute in strict
+(tick, seq) order, and seq values come from one per-tick allocator shared
+with trace records, so the trace byte stream is a pure function of
+(scenario, seed). Link distances feed only the classical light-speed
+baseline report; they never delay anything.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+import json
+import math
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Iterator
+
+from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_message
+from .entanglement import derive_seed
+from .errors import (
+    CallerUnknown,
+    DuplicateQid,
+    SchedulingError,
+    SelfCall,
+    SessionNotEstablished,
+    TickBudgetExceeded,
+    UnknownSession,
+    ValidationError,
+)
+from .node import AcceptAll, AcceptPolicy, UserNode
+from .qbs import (
+    CHILD,
+    MOTHER,
+    ChildQbs,
+    Circuit,
+    FailureReason,
+    LocalUser,
+    QbsNode,
+    RemotePlanet,
+    SessionRecord,
+    SessionState,
+)
+from .scenario import Scenario, validate_scenario
+
+SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
+
+FORWARD = "fwd"
+REVERSE = "rev"
+
+# data-plane verbs the engine handles itself rather than via a node class
+_ENGINE_VERBS = frozenset({"relay_frame", "consume_frame", "channel_send"})
+
+
+@dataclass(frozen=True)
+class Event:
+    tick: int
+    seq: int
+    target: str
+    verb: str
+    payload: dict
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    tick: int
+    seq: int
+    node: str
+    type: str
+    session: int | None
+    detail: dict
+
+    def to_json_line(self) -> str:
+        obj = {
+            "tick": self.tick,
+            "seq": self.seq,
+            "node": self.node,
+            "type": self.type,
+            "session": self.session,
+            "detail": self.detail,
+        }
+        return json.dumps(obj, separators=(",", ":"))
+
+
+@dataclass(frozen=True)
+class LatencyReport:
+    """Delivery cost of one established session's path.
+
+    The entangled channel itself is free at any distance; the only simulated
+    cost is one processing tick per relaying station. The classical baseline
+    is what light-speed propagation over the declared link graph would cost
+    for the same path, reported for contrast only.
+    """
+
+    session_id: int
+    entangled_channel_ticks: int
+    processing_ticks: int
+    classical_baseline_seconds: float
+
+
+@dataclass
+class Topology:
+    """Static shape of a built scenario."""
+
+    planets: list[tuple[str, dict[str, list[str]]]]  # (mother, {child: [user nodes]})
+    link_distances: dict[frozenset, float]
+    permanent_circuits: frozenset[int] = frozenset()
+
+
+class Simulation:
+    """One deterministic run over a scenario."""
+
+    def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
+        findings = validate_scenario(scenario)
+        if findings:
+            raise ValidationError(findings)
+        self.scenario = scenario
+        self.seed = scenario.seed if seed is None else seed
+        self.now = 0
+        self.tick_budget = 10**6
+
+        self._queue: list[tuple[int, int, Event]] = []
+        self._seq_by_tick: dict[int, int] = {}
+        self._cancelled: set[tuple[int, int]] = set()
+        self._tick_events = 0
+
+        self.trace: list[TraceRecord] = []
+        self.nodes: dict[str, QbsNode | UserNode] = {}
+        self.users: dict[int, UserNode] = {}
+        self.sessions: dict[int, SessionRecord] = {}
+        self.circuits: dict[int, Circuit] = {}
+        self._permanent: set[int] = set()
+        self._circuit_index: dict[frozenset, list[int]] = {}
+        self._next_circuit = itertools.count(1)
+        self._next_session = itertools.count(1)
+
+        self._classical_adj: dict[str, list[tuple[str, float]]] = {}
+        self._dijkstra_cache: dict[str, dict[str, float]] = {}
+
+        self.topology = self._build_topology()
+        self._schedule_workload()
+
+    # scheduling -----------------------------------------------------------
+
+    def _alloc_seq(self, tick: int) -> int:
+        n = self._seq_by_tick.get(tick, 0)
+        self._seq_by_tick[tick] = n + 1
+        return n
+
+    def schedule(self, tick: int, target: str, verb: str,
+                 payload: dict | None = None) -> tuple[int, int]:
+        """Queue an event; returns a key usable with cancel()."""
+        if tick < self.now:
+            raise SchedulingError(f"cannot schedule at tick {tick} while at {self.now}")
+        seq = self._alloc_seq(tick)
+        heapq.heappush(self._queue, (tick, seq, Event(tick, seq, target, verb, payload or {})))
+        return (tick, seq)
+
+    def cancel(self, key: tuple[int, int]) -> None:
+        self._cancelled.add(key)
+
+    def emit(self, node: str, record_type: str, session: int | None = None,
+             **detail) -> None:
+        record = TraceRecord(self.now, self._alloc_seq(self.now), node,
+                             record_type, session, dict(sorted(detail.items())))
+        self.trace.append(record)
+
+    def run_until_idle(self) -> int:
+        """Process every queued event; returns the tick of the last one run."""
+        return self._run(lambda tick: True)
+
+    def run_until(self, tick_limit: int) -> int:
+        """Process queued events up to and including tick_limit."""
+        return self._run(lambda tick: tick <= tick_limit)
+
+    def _run(self, should_run: Callable[[int], bool]) -> int:
+        while self._queue:
+            tick, seq, event = self._queue[0]
+            if (tick, seq) in self._cancelled:
+                heapq.heappop(self._queue)
+                self._cancelled.discard((tick, seq))
+                continue
+            if not should_run(tick):
+                break
+            heapq.heappop(self._queue)
+            if tick != self.now:
+                self.now = tick
+                self._tick_events = 0
+            self._tick_events += 1
+            if self._tick_events > self.tick_budget:
+                raise TickBudgetExceeded(
+                    f"more than {self.tick_budget} events at tick {tick}")
+            if event.verb in _ENGINE_VERBS:
+                getattr(self, "_on_" + event.verb)(event.target, event.payload)
+            else:
+                self.nodes[event.target].handle(self, event.verb, event.payload)
+        return self.now
+
+    # topology -------------------------------------------------------------
+
+    def _build_topology(self) -> Topology:
+        link_distances: dict[frozenset, float] = {
+            frozenset((link.a, link.b)): link.distance_meters
+            for link in self.scenario.links
+        }
+        planets: list[tuple[str, dict[str, list[str]]]] = []
+        mothers: list[QbsNode] = []
+        for planet in self.scenario.planets:
+            mother = QbsNode(planet.mother_id, MOTHER)
+            self.nodes[mother.qbs_id] = mother
+            mothers.append(mother)
+            children: dict[str, list[str]] = {}
+            for child_spec in planet.children:
+                child = QbsNode(child_spec.qbs_id, CHILD, mother_id=mother.qbs_id)
+                self.nodes[child.qbs_id] = child
+                children[child.qbs_id] = [u.node_id for u in child_spec.users]
+            planets.append((mother.qbs_id, children))
+        for mother in mothers:
+            mother.peer_mothers = {m.qbs_id: m for m in mothers if m is not mother}
+
+        for planet, (mother_id, children) in zip(self.scenario.planets, planets):
+            mother = self.nodes[mother_id]
+            for child_spec in planet.children:
+                child = self.nodes[child_spec.qbs_id]
+                self._create_circuit(child.qbs_id, mother_id)
+                for user_spec in child_spec.users:
+                    self.register_user(child, mother, user_spec.qid,
+                                       user_spec.node_id, user_spec.accept_policy)
+        for i, (mother_a, _) in enumerate(planets):
+            for mother_b, _ in planets[i + 1:]:
+                self._create_circuit(mother_a, mother_b)
+
+        # classical routing graph: every permanent link, plus any extra
+        # declared links, weighted by declared distance (0 when undeclared)
+        edges: set[frozenset] = {frozenset((c.a, c.b)) for c in self.circuits.values()}
+        edges.update(link_distances)
+        for edge in sorted(edges, key=sorted):
+            a, b = sorted(edge)
+            d = link_distances.get(edge, 0.0)
+            self._classical_adj.setdefault(a, []).append((b, d))
+            self._classical_adj.setdefault(b, []).append((a, d))
+
+        return Topology(planets, link_distances, frozenset(self._permanent))
+
+    @property
+    def permanent_circuit_ids(self) -> frozenset[int]:
+        """Circuits that outlive sessions: user<->child, child<->mother, mother<->mother."""
+        return frozenset(self._permanent)
+
+    def _create_circuit(self, a: str, b: str, owner_session: int | None = None) -> Circuit:
+        circuit_id = next(self._next_circuit)
+        circuit = Circuit.build(circuit_id, a, b,
+                                derive_seed(self.seed, f"circuit:{circuit_id}"),
+                                owner_session)
+        self.circuits[circuit_id] = circuit
+        if owner_session is None:
+            self._permanent.add(circuit_id)
+        self._circuit_index.setdefault(frozenset((a, b)), []).append(circuit_id)
+        for end in (a, b):
+            station = self.nodes.get(end)
+            if isinstance(station, QbsNode):
+                station.circuit_table[circuit_id] = circuit
+        return circuit
+
+    def register_user(self, child: QbsNode, mother: QbsNode, qid: int,
+                      node_id: str, policy: AcceptPolicy | None = None) -> None:
+        """Attach a user to a Child: registries updated everywhere, circuit provisioned."""
+        for station in [mother, *mother.peer_mothers.values()]:
+            if qid in station.registry:
+                raise DuplicateQid(f"QID {qid} already registered")
+        user = self.nodes.get(node_id)
+        if not isinstance(user, UserNode):
+            user = UserNode(node_id, qid, child.qbs_id, policy or AcceptAll())
+            self.nodes[node_id] = user
+        self.users[qid] = user
+        child.registry[qid] = LocalUser(node_id)
+        mother.registry[qid] = ChildQbs(child.qbs_id)
+        for peer in mother.peer_mothers.values():
+            peer.registry[qid] = RemotePlanet(mother.qbs_id)
+        user.home_circuit = self._create_circuit(node_id, child.qbs_id).circuit_id
+
+    def _schedule_workload(self) -> None:
+        for item in self.scenario.workload:
+            sender = self.users[item.from_qid]
+            self.schedule(item.at_tick, sender.node_id, "workload_send",
+                          {"to_qid": item.to_qid, "payload": item.payload})
+
+    # session control plane --------------------------------------------------
+
+    def open_session(self, qbs_id: str, caller_qid: int, callee_qid: int) -> int:
+        """Create a session at the caller's Child and start the lookup chain."""
+        user = self.users.get(caller_qid)
+        if user is None or user.home_qbs != qbs_id:
+            raise CallerUnknown(f"QID {caller_qid} is not attached to {qbs_id}")
+        if caller_qid == callee_qid:
+            raise SelfCall(f"QID {caller_qid} cannot call itself")
+        session_id = next(self._next_session)
+        rec = SessionRecord(session_id, caller_qid, callee_qid,
+                            user.node_id, qbs_id)
+        rec.circuits.append(user.home_circuit)
+        self.sessions[session_id] = rec
+        self.nodes[qbs_id].sessions[session_id] = rec
+        user.active_sessions.add(session_id)
+        self.emit(user.node_id, "SESSION_REQUEST", session_id,
+                  caller=caller_qid, callee=callee_qid)
+        self.schedule(self.now + 1, qbs_id, "session_lookup", {"session": session_id})
+        return session_id
+
+    def request_session(self, caller_qid: int, callee_qid: int) -> int:
+        user = self.users.get(caller_qid)
+        if user is None:
+            raise CallerUnknown(f"QID {caller_qid} is not attached anywhere")
+        return self.open_session(user.home_qbs, caller_qid, callee_qid)
+
+    def provision_interqbs_circuit(self, mother_id: str, qbs_a: str, qbs_b: str,
+                                   session_id: int | None = None) -> int:
+        """Broker a direct child<->child circuit, tagged with its owning session."""
+        circuit = self._create_circuit(qbs_a, qbs_b, owner_session=session_id)
+        if session_id is not None:
+            self.sessions[session_id].circuits.append(circuit.circuit_id)
+        self.emit(mother_id, "CIRCUIT_PROVISIONED", session_id,
+                  a=qbs_a, b=qbs_b, circuit=circuit.circuit_id)
+        return circuit.circuit_id
+
+    def establish_session(self, rec: SessionRecord) -> None:
+        callee_user = self.users[rec.callee]
+        rec.circuits.append(callee_user.home_circuit)
+        rec.path = [rec.caller_node, rec.caller_qbs]
+        if rec.callee_qbs != rec.caller_qbs:
+            rec.path.append(rec.callee_qbs)
+        rec.path.append(rec.callee_node)
+        rec.transition(SessionState.ESTABLISHED)
+        rec.established_tick = self.now
+        callee_user.active_sessions.add(rec.session_id)
+        self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, path=list(rec.path))
+        if rec.workload_payload is not None:
+            self.schedule(self.now + 1, rec.caller_node, "session_ready",
+                          {"session": rec.session_id})
+
+    def release_session_circuits(self, rec: SessionRecord, releasing_node: str) -> None:
+        """Unbind every circuit the session holds; destroy the session-owned ones."""
+        for circuit_id in rec.circuits:
+            circuit = self.circuits.get(circuit_id)
+            owned = circuit is not None and circuit.owner_session == rec.session_id
+            self.emit(releasing_node, "CIRCUIT_RELEASED", rec.session_id,
+                      circuit=circuit_id, scope="session" if owned else "permanent")
+            if owned:
+                for end in (circuit.a, circuit.b):
+                    station = self.nodes.get(end)
+                    if isinstance(station, QbsNode):
+                        station.circuit_table.pop(circuit_id, None)
+                self._circuit_index[frozenset((circuit.a, circuit.b))].remove(circuit_id)
+                del self.circuits[circuit_id]
+        rec.circuits.clear()
+
+    def finish_session(self, rec: SessionRecord) -> None:
+        """Drop per-user bookkeeping once a session reaches a terminal state."""
+        for qid in (rec.caller, rec.callee):
+            user = self.users.get(qid)
+            if user is not None:
+                user.active_sessions.discard(rec.session_id)
+                for key in [k for k in user._rx_buffers if k[0] == rec.session_id]:
+                    del user._rx_buffers[key]
+
+    def teardown_session(self, session_id: int) -> None:
+        """Close an established session and release everything it holds."""
+        rec = self.sessions.get(session_id)
+        if rec is None:
+            raise UnknownSession(f"no session {session_id}")
+        if rec.terminal or rec.state is SessionState.TEARING_DOWN:
+            return
+        if rec.state is not SessionState.ESTABLISHED:
+            raise SessionNotEstablished(
+                f"session {session_id} is {rec.state.value}, not established")
+        self.emit(rec.caller_qbs, "TEARDOWN", session_id)
+        rec.transition(SessionState.TEARING_DOWN)
+        self.release_session_circuits(rec, rec.caller_qbs)
+        self.finish_session(rec)
+        rec.transition(SessionState.CLOSED)
+        self.emit(rec.caller_qbs, "CLOSED", session_id)
+
+    # data plane -------------------------------------------------------------
+
+    def send_message(self, session_id: int, payload: bytes,
+                     sender: int | None = None) -> None:
+        """Segment a byte message and stream its frames down the session path."""
+        rec = self.sessions.get(session_id)
+        if rec is None:
+            raise UnknownSession(f"no session {session_id}")
+        if rec.state is not SessionState.ESTABLISHED:
+            raise SessionNotEstablished(
+                f"session {session_id} is {rec.state.value}, not established")
+        sender_qid = rec.caller if sender is None else sender
+        if sender_qid not in (rec.caller, rec.callee):
+            raise CallerUnknown(f"QID {sender_qid} does not own session {session_id}")
+        direction = REVERSE if sender_qid == rec.callee else FORWARD
+        frames = segment_message(payload)
+        sender_node = self._direction_nodes(rec, direction)[0]
+        self.emit(sender_node, "SEND", session_id,
+                  bytes=len(payload), dir=direction, frames=len(frames))
+        for index, frame in enumerate(frames):
+            self._submit_frame(rec, direction, frame, index, in_message=True)
+
+    def relay_data(self, session_id: int, frame: Frame, reverse: bool = False) -> None:
+        """Push a single raw frame down the path, outside any message."""
+        rec = self.sessions.get(session_id)
+        if rec is None:
+            raise UnknownSession(f"no session {session_id}")
+        if rec.state is not SessionState.ESTABLISHED:
+            raise SessionNotEstablished(
+                f"session {session_id} is {rec.state.value}, not established")
+        self._submit_frame(rec, REVERSE if reverse else FORWARD, frame,
+                           index=None, in_message=False)
+
+    def _direction_nodes(self, rec: SessionRecord, direction: str) -> list[str]:
+        return rec.path if direction == FORWARD else rec.path[::-1]
+
+    def _circuit_for(self, rec: SessionRecord, a: str, b: str) -> Circuit | None:
+        """The circuit a hop rides: the session's own if present, else permanent."""
+        fallback = None
+        for circuit_id in self._circuit_index.get(frozenset((a, b)), ()):
+            circuit = self.circuits[circuit_id]
+            if circuit.owner_session == rec.session_id:
+                return circuit
+            if circuit.owner_session is None:
+                fallback = circuit
+        return fallback
+
+    def _submit_frame(self, rec: SessionRecord, direction: str, frame: Frame,
+                      index: int | None, in_message: bool, pos: int = 0) -> None:
+        nodes_dir = self._direction_nodes(rec, direction)
+        src, dst = nodes_dir[pos], nodes_dir[pos + 1]
+        circuit = self._circuit_for(rec, src, dst)
+        if circuit is None:
+            return
+        channel = circuit.channel(src, dst)
+        item = {"session": rec.session_id, "frame": frame, "index": index,
+                "in_message": in_message, "dir": direction, "pos": pos}
+        if not channel.queue and circuit.pool.plate_fresh(channel.tx):
+            self._encode_on_channel(circuit, src, dst, item)
+        else:
+            channel.queue.append(item)
+
+    def _encode_on_channel(self, circuit: Circuit, src: str, dst: str,
+                           item: dict) -> None:
+        rec = self.sessions[item["session"]]
+        channel = circuit.channel(src, dst)
+        encode_frame(circuit.pool, channel.tx, item["frame"])
+        if item["pos"] == 0:
+            # relays already logged this frame at their decode step
+            self.emit(src, "DATA", rec.session_id, dir=item["dir"],
+                      frame=item["frame"].hex(), index=item["index"])
+        nodes_dir = self._direction_nodes(rec, item["dir"])
+        dst_pos = item["pos"] + 1
+        meta = {"session": rec.session_id, "dir": item["dir"],
+                "index": item["index"], "in_message": item["in_message"]}
+        if dst_pos == len(nodes_dir) - 1:
+            # final hop: delivery is same-tick, the channel itself is free
+            self.schedule(self.now, dst, "consume_frame", meta)
+        else:
+            meta["pos"] = dst_pos
+            self.schedule(self.now + 1, dst, "relay_frame", meta)
+
+    def _drain_channel(self, circuit: Circuit, src: str, dst: str) -> None:
+        if circuit.channel(src, dst).queue:
+            self.schedule(self.now, src, "channel_send",
+                          {"circuit": circuit.circuit_id, "src": src, "dst": dst})
+
+    def _on_channel_send(self, target: str, p: dict) -> None:
+        circuit = self.circuits.get(p["circuit"])
+        if circuit is None:
+            return
+        channel = circuit.channel(p["src"], p["dst"])
+        if not circuit.pool.plate_fresh(channel.tx):
+            return
+        while channel.queue:
+            item = channel.queue.popleft()
+            # frames queued by a since-closed session are dropped unsent
+            if self.sessions[item["session"]].state is SessionState.ESTABLISHED:
+                self._encode_on_channel(circuit, p["src"], p["dst"], item)
+                return
+
+    def _on_relay_frame(self, target: str, p: dict) -> None:
+        rec = self.sessions[p["session"]]
+        nodes_dir = self._direction_nodes(rec, p["dir"])
+        pos = p["pos"]
+        inbound = self._circuit_for(rec, nodes_dir[pos - 1], target)
+        if inbound is None:
+            return
+        channel = inbound.channel(nodes_dir[pos - 1], target)
+        frame = decode_frame(inbound.pool, channel.rx)
+        inbound.pool.reset_plate_pair(channel.tx, channel.rx)
+        self._drain_channel(inbound, nodes_dir[pos - 1], target)
+        if rec.state is not SessionState.ESTABLISHED:
+            return
+        self.emit(target, "DATA", rec.session_id, dir=p["dir"],
+                  frame=frame.hex(), index=p["index"])
+        self._submit_frame(rec, p["dir"], frame, p["index"], p["in_message"], pos=pos)
+
+    def _on_consume_frame(self, target: str, p: dict) -> None:
+        rec = self.sessions[p["session"]]
+        nodes_dir = self._direction_nodes(rec, p["dir"])
+        inbound = self._circuit_for(rec, nodes_dir[-2], target)
+        if inbound is None:
+            return
+        channel = inbound.channel(nodes_dir[-2], target)
+        frame = decode_frame(inbound.pool, channel.rx)
+        inbound.pool.reset_plate_pair(channel.tx, channel.rx)
+        self._drain_channel(inbound, nodes_dir[-2], target)
+        if rec.state is not SessionState.ESTABLISHED:
+            return
+        self.emit(target, "DATA", rec.session_id, dir=p["dir"],
+                  frame=frame.hex(), index=p["index"])
+        user = self.nodes[target]
+        if not p["in_message"]:
+            user.raw_frames.append((rec.session_id, frame))
+            return
+        key = (rec.session_id, p["dir"])
+        buffer = user._rx_buffers.setdefault(key, MessageBuffer())
+        payload = buffer.push(frame)
+        if payload is None:
+            return
+        del user._rx_buffers[key]
+        user.inbox.append((self.now, rec.session_id, payload))
+        self.emit(target, "DELIVER", rec.session_id,
+                  bytes=len(payload), dir=p["dir"])
+        if rec.auto_teardown and p["dir"] == FORWARD:
+            self.schedule(self.now + 1, rec.caller_qbs, "teardown",
+                          {"session": rec.session_id})
+
+    # reporting ----------------------------------------------------------------
+
+    def latency_report(self, session_id: int) -> LatencyReport:
+        rec = self.sessions.get(session_id)
+        if rec is None:
+            raise UnknownSession(f"no session {session_id}")
+        if not rec.path:
+            raise SessionNotEstablished(f"session {session_id} never established")
+        baseline_meters = sum(
+            self._classical_distance(a, b) for a, b in zip(rec.path, rec.path[1:])
+        )
+        return LatencyReport(
+            session_id=session_id,
+            entangled_channel_ticks=0,
+            processing_ticks=len(rec.path) - 2,
+            classical_baseline_seconds=baseline_meters / SPEED_OF_LIGHT_M_PER_S,
+        )
+
+    def _classical_distance(self, src: str, dst: str) -> float:
+        """Shortest light-path distance over the declared link graph."""
+        dist = self._dijkstra_cache.get(src)
+        if dist is None:
+            dist = {src: 0.0}
+            frontier = [(0.0, src)]
+            while frontier:
+                d, node = heapq.heappop(frontier)
+                if d > dist.get(node, math.inf):
+                    continue
+                for neighbour, weight in self._classical_adj.get(node, ()):
+                    nd = d + weight
+                    if nd < dist.get(neighbour, math.inf):
+                        dist[neighbour] = nd
+                        heapq.heappush(frontier, (nd, neighbour))
+            self._dijkstra_cache[src] = dist
+        return dist.get(dst, math.inf)
+
+    def stats(self) -> dict:
+        by_state = Counter(rec.state for rec in self.sessions.values())
+        by_failure = Counter(rec.failure for rec in self.sessions.values()
+                             if rec.failure is not None)
+        established = sum(1 for rec in self.sessions.values()
+                          if rec.established_tick is not None)
+        return {
+            "final_tick": self.now,
+            "record_counts": dict(sorted(Counter(r.type for r in self.trace).items())),
+            "sessions": {
+                "total": len(self.sessions),
+                "established": established,
+                "failed": by_state[SessionState.FAILED],
+                "rejected": by_failure[FailureReason.REJECTED],
+                "not_found": by_failure[FailureReason.NOT_FOUND],
+                "closed": by_state[SessionState.CLOSED],
+            },
+        }
+
+    def trace_lines(self) -> Iterator[str]:
+        for record in self.trace:
+            yield record.to_json_line()
+
+    def write_trace(self, path: str) -> None:
+        lines = list(self.trace_lines())
+        with open(path, "w") as handle:
+            if lines:
+                handle.write("\n".join(lines) + "\n")
+
+    def write_stats(self, path: str) -> None:
+        with open(path, "w") as handle:
+            handle.write(json.dumps(self.stats(), indent=2, sort_keys=True) + "\n")

@@ -1,0 +1,162 @@
+"""Whole-run checks; each raises InvariantViolation with the first offence found.
+
+These are the properties any completed run must satisfy, whatever the
+scenario: anti-correlation of every fixed pair, circuit conservation at
+quiescence, registry coherence, trace/state-machine conformance (which
+includes "no data outside an established window"), and send/deliver
+causality.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from .engine import Simulation, TraceRecord
+from .entanglement import Spin
+from .errors import InvariantViolation
+from .node import UserNode
+from .qbs import ChildQbs, LocalUser, QbsNode, RemotePlanet, SessionState
+
+# session states in which each record type may appear; entries marked with a
+# target state move the replayed machine along the legal-transition relation
+_RECORD_RULES: dict[str, tuple[frozenset, SessionState | None]] = {
+    "SESSION_REQUEST": (frozenset({None}), SessionState.IDLE),
+    "LOOKUP_LOCAL_HIT": (frozenset({SessionState.IDLE}), SessionState.NEGOTIATING),
+    "LOOKUP_LOCAL_MISS": (frozenset({SessionState.IDLE}), SessionState.QUERYING_MOTHER),
+    "MOTHER_LOOKUP": (frozenset({SessionState.QUERYING_MOTHER}), None),
+    "MOTHER_LOOKUP_MISS": (frozenset({SessionState.QUERYING_MOTHER}), SessionState.FAILED),
+    "CIRCUIT_PROVISIONED": (frozenset({SessionState.QUERYING_MOTHER}), None),
+    "NEGOTIATE": (frozenset({SessionState.NEGOTIATING, SessionState.QUERYING_MOTHER}),
+                  SessionState.NEGOTIATING),
+    "ACCEPT": (frozenset({SessionState.NEGOTIATING}), None),
+    "REJECT": (frozenset({SessionState.NEGOTIATING}), SessionState.FAILED),
+    "ESTABLISHED": (frozenset({SessionState.NEGOTIATING}), SessionState.ESTABLISHED),
+    "SEND": (frozenset({SessionState.ESTABLISHED}), None),
+    "DATA": (frozenset({SessionState.ESTABLISHED}), None),
+    "DELIVER": (frozenset({SessionState.ESTABLISHED}), None),
+    "TEARDOWN": (frozenset({SessionState.ESTABLISHED}), SessionState.TEARING_DOWN),
+    "CIRCUIT_RELEASED": (frozenset({SessionState.TEARING_DOWN, SessionState.FAILED}), None),
+    "CLOSED": (frozenset({SessionState.TEARING_DOWN}), SessionState.CLOSED),
+}
+
+
+def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
+    """Replay every session's records against the legal transition relation."""
+    states: dict[int, SessionState | None] = {}
+    for record in records:
+        if record.session is None:
+            continue
+        allowed, target = _RECORD_RULES[record.type]
+        state = states.get(record.session)
+        if state not in allowed:
+            raise InvariantViolation(
+                f"session {record.session}: {record.type} at tick {record.tick} "
+                f"not legal in state {state.value if state else None}")
+        if target is not None:
+            states[record.session] = target
+
+
+def check_causality(records: Iterable[TraceRecord]) -> None:
+    """Every DELIVER pairs with an earlier SEND of the same session+direction."""
+    pending: dict[tuple[int, str], int] = {}
+    for record in records:
+        if record.type == "SEND":
+            key = (record.session, record.detail["dir"])
+            pending[key] = pending.get(key, 0) + 1
+        elif record.type == "DELIVER":
+            key = (record.session, record.detail["dir"])
+            if pending.get(key, 0) < 1:
+                raise InvariantViolation(
+                    f"session {record.session}: DELIVER at tick {record.tick} "
+                    f"precedes its SEND")
+            pending[key] -= 1
+
+
+def check_anti_correlation(sim: Simulation) -> None:
+    """Every doubly-fixed pair in every live pool carries opposite spins."""
+    for circuit in sim.circuits.values():
+        for index, first, second in circuit.pool.pairs_snapshot():
+            fixed = Spin.UNOBSERVED not in (first, second)
+            if fixed and first.opposite() is not second:
+                raise InvariantViolation(
+                    f"circuit {circuit.circuit_id} pair {index}: "
+                    f"{first.name}/{second.name} not anti-correlated")
+            if (first is Spin.UNOBSERVED) != (second is Spin.UNOBSERVED):
+                raise InvariantViolation(
+                    f"circuit {circuit.circuit_id} pair {index}: one side fixed alone")
+
+
+def check_circuit_conservation(sim: Simulation) -> None:
+    """At quiescence the live circuits are exactly the permanent topology ones."""
+    live = [rec for rec in sim.sessions.values() if not rec.terminal]
+    if live:
+        raise InvariantViolation(
+            f"not at quiescence: sessions {[r.session_id for r in live]} still live")
+    expected = set(sim.permanent_circuit_ids)
+    actual = set(sim.circuits)
+    if actual != expected:
+        raise InvariantViolation(
+            f"circuit sets differ: extra={sorted(actual - expected)} "
+            f"missing={sorted(expected - actual)}")
+    for station in sim.nodes.values():
+        if isinstance(station, QbsNode):
+            stray = set(station.circuit_table) - expected
+            if stray:
+                raise InvariantViolation(
+                    f"{station.qbs_id} still holds session circuits {sorted(stray)}")
+
+
+def check_registry_coherence(sim: Simulation) -> None:
+    """Mother -> Child -> LocalUser pointers terminate at the owning node."""
+    mothers = [n for n in sim.nodes.values()
+               if isinstance(n, QbsNode) and n.kind == "mother"]
+    for mother in mothers:
+        for qid, entry in mother.registry.items():
+            if isinstance(entry, RemotePlanet):
+                owner = mother.peer_mothers[entry.mother_id]
+                if not isinstance(owner.registry.get(qid), ChildQbs):
+                    raise InvariantViolation(
+                        f"QID {qid}: delegation from {mother.qbs_id} does not "
+                        f"resolve at {entry.mother_id}")
+                continue
+            if not isinstance(entry, ChildQbs):
+                raise InvariantViolation(
+                    f"QID {qid}: mother {mother.qbs_id} holds {entry!r}")
+            child = sim.nodes[entry.qbs_id]
+            local = child.registry.get(qid)
+            if not isinstance(local, LocalUser):
+                raise InvariantViolation(
+                    f"QID {qid}: child {entry.qbs_id} does not hold it locally")
+            user = sim.nodes[local.node_id]
+            if not isinstance(user, UserNode) or user.qid != qid:
+                raise InvariantViolation(
+                    f"QID {qid}: chain ends at {local.node_id} which does not own it")
+
+
+def check_active_session_membership(sim: Simulation) -> None:
+    """Every active session of a user names that user as caller or callee."""
+    for user in sim.users.values():
+        for session_id in user.active_sessions:
+            rec = sim.sessions[session_id]
+            if user.qid not in (rec.caller, rec.callee):
+                raise InvariantViolation(
+                    f"user {user.node_id} holds foreign session {session_id}")
+
+
+def check_session_circuit_binding(sim: Simulation) -> None:
+    """A session's circuit list is empty exactly in the terminal states."""
+    for rec in sim.sessions.values():
+        if rec.terminal == bool(rec.circuits):
+            raise InvariantViolation(
+                f"session {rec.session_id} ({rec.state.value}) holds "
+                f"circuits {rec.circuits}")
+
+
+def check_all(sim: Simulation) -> None:
+    check_trace_state_machine(sim.trace)
+    check_causality(sim.trace)
+    check_anti_correlation(sim)
+    check_circuit_conservation(sim)
+    check_registry_coherence(sim)
+    check_active_session_membership(sim)
+    check_session_circuit_binding(sim)

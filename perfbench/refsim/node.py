@@ -1,0 +1,89 @@
+"""End-user agents: QID holders that request sessions and exchange messages."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Union
+
+from .codec import Frame, MessageBuffer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .engine import Simulation
+
+
+@dataclass(frozen=True)
+class AcceptAll:
+    def allows(self, caller: int) -> bool:
+        return True
+
+
+@dataclass(frozen=True)
+class RejectAll:
+    def allows(self, caller: int) -> bool:
+        return False
+
+
+@dataclass(frozen=True)
+class AcceptList:
+    qids: frozenset[int]
+
+    def allows(self, caller: int) -> bool:
+        return caller in self.qids
+
+
+AcceptPolicy = Union[AcceptAll, RejectAll, AcceptList]
+
+
+@dataclass
+class UserNode:
+    """One end device, attached to exactly one Child base station."""
+
+    node_id: str
+    qid: int
+    home_qbs: str
+    policy: AcceptPolicy = field(default_factory=AcceptAll)
+    home_circuit: int | None = None
+    active_sessions: set[int] = field(default_factory=set)
+    # completed messages: (arrival_tick, session_id, payload)
+    inbox: list[tuple[int, int, bytes]] = field(default_factory=list)
+    # frames relayed outside any message, by session
+    raw_frames: list[tuple[int, Frame]] = field(default_factory=list)
+    _rx_buffers: dict[tuple[int, str], MessageBuffer] = field(default_factory=dict)
+
+    def decide(self, caller: int) -> bool:
+        """Accept or reject a session ask; a pure function of the policy."""
+        return self.policy.allows(caller)
+
+    def receive_poll(self) -> list[tuple[int, bytes]]:
+        """Drain completed messages, ordered by arrival tick then session id."""
+        entries = sorted(self.inbox, key=lambda e: (e[0], e[1]))
+        self.inbox.clear()
+        return [(session_id, payload) for _, session_id, payload in entries]
+
+    # event handlers -------------------------------------------------------
+
+    def handle(self, sim: "Simulation", verb: str, payload: dict) -> None:
+        getattr(self, "_on_" + verb)(sim, payload)
+
+    def _on_workload_send(self, sim: "Simulation", p: dict) -> None:
+        session_id = sim.open_session(self.home_qbs, self.qid, p["to_qid"])
+        rec = sim.sessions[session_id]
+        rec.workload_payload = p["payload"]
+        rec.auto_teardown = True
+
+    def _on_session_ready(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        if rec.workload_payload is not None:
+            sim.send_message(rec.session_id, rec.workload_payload, sender=self.qid)
+
+    def _on_negotiate_ask(self, sim: "Simulation", p: dict) -> None:
+        from .qbs import SessionState
+
+        if sim.sessions[p["session"]].state is not SessionState.NEGOTIATING:
+            return  # the owner already timed the negotiation out
+        accepted = self.decide(p["caller"])
+        record_type = "ACCEPT" if accepted else "REJECT"
+        sim.emit(self.node_id, record_type, p["session"], caller=p["caller"])
+        sim.schedule(sim.now + 1, p["answer_to"], "negotiation_answer",
+                     {"session": p["session"], "accepted": accepted,
+                      "callee_node": self.node_id})

@@ -1,0 +1,328 @@
+"""Child and Mother base stations: registries, sessions, and circuits.
+
+A Child resolves locally attached QIDs and negotiates on behalf of its
+users. A Mother holds every QID of its planet plus a delegation entry for
+every QID owned by a peer planet; it answers lookups and brokers on-demand
+child<->child circuits for cross-station sessions, but never relays user
+data itself. All mutable state here is owned by the simulation event loop.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import TYPE_CHECKING, Union
+
+from .entanglement import PairPool, Plate
+from .errors import IllegalTransition
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .engine import Simulation
+
+CHILD = "child"
+MOTHER = "mother"
+
+
+# registry entry variants -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LocalUser:
+    node_id: str
+
+
+@dataclass(frozen=True)
+class ChildQbs:
+    qbs_id: str
+
+
+@dataclass(frozen=True)
+class RemotePlanet:
+    mother_id: str
+
+
+Location = Union[LocalUser, ChildQbs, RemotePlanet]
+
+
+# session state machine --------------------------------------------------------
+
+
+class SessionState(str, Enum):
+    IDLE = "idle"
+    LOOKING_UP_LOCAL = "looking_up_local"
+    QUERYING_MOTHER = "querying_mother"
+    NEGOTIATING = "negotiating"
+    ESTABLISHED = "established"
+    TEARING_DOWN = "tearing_down"
+    CLOSED = "closed"
+    FAILED = "failed"
+
+
+class FailureReason(str, Enum):
+    NOT_FOUND = "not_found"
+    REJECTED = "rejected"
+
+
+TRANSITIONS: dict[SessionState, frozenset[SessionState]] = {
+    SessionState.IDLE: frozenset({SessionState.LOOKING_UP_LOCAL}),
+    SessionState.LOOKING_UP_LOCAL: frozenset(
+        {SessionState.NEGOTIATING, SessionState.QUERYING_MOTHER, SessionState.FAILED}
+    ),
+    SessionState.QUERYING_MOTHER: frozenset({SessionState.NEGOTIATING, SessionState.FAILED}),
+    SessionState.NEGOTIATING: frozenset({SessionState.ESTABLISHED, SessionState.FAILED}),
+    SessionState.ESTABLISHED: frozenset({SessionState.TEARING_DOWN}),
+    SessionState.TEARING_DOWN: frozenset({SessionState.CLOSED}),
+    SessionState.CLOSED: frozenset(),
+    SessionState.FAILED: frozenset(),
+}
+
+
+@dataclass
+class SessionRecord:
+    """One caller<->callee association and everything it holds."""
+
+    session_id: int
+    caller: int
+    callee: int
+    caller_node: str
+    caller_qbs: str
+    state: SessionState = SessionState.IDLE
+    failure: FailureReason | None = None
+    callee_node: str | None = None
+    callee_qbs: str | None = None
+    path: list[str] = field(default_factory=list)
+    circuits: list[int] = field(default_factory=list)
+    established_tick: int | None = None
+    # workload plumbing: a payload queued at request time, sent on establish
+    workload_payload: bytes | None = None
+    auto_teardown: bool = False
+    timeout_key: tuple[int, int] | None = None
+
+    def transition(self, new: SessionState, failure: FailureReason | None = None) -> None:
+        if new not in TRANSITIONS[self.state]:
+            raise IllegalTransition(
+                f"session {self.session_id}: {self.state.value} -> {new.value}"
+            )
+        self.state = new
+        if new is SessionState.FAILED:
+            self.failure = failure
+
+    @property
+    def terminal(self) -> bool:
+        return self.state in (SessionState.CLOSED, SessionState.FAILED)
+
+
+# circuits ---------------------------------------------------------------------
+
+
+@dataclass
+class DirectedChannel:
+    """One send direction of a circuit: tx plate at the sender, rx at the receiver.
+
+    The queue holds frames waiting for the plate pair to be re-provisioned by
+    the decoding side; it drains one frame per reset.
+    """
+
+    tx: Plate
+    rx: Plate
+    queue: deque = field(default_factory=deque)
+
+
+@dataclass
+class Circuit:
+    """A provisioned plate-pair link between two nodes, one channel per direction."""
+
+    circuit_id: int
+    a: str
+    b: str
+    pool: PairPool
+    owner_session: int | None = None
+    channels: dict[tuple[str, str], DirectedChannel] = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, circuit_id: int, a: str, b: str, seed: int,
+              owner_session: int | None = None) -> "Circuit":
+        pool = PairPool(seed)
+        circuit = cls(circuit_id, a, b, pool, owner_session)
+        for src, dst in ((a, b), (b, a)):
+            tx, rx = pool.make_plate_pair()
+            circuit.channels[(src, dst)] = DirectedChannel(tx, rx)
+        return circuit
+
+    def channel(self, src: str, dst: str) -> DirectedChannel:
+        return self.channels[(src, dst)]
+
+    def other_end(self, node_id: str) -> str:
+        return self.b if node_id == self.a else self.a
+
+
+# base-station node --------------------------------------------------------------
+
+
+class QbsNode:
+    """One base station, Child or Mother."""
+
+    def __init__(self, qbs_id: str, kind: str, mother_id: str | None = None) -> None:
+        self.qbs_id = qbs_id
+        self.kind = kind
+        self.mother_id = mother_id  # home Mother, set on children only
+        self.registry: dict[int, Location] = {}
+        self.sessions: dict[int, SessionRecord] = {}
+        self.circuit_table: dict[int, Circuit] = {}
+        self.peer_mothers: dict[str, "QbsNode"] = {}
+        self.negotiation_budget = 100  # ticks a callee may take to answer
+
+    # pure reads ---------------------------------------------------------
+
+    def lookup_local(self, qid: int) -> str | None:
+        """Node id of a locally attached user, or None."""
+        entry = self.registry.get(qid)
+        return entry.node_id if isinstance(entry, LocalUser) else None
+
+    def lookup_global(self, qid: int) -> Location | None:
+        """Resolve a QID planet-wide; delegations recurse one level to the peer."""
+        entry = self.registry.get(qid)
+        if isinstance(entry, RemotePlanet):
+            peer = self.peer_mothers[entry.mother_id]
+            return peer.registry.get(qid)
+        return entry
+
+    # event handlers -------------------------------------------------------
+
+    def handle(self, sim: "Simulation", verb: str, payload: dict) -> None:
+        getattr(self, "_on_" + verb)(sim, payload)
+
+    def _on_session_lookup(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        rec.transition(SessionState.LOOKING_UP_LOCAL)
+        callee_node = self.lookup_local(rec.callee)
+        if callee_node is not None:
+            sim.emit(self.qbs_id, "LOOKUP_LOCAL_HIT", rec.session_id, qid=rec.callee)
+            rec.callee_node = callee_node
+            rec.callee_qbs = self.qbs_id
+            self._start_negotiation(sim, rec, callee_node)
+        else:
+            sim.emit(self.qbs_id, "LOOKUP_LOCAL_MISS", rec.session_id, qid=rec.callee)
+            rec.transition(SessionState.QUERYING_MOTHER)
+            sim.schedule(sim.now + 1, self.mother_id, "mother_lookup",
+                         {"session": rec.session_id, "qid": rec.callee})
+
+    def _start_negotiation(self, sim: "Simulation", rec: SessionRecord,
+                           callee_node: str) -> None:
+        rec.transition(SessionState.NEGOTIATING)
+        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id,
+                 caller=rec.caller, callee=rec.callee)
+        sim.schedule(sim.now + 1, callee_node, "negotiate_ask",
+                     {"session": rec.session_id, "caller": rec.caller,
+                      "answer_to": self.qbs_id})
+        owner = sim.nodes[rec.caller_qbs]
+        rec.timeout_key = sim.schedule(
+            sim.now + owner.negotiation_budget, rec.caller_qbs,
+            "negotiation_timeout", {"session": rec.session_id})
+
+    def _on_mother_lookup(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        qid = p["qid"]
+        entry = self.registry.get(qid)
+        if entry is None:
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, qid=qid)
+            sim.schedule(sim.now + 1, rec.caller_qbs, "mother_answer",
+                         {"session": rec.session_id, "found": False})
+        elif isinstance(entry, ChildQbs):
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
+                     qid=qid, child=entry.qbs_id)
+            sim.provision_interqbs_circuit(self.qbs_id, rec.caller_qbs,
+                                           entry.qbs_id, rec.session_id)
+            sim.schedule(sim.now + 1, rec.caller_qbs, "mother_answer",
+                         {"session": rec.session_id, "found": True,
+                          "callee_qbs": entry.qbs_id})
+        else:  # delegated to another planet's Mother
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
+                     qid=qid, remote=entry.mother_id)
+            sim.schedule(sim.now + 1, entry.mother_id, "peer_lookup",
+                         {"session": rec.session_id, "qid": qid,
+                          "reply_to": self.qbs_id})
+
+    def _on_peer_lookup(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        qid = p["qid"]
+        entry = self.registry.get(qid)
+        if isinstance(entry, ChildQbs):
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
+                     qid=qid, child=entry.qbs_id)
+            answer = {"session": rec.session_id, "found": True,
+                      "callee_qbs": entry.qbs_id}
+        else:
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, qid=qid)
+            answer = {"session": rec.session_id, "found": False}
+        sim.schedule(sim.now + 1, p["reply_to"], "peer_answer", answer)
+
+    def _on_peer_answer(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        if p["found"]:
+            sim.provision_interqbs_circuit(self.qbs_id, rec.caller_qbs,
+                                           p["callee_qbs"], rec.session_id)
+        sim.schedule(sim.now + 1, rec.caller_qbs, "mother_answer", dict(p))
+
+    def _on_mother_answer(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        if not p["found"]:
+            rec.transition(SessionState.FAILED, FailureReason.NOT_FOUND)
+            sim.release_session_circuits(rec, self.qbs_id)
+            sim.finish_session(rec)
+            return
+        rec.callee_qbs = p["callee_qbs"]
+        rec.transition(SessionState.NEGOTIATING)
+        sim.schedule(sim.now + 1, rec.callee_qbs, "session_ask",
+                     {"session": rec.session_id, "caller": rec.caller,
+                      "callee": rec.callee})
+        rec.timeout_key = sim.schedule(
+            sim.now + self.negotiation_budget, self.qbs_id,
+            "negotiation_timeout", {"session": rec.session_id})
+
+    def _on_session_ask(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        if rec.state is not SessionState.NEGOTIATING:
+            return  # the owner already timed the negotiation out
+        self.sessions[rec.session_id] = rec
+        callee_node = self.lookup_local(p["callee"])
+        rec.callee_node = callee_node
+        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id,
+                 caller=p["caller"], callee=p["callee"])
+        sim.schedule(sim.now + 1, callee_node, "negotiate_ask",
+                     {"session": rec.session_id, "caller": p["caller"],
+                      "answer_to": self.qbs_id})
+
+    def _on_negotiation_answer(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        if self.qbs_id != rec.caller_qbs:
+            # callee-side station forwards the verdict to the session owner
+            sim.schedule(sim.now + 1, rec.caller_qbs, "negotiation_answer", dict(p))
+            return
+        if rec.state is not SessionState.NEGOTIATING:
+            return  # answer landed after a timeout already failed the session
+        if rec.timeout_key is not None:
+            sim.cancel(rec.timeout_key)
+            rec.timeout_key = None
+        if not p["accepted"]:
+            rec.transition(SessionState.FAILED, FailureReason.REJECTED)
+            sim.release_session_circuits(rec, self.qbs_id)
+            sim.finish_session(rec)
+            return
+        rec.callee_node = p["callee_node"]
+        sim.establish_session(rec)
+
+    def _on_negotiation_timeout(self, sim: "Simulation", p: dict) -> None:
+        rec = sim.sessions[p["session"]]
+        if rec.state is not SessionState.NEGOTIATING:
+            return
+        sim.emit(self.qbs_id, "REJECT", rec.session_id,
+                 caller=rec.caller, reason="timeout")
+        rec.timeout_key = None
+        rec.transition(SessionState.FAILED, FailureReason.REJECTED)
+        sim.release_session_circuits(rec, self.qbs_id)
+        sim.finish_session(rec)
+
+    def _on_teardown(self, sim: "Simulation", p: dict) -> None:
+        sim.teardown_session(p["session"])
