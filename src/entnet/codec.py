@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .entanglement import PLATE_WIDTH, PairPool, Plate, _DOWN, _UP
+from .entanglement import ALL, PLATE_WIDTH, PairPool, Plate
 from .errors import LengthOverrun, PlateAlreadyUsed
 
 FRAME_BITS = PLATE_WIDTH
@@ -67,18 +67,12 @@ def encode_frame(pool: PairPool, tx: Plate, frame: Frame) -> None:
     """Trigger the whole Tx plate: bit 1 -> Up, bit 0 -> Down."""
     if not pool.plate_fresh(tx):
         raise PlateAlreadyUsed(f"tx plate generation {tx.generation} already carries data")
-    directions = [_UP if frame.bit(i) else _DOWN for i in range(FRAME_BITS)]
-    pool.trigger_plate(tx, directions)
+    pool.trigger_plate(tx, int.from_bytes(frame.data, "big"))
 
 
 def decode_frame(pool: PairPool, rx: Plate) -> Frame:
     """Observe the whole Rx plate and invert each raw bit."""
-    spins = pool.observe_plate(rx)
-    out = bytearray(FRAME_BYTES)
-    for i, v in enumerate(spins):
-        if v != _UP:  # partner observed Down, so the sender wrote 1
-            out[i >> 3] |= 0x80 >> (i & 7)
-    return Frame(bytes(out))
+    return Frame((pool.observe_plate(rx) ^ ALL).to_bytes(FRAME_BYTES, "big"))
 
 
 def segment_message(payload: bytes) -> list[Frame]:

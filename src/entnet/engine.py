@@ -101,15 +101,6 @@ class LatencyReport:
     classical_baseline_seconds: float
 
 
-@dataclass
-class Topology:
-    """Static shape of a built scenario."""
-
-    planets: list[tuple[str, dict[str, list[str]]]]  # (mother, {child: [user nodes]})
-    link_distances: dict[frozenset, float]
-    permanent_circuits: frozenset[int] = frozenset()
-
-
 class Simulation:
     """One deterministic run over a scenario."""
 
@@ -136,11 +127,12 @@ class Simulation:
         self._circuit_index: dict[frozenset, list[int]] = {}
         self._next_circuit = itertools.count(1)
         self._next_session = itertools.count(1)
+        self.released_plate_draws = 0  # blind-decode draws of destroyed circuits
 
         self._classical_adj: dict[str, list[tuple[str, float]]] = {}
         self._dijkstra_cache: dict[str, dict[str, float]] = {}
 
-        self.topology = self._build_topology()
+        self._build_topology()
         self._schedule_workload()
 
     # scheduling -----------------------------------------------------------
@@ -201,37 +193,32 @@ class Simulation:
 
     # topology -------------------------------------------------------------
 
-    def _build_topology(self) -> Topology:
+    def _build_topology(self) -> None:
         link_distances: dict[frozenset, float] = {
             frozenset((link.a, link.b)): link.distance_meters
             for link in self.scenario.links
         }
-        planets: list[tuple[str, dict[str, list[str]]]] = []
         mothers: list[QbsNode] = []
         for planet in self.scenario.planets:
             mother = QbsNode(planet.mother_id, MOTHER)
             self.nodes[mother.qbs_id] = mother
             mothers.append(mother)
-            children: dict[str, list[str]] = {}
             for child_spec in planet.children:
                 child = QbsNode(child_spec.qbs_id, CHILD, mother_id=mother.qbs_id)
                 self.nodes[child.qbs_id] = child
-                children[child.qbs_id] = [u.node_id for u in child_spec.users]
-            planets.append((mother.qbs_id, children))
         for mother in mothers:
             mother.peer_mothers = {m.qbs_id: m for m in mothers if m is not mother}
 
-        for planet, (mother_id, children) in zip(self.scenario.planets, planets):
-            mother = self.nodes[mother_id]
+        for planet, mother in zip(self.scenario.planets, mothers):
             for child_spec in planet.children:
                 child = self.nodes[child_spec.qbs_id]
-                self._create_circuit(child.qbs_id, mother_id)
+                self._create_circuit(child.qbs_id, mother.qbs_id)
                 for user_spec in child_spec.users:
                     self.register_user(child, mother, user_spec.qid,
                                        user_spec.node_id, user_spec.accept_policy)
-        for i, (mother_a, _) in enumerate(planets):
-            for mother_b, _ in planets[i + 1:]:
-                self._create_circuit(mother_a, mother_b)
+        for i, mother_a in enumerate(mothers):
+            for mother_b in mothers[i + 1:]:
+                self._create_circuit(mother_a.qbs_id, mother_b.qbs_id)
 
         # classical routing graph: every permanent link, plus any extra
         # declared links, weighted by declared distance (0 when undeclared)
@@ -242,8 +229,6 @@ class Simulation:
             d = link_distances.get(edge, 0.0)
             self._classical_adj.setdefault(a, []).append((b, d))
             self._classical_adj.setdefault(b, []).append((a, d))
-
-        return Topology(planets, link_distances, frozenset(self._permanent))
 
     @property
     def permanent_circuit_ids(self) -> frozenset[int]:
@@ -353,6 +338,7 @@ class Simulation:
                     if isinstance(station, QbsNode):
                         station.circuit_table.pop(circuit_id, None)
                 self._circuit_index[frozenset((circuit.a, circuit.b))].remove(circuit_id)
+                self.released_plate_draws += circuit.pool.plate_draws
                 del self.circuits[circuit_id]
         rec.circuits.clear()
 

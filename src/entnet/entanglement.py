@@ -5,19 +5,27 @@ at the same instant, with opposite spins, and a fixed spin never changes.
 Triggering requires an ionized particle (fixed measurement axis). Each pool
 owns its own deterministic random stream, so observation draws never depend
 on what any other pool did in the meantime.
+
+A plate is one generation of PLATE_WIDTH pairs held as two ints: `fixed`
+marks the fixed particles and `up` those fixed Up, bit 127 - i standing for
+particle i (the MSB-first frame order). The Tx plate holds the ionized
+halves and its partner Rx plate the others, so both always share one
+`fixed` mask and `tx.up ^ rx.up == fixed`. Observing a plate that still has
+unfixed particles (a blind decode) fixes them all with one 128-bit draw.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import AlreadyFixed, MismatchedPlates, TriggerOnNonIonized, UnknownParticle
 
 PLATE_WIDTH = 128
+ALL = (1 << PLATE_WIDTH) - 1  # every particle of a plate
 
 TX = "tx"
 RX = "rx"
@@ -47,13 +55,15 @@ class Particle:
     partner_id: int
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Plate:
-    """Ordered array of exactly PLATE_WIDTH particle ids; one side of a channel."""
+    """One side of a channel: PLATE_WIDTH particles as `fixed`/`up` bit-fields."""
 
     role: str
-    particle_ids: list[int]
+    fixed: int = 0
+    up: int = 0
     generation: int = 0
+    partner: Plate | None = field(default=None, repr=False)
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -66,18 +76,22 @@ class PairPool:
     """Store of live entangled pairs with a pool-local random stream.
 
     Particle ids 2i and 2i+1 are the two halves of pair i; ids are never
-    reused within a pool. Pairs consumed by a plate reset are dropped, so a
-    long run does not accumulate dead particles.
+    reused within a pool. Plate pairs keep their state in their own `Plate`
+    bit-fields; `plate_draws` counts the blind decodes that drew from the
+    stream.
     """
 
     def __init__(self, seed: int = 0) -> None:
         # pair record: [spin_a, spin_b, ionized_a, ionized_b]
         self._pairs: dict[int, list] = {}
         self._next_pair = 0
+        self._plate_pairs = 0
+        self.plate_draws = 0
         self.rng = random.Random(seed)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        """Live pairs: per-pair records plus PLATE_WIDTH per plate pair."""
+        return len(self._pairs) + PLATE_WIDTH * self._plate_pairs
 
     def _pair(self, particle_id: int) -> list:
         rec = self._pairs.get(particle_id >> 1)
@@ -93,9 +107,6 @@ class PairPool:
         self._next_pair += 1
         self._pairs[index] = [_UNOBSERVED, _UNOBSERVED, bool(ionize_first), False]
         return 2 * index, 2 * index + 1
-
-    def is_live(self, particle_id: int) -> bool:
-        return (particle_id >> 1) in self._pairs
 
     def partner(self, particle_id: int) -> int:
         self._pair(particle_id)
@@ -137,38 +148,19 @@ class PairPool:
     # plate-level operations ------------------------------------------------
 
     def make_plate_pair(self) -> tuple[Plate, Plate]:
-        """Create an ionized Tx plate and the index-aligned non-ionized Rx plate."""
-        tx_ids: list[int] = []
-        rx_ids: list[int] = []
-        for _ in range(PLATE_WIDTH):
-            a, b = self.create_pair(ionize_first=True)
-            tx_ids.append(a)
-            rx_ids.append(b)
-        return Plate(TX, tx_ids), Plate(RX, rx_ids)
+        """Create an ionized Tx plate and its partner Rx plate, all unobserved."""
+        tx, rx = Plate(TX), Plate(RX)
+        tx.partner, rx.partner = rx, tx
+        self._plate_pairs += 1
+        return tx, rx
 
     def reset_plate_pair(self, tx: Plate, rx: Plate) -> None:
-        """Re-provision every consumed pair of a matched plate pair.
-
-        Pairs that are still fully unobserved are kept as they are; used ones
-        are destroyed and replaced with fresh pairs. Both generation counters
-        advance by one either way.
-        """
+        """Re-provision a matched plate pair: all pairs fresh, next generation."""
         if tx.role != TX or rx.role != RX:
             raise MismatchedPlates(f"expected roles ({TX}, {RX}), got ({tx.role}, {rx.role})")
-        if len(tx.particle_ids) != PLATE_WIDTH or len(rx.particle_ids) != PLATE_WIDTH:
-            raise MismatchedPlates("plates must hold exactly PLATE_WIDTH particles")
-        pairs = self._pairs
-        for i, pid in enumerate(tx.particle_ids):
-            if rx.particle_ids[i] != pid ^ 1 or (pid >> 1) not in pairs:
-                raise MismatchedPlates(f"plates disagree at index {i}")
-        for i, pid in enumerate(tx.particle_ids):
-            rec = pairs[pid >> 1]
-            if rec[0] == _UNOBSERVED and rec[1] == _UNOBSERVED:
-                continue
-            del pairs[pid >> 1]
-            a, b = self.create_pair(ionize_first=True)
-            tx.particle_ids[i] = a
-            rx.particle_ids[i] = b
+        if tx.partner is not rx:
+            raise MismatchedPlates("plates are not partners")
+        tx.fixed = tx.up = rx.fixed = rx.up = 0
         tx.generation += 1
         rx.generation += 1
 
@@ -176,49 +168,34 @@ class PairPool:
 
     def plate_fresh(self, plate: Plate) -> bool:
         """True when every particle on the plate is still unobserved."""
-        pairs = self._pairs
-        for pid in plate.particle_ids:
-            rec = pairs.get(pid >> 1)
-            if rec is None:
-                raise UnknownParticle(f"no live particle {pid}")
-            if rec[pid & 1] != _UNOBSERVED:
-                return False
-        return True
+        return not plate.fixed
 
-    def trigger_plate(self, plate: Plate, directions: Sequence[int]) -> None:
-        """trigger_spin applied across a whole plate in one pass."""
-        pairs = self._pairs
-        for pid, d in zip(plate.particle_ids, directions):
-            rec = pairs.get(pid >> 1)
-            if rec is None:
-                raise UnknownParticle(f"no live particle {pid}")
-            side = pid & 1
-            if not rec[2 + side]:
-                raise TriggerOnNonIonized(f"particle {pid} is not ionized")
-            if rec[side] != _UNOBSERVED:
-                raise AlreadyFixed(f"particle {pid} spin already fixed")
-            rec[side] = d
-            rec[1 - side] = _OPPOSITE[d]
+    def trigger_plate(self, tx: Plate, bits: int) -> None:
+        """Fix a whole fresh Tx plate, set bits Up; the Rx plate gets the opposite."""
+        if tx.role != TX:
+            raise TriggerOnNonIonized(f"{tx.role} plate is not ionized")
+        if tx.fixed:
+            raise AlreadyFixed(f"plate generation {tx.generation} already fixed")
+        if not 0 <= bits <= ALL:
+            raise ValueError(f"a plate carries exactly {PLATE_WIDTH} bits")
+        rx = tx.partner
+        tx.fixed = rx.fixed = ALL
+        tx.up = bits
+        rx.up = bits ^ ALL
 
-    def observe_plate(self, plate: Plate) -> list[int]:
-        """observe applied across a whole plate; returns raw spin values."""
-        pairs = self._pairs
-        rng = self.rng
-        out = []
-        for pid in plate.particle_ids:
-            rec = pairs.get(pid >> 1)
-            if rec is None:
-                raise UnknownParticle(f"no live particle {pid}")
-            side = pid & 1
-            v = rec[side]
-            if v == _UNOBSERVED:
-                v = _UP if rng.getrandbits(1) else _DOWN
-                rec[side] = v
-                rec[1 - side] = _OPPOSITE[v]
-            out.append(v)
-        return out
+    def observe_plate(self, plate: Plate) -> int:
+        """Fix any unfixed particles with one uniform draw; returns the up-bits."""
+        free = plate.fixed ^ ALL
+        if free:
+            self.plate_draws += 1
+            drawn = self.rng.getrandbits(PLATE_WIDTH) & free
+            partner = plate.partner
+            plate.up |= drawn
+            partner.up |= drawn ^ free
+            plate.fixed = partner.fixed = ALL
+        return plate.up
 
     def pairs_snapshot(self) -> Iterator[tuple[int, Spin, Spin]]:
-        """(pair_index, spin_first, spin_second) for every live pair."""
+        """(pair_index, spin_first, spin_second) for every pair from create_pair."""
         for index, rec in self._pairs.items():
             yield index, Spin(rec[0]), Spin(rec[1])

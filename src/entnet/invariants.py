@@ -1,7 +1,8 @@
 """Whole-run checks; each raises InvariantViolation with the first offence found.
 
 These are the properties any completed run must satisfy, whatever the
-scenario: anti-correlation of every fixed pair, circuit conservation at
+scenario: anti-correlation of every fixed pair, no blind decodes (a plate
+observed before anything was encoded on it), circuit conservation at
 quiescence, registry coherence, trace/state-machine conformance (which
 includes "no data outside an established window"), and send/deliver
 causality.
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .engine import Simulation, TraceRecord
-from .entanglement import Spin
+from .entanglement import Plate, Spin
 from .errors import InvariantViolation
 from .node import UserNode
 from .qbs import ChildQbs, LocalUser, QbsNode, RemotePlanet, SessionState
@@ -72,9 +73,25 @@ def check_causality(records: Iterable[TraceRecord]) -> None:
             pending[key] -= 1
 
 
+def _plate_fault(tx: Plate, rx: Plate) -> str | None:
+    if tx.fixed != rx.fixed:
+        return "fixed masks differ"
+    if (tx.up | rx.up) & ~tx.fixed:
+        return "up-bit outside the fixed mask"
+    if tx.up ^ rx.up != tx.fixed:
+        return "fixed spins not opposite"
+    return None
+
+
 def check_anti_correlation(sim: Simulation) -> None:
-    """Every doubly-fixed pair in every live pool carries opposite spins."""
+    """Every live channel's plates, and every doubly-fixed pair, carry opposite spins."""
     for circuit in sim.circuits.values():
+        for (src, dst), channel in circuit.channels.items():
+            fault = _plate_fault(channel.tx, channel.rx)
+            if fault:
+                raise InvariantViolation(
+                    f"circuit {circuit.circuit_id} channel {src}->{dst} generation "
+                    f"{channel.tx.generation}: {fault}")
         for index, first, second in circuit.pool.pairs_snapshot():
             fixed = Spin.UNOBSERVED not in (first, second)
             if fixed and first.opposite() is not second:
@@ -84,6 +101,17 @@ def check_anti_correlation(sim: Simulation) -> None:
             if (first is Spin.UNOBSERVED) != (second is Spin.UNOBSERVED):
                 raise InvariantViolation(
                     f"circuit {circuit.circuit_id} pair {index}: one side fixed alone")
+
+
+def check_no_blind_decodes(sim: Simulation) -> None:
+    """No plate of any circuit, live or released, was decoded before it was encoded."""
+    for circuit in sim.circuits.values():
+        if circuit.pool.plate_draws:
+            raise InvariantViolation(
+                f"circuit {circuit.circuit_id}: {circuit.pool.plate_draws} blind decode(s)")
+    if sim.released_plate_draws:
+        raise InvariantViolation(
+            f"released circuits: {sim.released_plate_draws} blind decode(s)")
 
 
 def check_circuit_conservation(sim: Simulation) -> None:
@@ -156,6 +184,7 @@ def check_all(sim: Simulation) -> None:
     check_trace_state_machine(sim.trace)
     check_causality(sim.trace)
     check_anti_correlation(sim)
+    check_no_blind_decodes(sim)
     check_circuit_conservation(sim)
     check_registry_coherence(sim)
     check_active_session_membership(sim)

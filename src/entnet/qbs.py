@@ -153,9 +153,6 @@ class Circuit:
     def channel(self, src: str, dst: str) -> DirectedChannel:
         return self.channels[(src, dst)]
 
-    def other_end(self, node_id: str) -> str:
-        return self.b if node_id == self.a else self.a
-
 
 # base-station node --------------------------------------------------------------
 

@@ -8,8 +8,8 @@ from entnet import (
     FRAME_BYTES,
     Frame,
     MessageBuffer,
+    PLATE_WIDTH,
     PairPool,
-    Spin,
     decode_frame,
     encode_frame,
     frame_count,
@@ -17,6 +17,7 @@ from entnet import (
     reassemble,
     segment_message,
 )
+from entnet.entanglement import ALL
 from entnet.errors import LengthOverrun, PlateAlreadyUsed
 
 frames = st.binary(min_size=FRAME_BYTES, max_size=FRAME_BYTES).map(Frame)
@@ -53,15 +54,16 @@ def test_hex_dump_is_32_lowercase_chars_msb_first():
 def test_encode_all_zeros_spins():
     pool, tx, rx = fresh_channel()
     encode_frame(pool, tx, Frame.zeros())
-    assert all(pool.particle(pid).spin is Spin.DOWN for pid in tx.particle_ids)
-    assert all(pool.observe(pid) is Spin.UP for pid in rx.particle_ids)
+    assert tx.fixed == ALL and tx.up == 0  # every particle fixed Down
+    assert pool.observe_plate(rx) == ALL  # every partner observed Up
 
 
 def test_encode_single_one_bit():
     pool, tx, rx = fresh_channel()
     encode_frame(pool, tx, Frame.from_bits([1] + [0] * 127))
-    assert pool.particle(tx.particle_ids[0]).spin is Spin.UP
-    assert all(pool.particle(pid).spin is Spin.DOWN for pid in tx.particle_ids[1:])
+    assert tx.fixed == ALL
+    # particle 0 (bit 127) Up, every other particle Down
+    assert tx.up == 1 << (PLATE_WIDTH - 1)
 
 
 def test_double_encode_raises():
@@ -75,7 +77,7 @@ def test_receiver_inverts_raw_bits():
     # sender writes 0 -> receiver observes Up (raw 1) -> decoded back to 0
     pool, tx, rx = fresh_channel()
     encode_frame(pool, tx, Frame.zeros())
-    assert pool.observe(rx.particle_ids[0]) is Spin.UP
+    assert pool.observe_plate(rx) >> (PLATE_WIDTH - 1) == 1  # particle 0 is Up
     assert decode_frame(pool, rx) == Frame.zeros()
 
 

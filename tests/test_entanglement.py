@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entnet import PLATE_WIDTH, PairPool, Spin
+from entnet.entanglement import ALL, RX, TX
 from entnet.errors import (
     AlreadyFixed,
     MismatchedPlates,
@@ -104,27 +105,29 @@ def test_observe_sequence_is_seed_deterministic():
 def test_make_plate_pair_contract():
     pool = PairPool(0)
     tx, rx = pool.make_plate_pair()
-    assert len(tx.particle_ids) == PLATE_WIDTH == len(rx.particle_ids)
-    for i in range(PLATE_WIDTH):
-        assert pool.partner(tx.particle_ids[i]) == rx.particle_ids[i]
-        assert pool.particle(tx.particle_ids[i]).ionized
-        assert not pool.particle(rx.particle_ids[i]).ionized
-        assert pool.particle(tx.particle_ids[i]).spin is Spin.UNOBSERVED
-        assert pool.particle(rx.particle_ids[i]).spin is Spin.UNOBSERVED
+    assert len(pool) == PLATE_WIDTH  # one plate pair holds PLATE_WIDTH pairs
+    assert tx.partner is rx and rx.partner is tx
+    assert (tx.role, rx.role) == (TX, RX)
+    # every particle on both sides unobserved
+    assert tx.fixed == rx.fixed == 0 and tx.up == rx.up == 0
+    assert pool.plate_fresh(tx) and pool.plate_fresh(rx)
+    # only the Tx side is ionized, so only it can be triggered
+    with pytest.raises(TriggerOnNonIonized):
+        pool.trigger_plate(rx, 0)
+    pool.trigger_plate(tx, 0)
 
 
 def test_reset_reprovisions_used_pairs():
     pool = PairPool(1)
     tx, rx = pool.make_plate_pair()
-    for pid in tx.particle_ids:
-        pool.trigger_spin(pid, Spin.UP)
-    old_ids = list(tx.particle_ids)
+    pool.trigger_plate(tx, ALL)
     pool.reset_plate_pair(tx, rx)
-    assert tx.particle_ids != old_ids
-    assert all(pool.particle(pid).spin is Spin.UNOBSERVED for pid in tx.particle_ids)
-    # the consumed pairs are gone for good
-    with pytest.raises(UnknownParticle):
-        pool.observe(old_ids[0])
+    assert tx.fixed == rx.fixed == 0 and tx.up == rx.up == 0
+    assert pool.plate_fresh(tx) and pool.plate_fresh(rx)
+    # the consumed pairs are gone for good: nothing accumulates
+    assert len(pool) == PLATE_WIDTH
+    pool.trigger_plate(tx, 0)
+    assert rx.up == ALL
 
 
 def test_reset_increments_generation_on_both_plates():
@@ -137,9 +140,9 @@ def test_reset_increments_generation_on_both_plates():
 def test_reset_of_unused_plates_keeps_pairs():
     pool = PairPool(1)
     tx, rx = pool.make_plate_pair()
-    before = list(tx.particle_ids)
     pool.reset_plate_pair(tx, rx)
-    assert tx.particle_ids == before
+    assert tx.fixed == rx.fixed == 0 and tx.up == rx.up == 0
+    assert tx.partner is rx and len(pool) == PLATE_WIDTH
     assert tx.generation == 1 and rx.generation == 1
 
 
@@ -151,6 +154,41 @@ def test_reset_rejects_mismatched_plates():
         pool.reset_plate_pair(tx1, rx2)
     with pytest.raises(MismatchedPlates):
         pool.reset_plate_pair(rx1, tx1)
+
+
+def test_trigger_plate_requires_a_fresh_plate():
+    pool = PairPool(1)
+    tx, _ = pool.make_plate_pair()
+    pool.trigger_plate(tx, 5)
+    with pytest.raises(AlreadyFixed):
+        pool.trigger_plate(tx, 5)
+
+
+def test_trigger_plate_rejects_bits_wider_than_the_plate():
+    pool = PairPool(1)
+    tx, _ = pool.make_plate_pair()
+    with pytest.raises(ValueError):
+        pool.trigger_plate(tx, ALL + 1)
+    with pytest.raises(ValueError):
+        pool.trigger_plate(tx, -1)
+
+
+def test_blind_observe_draws_once_and_fixes_both_plates():
+    pool = PairPool(4)
+    tx, rx = pool.make_plate_pair()
+    up = pool.observe_plate(rx)
+    assert pool.plate_draws == 1
+    assert tx.fixed == rx.fixed == ALL and tx.up == up ^ ALL
+    assert pool.observe_plate(rx) == up  # fixed spins never change
+    assert pool.plate_draws == 1
+
+
+def test_encoded_plate_decodes_without_drawing():
+    pool = PairPool(4)
+    tx, rx = pool.make_plate_pair()
+    pool.trigger_plate(tx, 0x1234)
+    assert pool.observe_plate(rx) == 0x1234 ^ ALL
+    assert pool.plate_draws == 0
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=40),

@@ -1,0 +1,79 @@
+import pytest
+
+from entnet import Frame, Simulation, decode_frame, encode_frame, example_scenario
+from entnet.entanglement import _UP
+from entnet.errors import InvariantViolation
+from entnet.invariants import check_all, check_anti_correlation
+
+
+def live_channel(sim):
+    """A permanent circuit and one of its channels, after the run."""
+    circuit = sim.circuits[min(sim.permanent_circuit_ids)]
+    return circuit, next(iter(circuit.channels.values()))
+
+
+@pytest.fixture
+def encoded(run_example):
+    """A finished run with one frame encoded on a live channel."""
+    sim = run_example("cross-qbs")
+    circuit, channel = live_channel(sim)
+    encode_frame(circuit.pool, channel.tx, Frame(bytes(range(16))))
+    check_anti_correlation(sim)
+    return sim, channel
+
+
+def test_flipped_rx_bit_is_caught(encoded):
+    sim, channel = encoded
+    channel.rx.up ^= 1 << 40
+    with pytest.raises(InvariantViolation, match="not opposite"):
+        check_anti_correlation(sim)
+
+
+def test_mismatched_fixed_masks_are_caught(encoded):
+    sim, channel = encoded
+    channel.rx.fixed ^= 1
+    with pytest.raises(InvariantViolation, match="fixed masks differ"):
+        check_anti_correlation(sim)
+
+
+def test_up_bit_outside_fixed_mask_is_caught(run_example):
+    sim = run_example("cross-qbs")
+    _, channel = live_channel(sim)
+    assert channel.tx.fixed == 0  # reset after its last frame
+    channel.tx.up = channel.rx.up = 1  # equal bits: tx.up ^ rx.up still == fixed
+    with pytest.raises(InvariantViolation, match="outside the fixed mask"):
+        check_anti_correlation(sim)
+
+
+def test_per_pair_records_are_still_scanned(run_example):
+    sim = run_example("cross-qbs")
+    circuit, _ = live_channel(sim)
+    a, _ = circuit.pool.create_pair(ionize_first=True)
+    check_anti_correlation(sim)
+    circuit.pool._pairs[a >> 1][:2] = [_UP, _UP]
+    with pytest.raises(InvariantViolation, match="not anti-correlated"):
+        check_anti_correlation(sim)
+
+
+def test_blind_decode_on_live_circuit_is_caught(run_example):
+    sim = run_example("cross-qbs")
+    check_all(sim)
+    circuit, channel = live_channel(sim)
+    decode_frame(circuit.pool, channel.rx)
+    with pytest.raises(InvariantViolation, match="blind decode"):
+        check_all(sim)
+
+
+def test_blind_decode_on_released_circuit_is_caught():
+    sim = Simulation(example_scenario("cross-qbs"))
+    sim.run_until_idle()
+    sid = sim.request_session(11, 13)
+    sim.run_until_idle()
+    owned = [c for c in sim.circuits.values() if c.owner_session == sid]
+    assert len(owned) == 1
+    decode_frame(owned[0].pool, next(iter(owned[0].channels.values())).rx)
+    sim.teardown_session(sid)
+    sim.run_until_idle()
+    assert owned[0].circuit_id not in sim.circuits
+    with pytest.raises(InvariantViolation, match="released circuits"):
+        check_all(sim)
