@@ -17,7 +17,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Callable, Iterator, NamedTuple
 
 from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_message
 from .entanglement import derive_seed
@@ -55,17 +56,7 @@ REVERSE = "rev"
 _ENGINE_VERBS = frozenset({"relay_frame", "consume_frame", "channel_send"})
 
 
-@dataclass(frozen=True)
-class Event:
-    tick: int
-    seq: int
-    target: str
-    verb: str
-    payload: dict
-
-
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     tick: int
     seq: int
     node: str
@@ -74,15 +65,25 @@ class TraceRecord:
     detail: dict
 
     def to_json_line(self) -> str:
-        obj = {
-            "tick": self.tick,
-            "seq": self.seq,
-            "node": self.node,
-            "type": self.type,
-            "session": self.session,
-            "detail": self.detail,
-        }
-        return json.dumps(obj, separators=(",", ":"))
+        """Same bytes as `json.dumps` of the record as a dict in field order,
+        with separators (",", ":") and the default ASCII escaping."""
+        tick, seq, node, record_type, session, detail = self
+        items = []
+        for key, value in detail.items():
+            kind = type(value)
+            if kind is int:  # exact, so bool and IntEnum take the json.dumps path
+                text = str(value)
+            elif kind is str:
+                text = _json_str(value)
+            elif value is None:
+                text = "null"
+            else:
+                text = json.dumps(value, separators=(",", ":"))
+            items.append(f"{_json_str(key)}:{text}")
+        return (f'{{"tick":{tick},"seq":{seq},"node":{_json_str(node)},'
+                f'"type":{_json_str(record_type)},'
+                f'"session":{"null" if session is None else session},'
+                f'"detail":{{{",".join(items)}}}}}')
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,8 @@ class Simulation:
         self.now = 0
         self.tick_budget = 10**6
 
-        self._queue: list[tuple[int, int, Event]] = []
+        # (tick, seq, target, verb, payload): unique (tick, seq) ends every comparison
+        self._queue: list[tuple[int, int, str, str, dict]] = []
         self._seq_by_tick: dict[int, int] = {}
         self._cancelled: set[tuple[int, int]] = set()
         self._tick_events = 0
@@ -148,7 +150,7 @@ class Simulation:
         if tick < self.now:
             raise SchedulingError(f"cannot schedule at tick {tick} while at {self.now}")
         seq = self._alloc_seq(tick)
-        heapq.heappush(self._queue, (tick, seq, Event(tick, seq, target, verb, payload or {})))
+        heapq.heappush(self._queue, (tick, seq, target, verb, payload or {}))
         return (tick, seq)
 
     def cancel(self, key: tuple[int, int]) -> None:
@@ -170,7 +172,7 @@ class Simulation:
 
     def _run(self, should_run: Callable[[int], bool]) -> int:
         while self._queue:
-            tick, seq, event = self._queue[0]
+            tick, seq, target, verb, payload = self._queue[0]
             if (tick, seq) in self._cancelled:
                 heapq.heappop(self._queue)
                 self._cancelled.discard((tick, seq))
@@ -185,10 +187,10 @@ class Simulation:
             if self._tick_events > self.tick_budget:
                 raise TickBudgetExceeded(
                     f"more than {self.tick_budget} events at tick {tick}")
-            if event.verb in _ENGINE_VERBS:
-                getattr(self, "_on_" + event.verb)(event.target, event.payload)
+            if verb in _ENGINE_VERBS:
+                getattr(self, "_on_" + verb)(target, payload)
             else:
-                self.nodes[event.target].handle(self, event.verb, event.payload)
+                self.nodes[target].handle(self, verb, payload)
         return self.now
 
     # topology -------------------------------------------------------------
@@ -439,21 +441,14 @@ class Simulation:
             # relays already logged this frame at their decode step
             self.emit(src, "DATA", rec.session_id, dir=item["dir"],
                       frame=item["frame"].hex(), index=item["index"])
-        nodes_dir = self._direction_nodes(rec, item["dir"])
         dst_pos = item["pos"] + 1
-        meta = {"session": rec.session_id, "dir": item["dir"],
-                "index": item["index"], "in_message": item["in_message"]}
-        if dst_pos == len(nodes_dir) - 1:
+        meta = {"session": rec.session_id, "dir": item["dir"], "index": item["index"],
+                "in_message": item["in_message"], "pos": dst_pos}
+        if dst_pos == len(rec.path) - 1:
             # final hop: delivery is same-tick, the channel itself is free
             self.schedule(self.now, dst, "consume_frame", meta)
         else:
-            meta["pos"] = dst_pos
             self.schedule(self.now + 1, dst, "relay_frame", meta)
-
-    def _drain_channel(self, circuit: Circuit, src: str, dst: str) -> None:
-        if circuit.channel(src, dst).queue:
-            self.schedule(self.now, src, "channel_send",
-                          {"circuit": circuit.circuit_id, "src": src, "dst": dst})
 
     def _on_channel_send(self, target: str, p: dict) -> None:
         circuit = self.circuits.get(p["circuit"])
@@ -469,37 +464,36 @@ class Simulation:
                 self._encode_on_channel(circuit, p["src"], p["dst"], item)
                 return
 
-    def _on_relay_frame(self, target: str, p: dict) -> None:
-        rec = self.sessions[p["session"]]
-        nodes_dir = self._direction_nodes(rec, p["dir"])
-        pos = p["pos"]
-        inbound = self._circuit_for(rec, nodes_dir[pos - 1], target)
+    def _receive_frame(self, rec: SessionRecord, target: str, p: dict) -> Frame | None:
+        """Decode, reset and drain the inbound channel; log DATA and return the
+        frame, or None when there is no circuit or the session has closed."""
+        src = self._direction_nodes(rec, p["dir"])[p["pos"] - 1]
+        inbound = self._circuit_for(rec, src, target)
         if inbound is None:
-            return
-        channel = inbound.channel(nodes_dir[pos - 1], target)
+            return None
+        channel = inbound.channel(src, target)
         frame = decode_frame(inbound.pool, channel.rx)
         inbound.pool.reset_plate_pair(channel.tx, channel.rx)
-        self._drain_channel(inbound, nodes_dir[pos - 1], target)
+        if channel.queue:
+            self.schedule(self.now, src, "channel_send",
+                          {"circuit": inbound.circuit_id, "src": src, "dst": target})
         if rec.state is not SessionState.ESTABLISHED:
-            return
+            return None
         self.emit(target, "DATA", rec.session_id, dir=p["dir"],
                   frame=frame.hex(), index=p["index"])
-        self._submit_frame(rec, p["dir"], frame, p["index"], p["in_message"], pos=pos)
+        return frame
+
+    def _on_relay_frame(self, target: str, p: dict) -> None:
+        rec = self.sessions[p["session"]]
+        frame = self._receive_frame(rec, target, p)
+        if frame is not None:
+            self._submit_frame(rec, p["dir"], frame, p["index"], p["in_message"], p["pos"])
 
     def _on_consume_frame(self, target: str, p: dict) -> None:
         rec = self.sessions[p["session"]]
-        nodes_dir = self._direction_nodes(rec, p["dir"])
-        inbound = self._circuit_for(rec, nodes_dir[-2], target)
-        if inbound is None:
+        frame = self._receive_frame(rec, target, p)
+        if frame is None:
             return
-        channel = inbound.channel(nodes_dir[-2], target)
-        frame = decode_frame(inbound.pool, channel.rx)
-        inbound.pool.reset_plate_pair(channel.tx, channel.rx)
-        self._drain_channel(inbound, nodes_dir[-2], target)
-        if rec.state is not SessionState.ESTABLISHED:
-            return
-        self.emit(target, "DATA", rec.session_id, dir=p["dir"],
-                  frame=frame.hex(), index=p["index"])
         user = self.nodes[target]
         if not p["in_message"]:
             user.raw_frames.append((rec.session_id, frame))
@@ -577,10 +571,10 @@ class Simulation:
             yield record.to_json_line()
 
     def write_trace(self, path: str) -> None:
-        lines = list(self.trace_lines())
+        """Write the trace as NDJSON, one line at a time."""
         with open(path, "w") as handle:
-            if lines:
-                handle.write("\n".join(lines) + "\n")
+            for line in self.trace_lines():
+                handle.write(line + "\n")
 
     def write_stats(self, path: str) -> None:
         with open(path, "w") as handle:

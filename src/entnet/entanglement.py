@@ -20,6 +20,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterator
 
 from .errors import AlreadyFixed, MismatchedPlates, TriggerOnNonIonized, UnknownParticle
@@ -87,7 +88,7 @@ class PairPool:
         self._next_pair = 0
         self._plate_pairs = 0
         self.plate_draws = 0
-        self.rng = random.Random(seed)
+        self._seed = seed
 
     def __len__(self) -> int:
         """Live pairs: per-pair records plus PLATE_WIDTH per plate pair."""
@@ -98,6 +99,11 @@ class PairPool:
         if rec is None:
             raise UnknownParticle(f"no live particle {particle_id}")
         return rec
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The pool's stream, built on its first draw."""
+        return random.Random(self._seed)
 
     # pair-level operations -------------------------------------------------
 

@@ -2,11 +2,15 @@ import json
 
 import pytest
 from conftest import record_types
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entnet import (
     Frame,
     SPEED_OF_LIGHT_M_PER_S,
     Simulation,
+    Spin,
+    TraceRecord,
     example_scenario,
     with_uniform_distances,
 )
@@ -229,6 +233,46 @@ def test_trace_lines_have_fixed_key_order(run_example):
     for line in sim.trace_lines():
         assert list(json.loads(line)) == ["tick", "seq", "node", "type",
                                           "session", "detail"]
+
+
+def reference_line(record):
+    return json.dumps({"tick": record.tick, "seq": record.seq, "node": record.node,
+                       "type": record.type, "session": record.session,
+                       "detail": record.detail}, separators=(",", ":"))
+
+
+# quotes, backslashes, control, non-ASCII and astral characters, lone surrogates
+_texts = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé\u2028\U0001F600'),
+                           st.characters(exclude_categories=())), max_size=8)
+_ints = st.one_of(st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64))
+_scalars = st.one_of(st.none(), st.booleans(), _ints, _texts, st.floats(),
+                     st.sampled_from(list(Spin)))
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(_texts, inner, max_size=3)), max_leaves=6)
+_records = st.builds(TraceRecord, tick=_ints, seq=_ints, node=_texts, type=_texts,
+                     session=st.none() | _ints,
+                     detail=st.dictionaries(_texts, _values, max_size=4))
+
+
+@given(_records)
+def test_json_line_matches_json_dumps(record):
+    assert record.to_json_line() == reference_line(record)
+
+
+def test_trace_escapes_awkward_node_ids():
+    scenario = Scenario(seed=0, planets=(PlanetSpec('m"é', (
+        ChildSpec("q\\1", (UserSpec('a"\n\\é', 1),)),
+        ChildSpec("q\n2", (UserSpec("b\\é", 2),)),
+    )),), workload=(WorkloadItem(0, 1, 2, b"hi"), WorkloadItem(0, 2, 1, b"yo")))
+    sim = Simulation(scenario)
+    sim.run_until_idle()
+    check_all(sim)
+    lines = list(sim.trace_lines())
+    assert {"CIRCUIT_PROVISIONED", "ESTABLISHED", "DELIVER"} <= set(record_types(sim))
+    assert len(lines) == len(sim.trace)
+    for line, record in zip(lines, sim.trace):
+        assert line == reference_line(record)
+        assert json.loads(line) == record._asdict()
 
 
 def test_trace_file_round_trip(tmp_path, run_example):

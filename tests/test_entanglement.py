@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entnet import PLATE_WIDTH, PairPool, Spin
+from entnet import PLATE_WIDTH, PairPool, Simulation, Spin, example_scenario
 from entnet.entanglement import ALL, RX, TX
 from entnet.errors import (
     AlreadyFixed,
@@ -100,6 +102,27 @@ def test_observe_sequence_is_seed_deterministic():
 
     assert draws(11) == draws(11)
     assert draws(11) != draws(12)  # astronomically unlikely to collide
+
+
+def test_lazy_stream_draws_like_an_eager_one():
+    pool = PairPool(77)
+    _, rx = pool.make_plate_pair()
+    p1, _ = pool.create_pair(True)
+    assert "rng" not in vars(pool)  # nothing built before the first draw
+    eager = random.Random(77)
+    assert pool.observe_plate(rx) == eager.getrandbits(PLATE_WIDTH)
+    assert pool.observe(p1) is (Spin.UP if eager.getrandbits(1) else Spin.DOWN)
+
+
+def test_engine_run_builds_no_pool_stream(run_example):
+    final_tick = run_example("cross-qbs").now
+    sim = Simulation(example_scenario("cross-qbs"))
+    pools = {}
+    for tick in range(final_tick + 1):  # session circuits live for a few ticks only
+        sim.run_until(tick)
+        pools.update((cid, circuit.pool) for cid, circuit in sim.circuits.items())
+    assert len(pools) > len(sim.circuits)  # the session's circuit was seen and released
+    assert not [cid for cid, pool in pools.items() if "rng" in vars(pool)]
 
 
 def test_make_plate_pair_contract():
