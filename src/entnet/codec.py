@@ -51,10 +51,6 @@ class Frame:
     def bit(self, i: int) -> int:
         return (self.data[i >> 3] >> (7 - (i & 7))) & 1
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(FRAME_BITS))
-
     def hex(self) -> str:
         return self.data.hex()
 
@@ -100,7 +96,6 @@ class MessageBuffer:
 
     def __init__(self) -> None:
         self.declared_length: int | None = None
-        self.received_frames = 0
         self._data = bytearray()
         self._complete = False
 
@@ -112,7 +107,6 @@ class MessageBuffer:
         """Feed the next frame; returns the payload once complete, else None."""
         if self._complete:
             raise LengthOverrun("data frame after message completion")
-        self.received_frames += 1
         if self.declared_length is None:
             self.declared_length = int.from_bytes(frame.data[:_LENGTH_BYTES], "big")
         else:

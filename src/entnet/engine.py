@@ -11,6 +11,7 @@ baseline report; they never delay anything.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -18,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_message
 from .entanglement import derive_seed
@@ -55,6 +56,9 @@ REVERSE = "rev"
 # data-plane verbs the engine handles itself rather than via a node class
 _ENGINE_VERBS = frozenset({"relay_frame", "consume_frame", "channel_send"})
 
+# detail key tuples seen already in sorted order; emit sorts any other tuple
+_SORTED_DETAIL_KEYS: set[tuple[str, ...]] = set()
+
 
 class TraceRecord(NamedTuple):
     tick: int
@@ -84,6 +88,10 @@ class TraceRecord(NamedTuple):
                 f'"type":{_json_str(record_type)},'
                 f'"session":{"null" if session is None else session},'
                 f'"detail":{{{",".join(items)}}}}}')
+
+
+# TraceRecord from a 6-tuple without the Python-level NamedTuple.__new__
+_new_record = functools.partial(tuple.__new__, TraceRecord)
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,9 @@ class Simulation:
 
         # (tick, seq, target, verb, payload): unique (tick, seq) ends every comparison
         self._queue: list[tuple[int, int, str, str, dict]] = []
-        self._seq_by_tick: dict[int, int] = {}
+        # next seq of `now` and each later tick in use; _seq_ticks heaps the keys
+        self._seq_by_tick: dict[int, int] = {0: 0}
+        self._seq_ticks: list[int] = [0]
         self._cancelled: set[tuple[int, int]] = set()
         self._tick_events = 0
 
@@ -126,10 +136,10 @@ class Simulation:
         self.sessions: dict[int, SessionRecord] = {}
         self.circuits: dict[int, Circuit] = {}
         self._permanent: set[int] = set()
-        self._circuit_index: dict[frozenset, list[int]] = {}
         self._next_circuit = itertools.count(1)
         self._next_session = itertools.count(1)
         self.released_plate_draws = 0  # blind-decode draws of destroyed circuits
+        self.dropped_frames: Counter[str] = Counter()  # frames never delivered, by reason
 
         self._classical_adj: dict[str, list[tuple[str, float]]] = {}
         self._dijkstra_cache: dict[str, dict[str, float]] = {}
@@ -139,17 +149,16 @@ class Simulation:
 
     # scheduling -----------------------------------------------------------
 
-    def _alloc_seq(self, tick: int) -> int:
-        n = self._seq_by_tick.get(tick, 0)
-        self._seq_by_tick[tick] = n + 1
-        return n
-
     def schedule(self, tick: int, target: str, verb: str,
                  payload: dict | None = None) -> tuple[int, int]:
         """Queue an event; returns a key usable with cancel()."""
         if tick < self.now:
             raise SchedulingError(f"cannot schedule at tick {tick} while at {self.now}")
-        seq = self._alloc_seq(tick)
+        seq = self._seq_by_tick.get(tick)
+        if seq is None:
+            seq = 0
+            heapq.heappush(self._seq_ticks, tick)
+        self._seq_by_tick[tick] = seq + 1
         heapq.heappush(self._queue, (tick, seq, target, verb, payload or {}))
         return (tick, seq)
 
@@ -158,37 +167,52 @@ class Simulation:
 
     def emit(self, node: str, record_type: str, session: int | None = None,
              **detail) -> None:
-        record = TraceRecord(self.now, self._alloc_seq(self.now), node,
-                             record_type, session, dict(sorted(detail.items())))
-        self.trace.append(record)
+        """Append a trace record; detail keys are stored in sorted order."""
+        now = self.now
+        seq = self._seq_by_tick[now]  # `now` always has an entry
+        self._seq_by_tick[now] = seq + 1
+        keys = tuple(detail)
+        if keys not in _SORTED_DETAIL_KEYS:
+            if list(keys) == sorted(keys):
+                _SORTED_DETAIL_KEYS.add(keys)
+            else:
+                detail = dict(sorted(detail.items()))
+        self.trace.append(_new_record((now, seq, node, record_type, session, detail)))
 
     def run_until_idle(self) -> int:
         """Process every queued event; returns the tick of the last one run."""
-        return self._run(lambda tick: True)
+        return self._run(math.inf)
 
     def run_until(self, tick_limit: int) -> int:
         """Process queued events up to and including tick_limit."""
-        return self._run(lambda tick: tick <= tick_limit)
+        return self._run(tick_limit)
 
-    def _run(self, should_run: Callable[[int], bool]) -> int:
-        while self._queue:
-            tick, seq, target, verb, payload = self._queue[0]
-            if (tick, seq) in self._cancelled:
-                heapq.heappop(self._queue)
-                self._cancelled.discard((tick, seq))
+    def _run(self, tick_limit: float) -> int:
+        queue, cancelled = self._queue, self._cancelled
+        handlers = {verb: getattr(self, "_on_" + verb) for verb in _ENGINE_VERBS}
+        while queue:
+            tick, seq, target, verb, payload = queue[0]
+            if cancelled and (tick, seq) in cancelled:
+                heapq.heappop(queue)
+                cancelled.discard((tick, seq))
                 continue
-            if not should_run(tick):
+            if tick > tick_limit:
                 break
-            heapq.heappop(self._queue)
+            heapq.heappop(queue)
             if tick != self.now:
                 self.now = tick
                 self._tick_events = 0
+                # nothing is scheduled before `now`: drop past ticks' seqs
+                ticks = self._seq_ticks
+                while ticks[0] < tick:
+                    del self._seq_by_tick[heapq.heappop(ticks)]
             self._tick_events += 1
             if self._tick_events > self.tick_budget:
                 raise TickBudgetExceeded(
                     f"more than {self.tick_budget} events at tick {tick}")
-            if verb in _ENGINE_VERBS:
-                getattr(self, "_on_" + verb)(target, payload)
+            handler = handlers.get(verb)
+            if handler is not None:
+                handler(target, payload)
             else:
                 self.nodes[target].handle(self, verb, payload)
         return self.now
@@ -245,7 +269,6 @@ class Simulation:
         self.circuits[circuit_id] = circuit
         if owner_session is None:
             self._permanent.add(circuit_id)
-        self._circuit_index.setdefault(frozenset((a, b)), []).append(circuit_id)
         for end in (a, b):
             station = self.nodes.get(end)
             if isinstance(station, QbsNode):
@@ -319,6 +342,12 @@ class Simulation:
         if rec.callee_qbs != rec.caller_qbs:
             rec.path.append(rec.callee_qbs)
         rec.path.append(rec.callee_node)
+        # hop i rides rec.circuits[i]: caller home, owned child<->child, callee home
+        hops = [(a, b, self.circuits[c]) for a, b, c in zip(rec.path, rec.path[1:], rec.circuits)]
+        assert len(hops) == len(rec.circuits) and all(
+            {c.a, c.b} == {a, b} for a, b, c in hops), (rec.path, rec.circuits)
+        rec.route = {FORWARD: [(a, b, c, c.channels[a, b]) for a, b, c in hops],
+                     REVERSE: [(b, a, c, c.channels[b, a]) for a, b, c in reversed(hops)]}
         rec.transition(SessionState.ESTABLISHED)
         rec.established_tick = self.now
         callee_user.active_sessions.add(rec.session_id)
@@ -328,7 +357,11 @@ class Simulation:
                           {"session": rec.session_id})
 
     def release_session_circuits(self, rec: SessionRecord, releasing_node: str) -> None:
-        """Unbind every circuit the session holds; destroy the session-owned ones."""
+        """Unbind every circuit the session holds; destroy the session-owned ones.
+
+        The route keeps its permanent hops, so a frame still in flight on a
+        home circuit is decoded and its channel drained for the sessions
+        sharing it; a frame on a destroyed hop is dropped undecoded."""
         for circuit_id in rec.circuits:
             circuit = self.circuits.get(circuit_id)
             owned = circuit is not None and circuit.owner_session == rec.session_id
@@ -339,10 +372,12 @@ class Simulation:
                     station = self.nodes.get(end)
                     if isinstance(station, QbsNode):
                         station.circuit_table.pop(circuit_id, None)
-                self._circuit_index[frozenset((circuit.a, circuit.b))].remove(circuit_id)
                 self.released_plate_draws += circuit.pool.plate_draws
                 del self.circuits[circuit_id]
         rec.circuits.clear()
+        for hops in rec.route.values():
+            hops[:] = [hop if hop[2] is None or hop[2].owner_session is None
+                       else hop[:2] + (None, None) for hop in hops]
 
     def finish_session(self, rec: SessionRecord) -> None:
         """Drop per-user bookkeeping once a session reaches a terminal state."""
@@ -375,18 +410,13 @@ class Simulation:
     def send_message(self, session_id: int, payload: bytes,
                      sender: int | None = None) -> None:
         """Segment a byte message and stream its frames down the session path."""
-        rec = self.sessions.get(session_id)
-        if rec is None:
-            raise UnknownSession(f"no session {session_id}")
-        if rec.state is not SessionState.ESTABLISHED:
-            raise SessionNotEstablished(
-                f"session {session_id} is {rec.state.value}, not established")
+        rec = self._established(session_id)
         sender_qid = rec.caller if sender is None else sender
         if sender_qid not in (rec.caller, rec.callee):
             raise CallerUnknown(f"QID {sender_qid} does not own session {session_id}")
         direction = REVERSE if sender_qid == rec.callee else FORWARD
         frames = segment_message(payload)
-        sender_node = self._direction_nodes(rec, direction)[0]
+        sender_node = rec.route[direction][0][0]
         self.emit(sender_node, "SEND", session_id,
                   bytes=len(payload), dir=direction, frames=len(frames))
         for index, frame in enumerate(frames):
@@ -394,57 +424,41 @@ class Simulation:
 
     def relay_data(self, session_id: int, frame: Frame, reverse: bool = False) -> None:
         """Push a single raw frame down the path, outside any message."""
+        self._submit_frame(self._established(session_id), REVERSE if reverse else FORWARD,
+                           frame, index=None, in_message=False)
+
+    def _established(self, session_id: int) -> SessionRecord:
         rec = self.sessions.get(session_id)
         if rec is None:
             raise UnknownSession(f"no session {session_id}")
         if rec.state is not SessionState.ESTABLISHED:
             raise SessionNotEstablished(
                 f"session {session_id} is {rec.state.value}, not established")
-        self._submit_frame(rec, REVERSE if reverse else FORWARD, frame,
-                           index=None, in_message=False)
-
-    def _direction_nodes(self, rec: SessionRecord, direction: str) -> list[str]:
-        return rec.path if direction == FORWARD else rec.path[::-1]
-
-    def _circuit_for(self, rec: SessionRecord, a: str, b: str) -> Circuit | None:
-        """The circuit a hop rides: the session's own if present, else permanent."""
-        fallback = None
-        for circuit_id in self._circuit_index.get(frozenset((a, b)), ()):
-            circuit = self.circuits[circuit_id]
-            if circuit.owner_session == rec.session_id:
-                return circuit
-            if circuit.owner_session is None:
-                fallback = circuit
-        return fallback
+        return rec
 
     def _submit_frame(self, rec: SessionRecord, direction: str, frame: Frame,
                       index: int | None, in_message: bool, pos: int = 0) -> None:
-        nodes_dir = self._direction_nodes(rec, direction)
-        src, dst = nodes_dir[pos], nodes_dir[pos + 1]
-        circuit = self._circuit_for(rec, src, dst)
+        circuit, channel = rec.route[direction][pos][2:]
         if circuit is None:
+            self.dropped_frames["no_circuit"] += 1
             return
-        channel = circuit.channel(src, dst)
-        item = {"session": rec.session_id, "frame": frame, "index": index,
-                "in_message": in_message, "dir": direction, "pos": pos}
+        item = (rec, direction, pos, frame, index, in_message)
         if not channel.queue and circuit.pool.plate_fresh(channel.tx):
-            self._encode_on_channel(circuit, src, dst, item)
+            self._encode_on_channel(*item)
         else:
             channel.queue.append(item)
 
-    def _encode_on_channel(self, circuit: Circuit, src: str, dst: str,
-                           item: dict) -> None:
-        rec = self.sessions[item["session"]]
-        channel = circuit.channel(src, dst)
-        encode_frame(circuit.pool, channel.tx, item["frame"])
-        if item["pos"] == 0:
+    def _encode_on_channel(self, rec: SessionRecord, direction: str, pos: int,
+                           frame: Frame, index: int | None, in_message: bool) -> None:
+        src, dst, circuit, channel = rec.route[direction][pos]
+        encode_frame(circuit.pool, channel.tx, frame)
+        if pos == 0:
             # relays already logged this frame at their decode step
-            self.emit(src, "DATA", rec.session_id, dir=item["dir"],
-                      frame=item["frame"].hex(), index=item["index"])
-        dst_pos = item["pos"] + 1
-        meta = {"session": rec.session_id, "dir": item["dir"], "index": item["index"],
-                "in_message": item["in_message"], "pos": dst_pos}
-        if dst_pos == len(rec.path) - 1:
+            self.emit(src, "DATA", rec.session_id, dir=direction,
+                      frame=frame.data.hex(), index=index)
+        meta = {"session": rec.session_id, "rec": rec, "dir": direction,
+                "index": index, "in_message": in_message, "pos": pos + 1}
+        if pos + 2 == len(rec.path):
             # final hop: delivery is same-tick, the channel itself is free
             self.schedule(self.now, dst, "consume_frame", meta)
         else:
@@ -454,43 +468,43 @@ class Simulation:
         circuit = self.circuits.get(p["circuit"])
         if circuit is None:
             return
-        channel = circuit.channel(p["src"], p["dst"])
+        channel = p["channel"]
         if not circuit.pool.plate_fresh(channel.tx):
             return
         while channel.queue:
             item = channel.queue.popleft()
-            # frames queued by a since-closed session are dropped unsent
-            if self.sessions[item["session"]].state is SessionState.ESTABLISHED:
-                self._encode_on_channel(circuit, p["src"], p["dst"], item)
+            if item[0].state is SessionState.ESTABLISHED:
+                self._encode_on_channel(*item)
                 return
+            self.dropped_frames["session_closed"] += 1
 
     def _receive_frame(self, rec: SessionRecord, target: str, p: dict) -> Frame | None:
         """Decode, reset and drain the inbound channel; log DATA and return the
         frame, or None when there is no circuit or the session has closed."""
-        src = self._direction_nodes(rec, p["dir"])[p["pos"] - 1]
-        inbound = self._circuit_for(rec, src, target)
+        src, _, inbound, channel = rec.route[p["dir"]][p["pos"] - 1]
         if inbound is None:
+            self.dropped_frames["no_inbound_circuit"] += 1
             return None
-        channel = inbound.channel(src, target)
         frame = decode_frame(inbound.pool, channel.rx)
         inbound.pool.reset_plate_pair(channel.tx, channel.rx)
         if channel.queue:
             self.schedule(self.now, src, "channel_send",
-                          {"circuit": inbound.circuit_id, "src": src, "dst": target})
+                          {"circuit": inbound.circuit_id, "channel": channel})
         if rec.state is not SessionState.ESTABLISHED:
+            self.dropped_frames["session_closed"] += 1
             return None
         self.emit(target, "DATA", rec.session_id, dir=p["dir"],
-                  frame=frame.hex(), index=p["index"])
+                  frame=frame.data.hex(), index=p["index"])
         return frame
 
     def _on_relay_frame(self, target: str, p: dict) -> None:
-        rec = self.sessions[p["session"]]
+        rec = p["rec"]
         frame = self._receive_frame(rec, target, p)
         if frame is not None:
             self._submit_frame(rec, p["dir"], frame, p["index"], p["in_message"], p["pos"])
 
     def _on_consume_frame(self, target: str, p: dict) -> None:
-        rec = self.sessions[p["session"]]
+        rec = p["rec"]
         frame = self._receive_frame(rec, target, p)
         if frame is None:
             return

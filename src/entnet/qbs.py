@@ -93,6 +93,9 @@ class SessionRecord:
     callee_qbs: str | None = None
     path: list[str] = field(default_factory=list)
     circuits: list[int] = field(default_factory=list)
+    # per direction, hop i of the path as (src, dst, circuit, channel), set at
+    # establish; release leaves circuit and channel None on destroyed hops
+    route: dict[str, list[tuple]] = field(default_factory=dict)
     established_tick: int | None = None
     # workload plumbing: a payload queued at request time, sent on establish
     workload_payload: bytes | None = None
@@ -150,9 +153,6 @@ class Circuit:
             circuit.channels[(src, dst)] = DirectedChannel(tx, rx)
         return circuit
 
-    def channel(self, src: str, dst: str) -> DirectedChannel:
-        return self.channels[(src, dst)]
-
 
 # base-station node --------------------------------------------------------------
 
@@ -176,14 +176,6 @@ class QbsNode:
         """Node id of a locally attached user, or None."""
         entry = self.registry.get(qid)
         return entry.node_id if isinstance(entry, LocalUser) else None
-
-    def lookup_global(self, qid: int) -> Location | None:
-        """Resolve a QID planet-wide; delegations recurse one level to the peer."""
-        entry = self.registry.get(qid)
-        if isinstance(entry, RemotePlanet):
-            peer = self.peer_mothers[entry.mother_id]
-            return peer.registry.get(qid)
-        return entry
 
     # event handlers -------------------------------------------------------
 

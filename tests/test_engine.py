@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from conftest import record_types
@@ -11,6 +12,7 @@ from entnet import (
     Simulation,
     Spin,
     TraceRecord,
+    desk_scale_scenario,
     example_scenario,
     with_uniform_distances,
 )
@@ -90,6 +92,31 @@ def test_per_tick_budget_catches_same_tick_storms():
     sim.schedule(1, "storm", "again", {})
     with pytest.raises(TickBudgetExceeded):
         sim.run_until_idle()
+
+
+def test_seq_entries_of_past_ticks_are_pruned():
+    sim = Simulation(desk_scale_scenario(seed=7, sessions=500))
+    sim.run_until_idle()
+    assert sim.now > 100
+    assert min(sim._seq_by_tick) >= sim.now
+    assert sorted(sim._seq_ticks) == sorted(sim._seq_by_tick)
+
+
+def test_seq_entries_of_cancelled_only_ticks_are_pruned():
+    sim = Simulation(example_scenario("same-qbs"))
+    sim.run_until_idle()
+    # the workload session's negotiation timeout, cancelled when it established
+    timeout_tick = max(sim._seq_by_tick)
+    assert timeout_tick > sim.now and sim._queue == []
+    class Probe:
+        def handle(self, _sim, verb, payload):
+            pass
+
+    sim.nodes["probe"] = Probe()
+    sim.schedule(timeout_tick + 1, "probe", "poke")
+    sim.run_until_idle()
+    assert sim.now == timeout_tick + 1
+    assert sorted(sim._seq_by_tick) == [sim.now]
 
 
 def test_run_until_stops_at_limit():
@@ -351,6 +378,38 @@ def test_teardown_with_frames_in_flight_stays_clean():
     assert late_data == []
     assert sim.users[13].receive_poll() == []  # message never completed
     check_all(sim)
+
+
+def test_teardown_mid_stream_counts_every_dropped_frame():
+    sim = Simulation(example_scenario("cross-qbs"))
+    sim.run_until_idle()
+    sid = sim.request_session(11, 13)
+    sim.run_until_idle()
+    sim.send_message(sid, bytes(600))  # 39 frames
+    sim.run_until(sim.now + 5)
+    sim.teardown_session(sid)
+    sim.run_until_idle()
+    consumed = sum(1 for r in sim.trace
+                   if r.type == "DATA" and r.session == sid and r.node == "user-c")
+    # one frame was on the destroyed qbs-1 -> qbs-2 hop; the rest were decoded
+    # on, or still queued for, user-a's home circuit after the session closed
+    assert sim.dropped_frames == Counter(no_inbound_circuit=1, session_closed=34)
+    assert consumed + sum(sim.dropped_frames.values()) == 39
+    check_all(sim)
+
+
+def test_hop_without_circuit_drops_at_submit():
+    sim = Simulation(example_scenario("cross-qbs"))
+    sim.run_until_idle()
+    sim.users[13].receive_poll()  # drain the workload transfer
+    sid = sim.request_session(11, 13)
+    sim.run_until_idle()
+    rec = sim.sessions[sid]
+    sim.release_session_circuits(rec, "qbs-1")  # still established, no qbs-1 -> qbs-2 hop
+    sim.send_message(sid, b"lost")  # header + one data frame
+    sim.run_until_idle()
+    assert sim.dropped_frames == Counter(no_circuit=2)
+    assert sim.users[13].receive_poll() == []
 
 
 def test_multi_frame_message_survives_pipelining():

@@ -6,11 +6,16 @@ writes. A change that moves one of these digests changes observable
 behaviour and must say why; never re-capture them to make a diff pass.
 """
 
+import gc
 import hashlib
+import weakref
+from collections import Counter
 
 import pytest
 
 from entnet import Simulation, desk_scale_scenario, example_scenario
+from entnet.invariants import check_all
+from entnet.scenario import ChildSpec, PlanetSpec, Scenario, UserSpec
 
 GOLDEN = {
     "same-qbs": (
@@ -37,10 +42,16 @@ GOLDEN = {
         "e910a3100c7e93623398c76d43a0da83dee4e3b61faf7155e486921d9c0fa68b",
         "e0ae54a86e60541d715e698d31ab28025c2022acad064a40243e114b06fa9205",
     ),
+    "teardown-mid-stream": (
+        "65fcdddafc025da14bd03454abb0408b587d6a679b6064d9cff2a0cccf4775f4",
+        "ee362434ebf8bd6d85c10ffe58ea6de162c0d077b97a12ee3a579fc2cc91d739",
+    ),
 }
 
 FORWARD_4K = bytes(i % 251 for i in range(4096))
 REVERSE_4K = bytes((7 * i + 3) % 256 for i in range(4096))
+TO_B = bytes(range(200))
+TO_D = bytes((3 * i + 1) % 256 for i in range(150))
 
 
 def digests(sim, tmp_path):
@@ -67,6 +78,29 @@ def bidirectional_4k():
     return sim
 
 
+def teardown_mid_stream():
+    """Caller 1 on c1 streams to 2 (same Child) and to 3 (on c2) over one home
+    circuit; the same-Child session is torn down 3 ticks in, with its frames
+    still queued and in flight, and the run continues to idle. Returns the
+    simulation, the cross-QBS session id and a weak reference to its
+    session-owned c1<->c2 circuit, which is released at the end."""
+    sim = Simulation(Scenario(seed=5, planets=(PlanetSpec("m", (
+        ChildSpec("c1", (UserSpec("a", 1), UserSpec("b", 2))),
+        ChildSpec("c2", (UserSpec("d", 3),)),
+    )),)))
+    to_b, to_d = sim.request_session(1, 2), sim.request_session(1, 3)
+    sim.run_until_idle()
+    owned = weakref.ref(sim.circuits[sim.sessions[to_d].circuits[1]])
+    sim.send_message(to_b, TO_B)
+    sim.send_message(to_d, TO_D)
+    sim.run_until(sim.now + 3)
+    sim.teardown_session(to_b)
+    sim.run_until_idle()
+    sim.teardown_session(to_d)
+    sim.run_until_idle()
+    return sim, to_d, owned
+
+
 def build(name):
     if name == "cross-qbs-seed-42":
         sim = Simulation(example_scenario("cross-qbs"), seed=42)
@@ -74,6 +108,8 @@ def build(name):
         sim = Simulation(desk_scale_scenario(seed=7, sessions=500))
     elif name == "bidirectional-4k":
         return bidirectional_4k()
+    elif name == "teardown-mid-stream":
+        return teardown_mid_stream()[0]
     else:
         sim = Simulation(example_scenario(name))
     sim.run_until_idle()
@@ -83,3 +119,19 @@ def build(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digests(name, tmp_path):
     assert digests(build(name), tmp_path) == GOLDEN[name]
+
+
+def test_teardown_mid_stream_spares_the_shared_home_circuit():
+    sim, to_d, _ = teardown_mid_stream()
+    check_all(sim)
+    assert len(sim.trace) == 78
+    assert sim.users[3].receive_poll() == [(to_d, TO_D)]
+    assert sim.users[2].receive_poll() == []
+    # 3 of the 14 frames to 2 arrived; 11 were queued or in flight on the home circuit
+    assert sim.dropped_frames == Counter(session_closed=11)
+
+
+def test_released_session_circuit_is_freed():
+    sim, _, owned = teardown_mid_stream()
+    gc.collect()
+    assert owned() is None

@@ -5,6 +5,7 @@ from entnet import (
     ChildQbs,
     Frame,
     LocalUser,
+    RemotePlanet,
     SessionState,
     Simulation,
     example_scenario,
@@ -64,9 +65,9 @@ def test_late_registered_user_fits_the_topology():
     check_all(sim)
 
 
-def test_register_then_lookup_global():
+def test_register_then_mother_entry():
     sim = Simulation(two_station_scenario())
-    assert sim.nodes["m"].lookup_global(3) == ChildQbs("qbs-2")
+    assert sim.nodes["m"].registry[3] == ChildQbs("qbs-2")
 
 
 def test_duplicate_registration_rejected():
@@ -81,16 +82,17 @@ def test_lookup_local_misses_remote_user():
     assert sim.nodes["qbs-1"].lookup_local(424242) is None
 
 
-def test_lookup_global_unregistered_is_none():
+def test_unregistered_qid_has_no_mother_entry():
     sim = Simulation(two_station_scenario())
-    assert sim.nodes["m"].lookup_global(424242) is None
+    assert sim.nodes["m"].registry.get(424242) is None
 
 
-def test_lookup_global_recurses_to_peer_mother():
+def test_peer_mother_entry_delegates_to_owner_child():
     sim = Simulation(example_scenario("interplanet"))
     earth = sim.nodes["earth-mother"]
-    assert earth.lookup_global(13) == ChildQbs("qbs-2")
-    assert earth.registry[13].mother_id == "mars-mother"
+    entry = earth.registry[13]
+    assert entry == RemotePlanet("mars-mother")
+    assert earth.peer_mothers[entry.mother_id].registry[13] == ChildQbs("qbs-2")
     assert earth.lookup_local(13) is None
 
 
