@@ -23,7 +23,7 @@ FRAME_BYTES = FRAME_BITS // 8
 _LENGTH_BYTES = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     data: bytes
 
@@ -55,6 +55,16 @@ class Frame:
         return self.data.hex()
 
 
+_set_data = Frame.data.__set__  # the slot's own setter, under the frozen __setattr__
+
+
+def _built(data: bytes) -> Frame:
+    """A Frame from exactly FRAME_BYTES bytes, built without re-checking them."""
+    frame = object.__new__(Frame)
+    _set_data(frame, data)
+    return frame
+
+
 def random_frame(rng: random.Random) -> Frame:
     return Frame(rng.randbytes(FRAME_BYTES))
 
@@ -68,7 +78,7 @@ def encode_frame(pool: PairPool, tx: Plate, frame: Frame) -> None:
 
 def decode_frame(pool: PairPool, rx: Plate) -> Frame:
     """Observe the whole Rx plate and invert each raw bit."""
-    return Frame((pool.observe_plate(rx) ^ ALL).to_bytes(FRAME_BYTES, "big"))
+    return _built((pool.observe_plate(rx) ^ ALL).to_bytes(FRAME_BYTES, "big"))
 
 
 def segment_message(payload: bytes) -> list[Frame]:
@@ -79,10 +89,10 @@ def segment_message(payload: bytes) -> list[Frame]:
     if len(payload) >= 2**64:
         raise ValueError("payload length must fit an unsigned 64-bit count")
     header = len(payload).to_bytes(_LENGTH_BYTES, "big") + bytes(FRAME_BYTES - _LENGTH_BYTES)
-    frames = [Frame(header)]
+    frames = [_built(header)]
     for off in range(0, len(payload), FRAME_BYTES):
-        chunk = payload[off : off + FRAME_BYTES]
-        frames.append(Frame(chunk.ljust(FRAME_BYTES, b"\x00")))
+        chunk = bytes(payload[off : off + FRAME_BYTES])
+        frames.append(_built(chunk.ljust(FRAME_BYTES, b"\x00")))
     return frames
 
 

@@ -16,7 +16,7 @@ import heapq
 import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterator, NamedTuple
@@ -53,8 +53,8 @@ SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 FORWARD = "fwd"
 REVERSE = "rev"
 
-# data-plane verbs the engine handles itself rather than via a node class
-_ENGINE_VERBS = frozenset({"relay_frame", "consume_frame", "channel_send"})
+# looked up once: the data plane tests it on every hop
+_ESTABLISHED = SessionState.ESTABLISHED
 
 # detail key tuples seen already in sorted order; emit sorts any other tuple
 _SORTED_DETAIL_KEYS: set[tuple[str, ...]] = set()
@@ -115,6 +115,8 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
         findings = validate_scenario(scenario)
+        if seed is not None and not (type(seed) is int and 0 <= seed < 2**64):
+            findings.append("seed: must be an unsigned 64-bit integer")
         if findings:
             raise ValidationError(findings)
         self.scenario = scenario
@@ -122,11 +124,13 @@ class Simulation:
         self.now = 0
         self.tick_budget = 10**6
 
-        # (tick, seq, target, verb, payload): unique (tick, seq) ends every comparison
-        self._queue: list[tuple[int, int, str, str, dict]] = []
-        # next seq of `now` and each later tick in use; _seq_ticks heaps the keys
+        # per tick, a FIFO of (seq, target, verb, payload) in seq order; _ticks heaps its keys
+        self._calendar: dict[int, deque[tuple[int, str, str, dict]]] = {}
+        self._ticks: list[int] = []
+        # next seq of `now` and each later tick in use; _idle_ticks heaps later ticks
+        # whose events were all cancelled: their seqs last until `now` passes them
         self._seq_by_tick: dict[int, int] = {0: 0}
-        self._seq_ticks: list[int] = [0]
+        self._idle_ticks: list[int] = []
         self._cancelled: set[tuple[int, int]] = set()
         self._tick_events = 0
 
@@ -154,12 +158,13 @@ class Simulation:
         """Queue an event; returns a key usable with cancel()."""
         if tick < self.now:
             raise SchedulingError(f"cannot schedule at tick {tick} while at {self.now}")
-        seq = self._seq_by_tick.get(tick)
-        if seq is None:
-            seq = 0
-            heapq.heappush(self._seq_ticks, tick)
+        seq = self._seq_by_tick.get(tick, 0)
         self._seq_by_tick[tick] = seq + 1
-        heapq.heappush(self._queue, (tick, seq, target, verb, payload or {}))
+        events = self._calendar.get(tick)
+        if events is None:
+            events = self._calendar[tick] = deque()
+            heapq.heappush(self._ticks, tick)
+        events.append((seq, target, verb, payload or {}))
         return (tick, seq)
 
     def cancel(self, key: tuple[int, int]) -> None:
@@ -188,33 +193,40 @@ class Simulation:
         return self._run(tick_limit)
 
     def _run(self, tick_limit: float) -> int:
-        queue, cancelled = self._queue, self._cancelled
-        handlers = {verb: getattr(self, "_on_" + verb) for verb in _ENGINE_VERBS}
-        while queue:
-            tick, seq, target, verb, payload = queue[0]
-            if cancelled and (tick, seq) in cancelled:
-                heapq.heappop(queue)
-                cancelled.discard((tick, seq))
-                continue
+        calendar, ticks, cancelled = self._calendar, self._ticks, self._cancelled
+        seq_by_tick, idle = self._seq_by_tick, self._idle_ticks
+        # data-plane verbs the engine handles itself rather than via a node class
+        handlers = {verb: getattr(self, "_on_" + verb)
+                    for verb in ("relay_frame", "consume_frame", "channel_send")}
+        while ticks:
+            tick = ticks[0]
             if tick > tick_limit:
                 break
-            heapq.heappop(queue)
-            if tick != self.now:
-                self.now = tick
-                self._tick_events = 0
-                # nothing is scheduled before `now`: drop past ticks' seqs
-                ticks = self._seq_ticks
-                while ticks[0] < tick:
-                    del self._seq_by_tick[heapq.heappop(ticks)]
-            self._tick_events += 1
-            if self._tick_events > self.tick_budget:
-                raise TickBudgetExceeded(
-                    f"more than {self.tick_budget} events at tick {tick}")
-            handler = handlers.get(verb)
-            if handler is not None:
-                handler(target, payload)
-            else:
-                self.nodes[target].handle(self, verb, payload)
+            events = calendar[tick]
+            while events:  # handlers may append to the tick being drained
+                seq, target, verb, payload = events.popleft()
+                if cancelled and (tick, seq) in cancelled:
+                    cancelled.discard((tick, seq))
+                    continue
+                if tick != self.now:  # nothing is scheduled before `tick` any more
+                    del seq_by_tick[self.now]
+                    while idle and idle[0] < tick:
+                        seq_by_tick.pop(heapq.heappop(idle), None)
+                    self.now = tick
+                    self._tick_events = 0
+                self._tick_events += 1
+                if self._tick_events > self.tick_budget:
+                    raise TickBudgetExceeded(
+                        f"more than {self.tick_budget} events at tick {tick}")
+                handler = handlers.get(verb)
+                if handler is not None:
+                    handler(target, payload)
+                else:
+                    self.nodes[target].handle(self, verb, payload)
+            heapq.heappop(ticks)
+            del calendar[tick]
+            if tick != self.now:  # all cancelled: `now` stays, so does the seq
+                heapq.heappush(idle, tick)
         return self.now
 
     # topology -------------------------------------------------------------
@@ -375,7 +387,7 @@ class Simulation:
                 self.released_plate_draws += circuit.pool.plate_draws
                 del self.circuits[circuit_id]
         rec.circuits.clear()
-        for hops in rec.route.values():
+        for hops in rec.route.values():  # in place: frames in flight hold these lists
             hops[:] = [hop if hop[2] is None or hop[2].owner_session is None
                        else hop[:2] + (None, None) for hop in hops]
 
@@ -431,57 +443,58 @@ class Simulation:
         rec = self.sessions.get(session_id)
         if rec is None:
             raise UnknownSession(f"no session {session_id}")
-        if rec.state is not SessionState.ESTABLISHED:
+        if rec.state is not _ESTABLISHED:
             raise SessionNotEstablished(
                 f"session {session_id} is {rec.state.value}, not established")
         return rec
 
     def _submit_frame(self, rec: SessionRecord, direction: str, frame: Frame,
-                      index: int | None, in_message: bool, pos: int = 0) -> None:
-        circuit, channel = rec.route[direction][pos][2:]
+                      index: int | None, in_message: bool) -> None:
+        """Start a frame down its route with the one event payload for all its hops:
+        `pos` counts the hops it was encoded onto; hops[pos - 1] it arrives over."""
+        self._forward({"session": rec.session_id, "rec": rec, "dir": direction,
+                       "index": index, "in_message": in_message, "pos": 0,
+                       "hops": rec.route[direction]}, frame)
+
+    def _forward(self, p: dict, frame: Frame) -> None:
+        circuit, channel = p["hops"][p["pos"]][2:]
         if circuit is None:
             self.dropped_frames["no_circuit"] += 1
-            return
-        item = (rec, direction, pos, frame, index, in_message)
-        if not channel.queue and circuit.pool.plate_fresh(channel.tx):
-            self._encode_on_channel(*item)
+        elif not channel.queue and circuit.pool.plate_fresh(channel.tx):
+            self._encode_on_channel(p, frame)
         else:
-            channel.queue.append(item)
+            channel.queue.append((p, frame))
 
-    def _encode_on_channel(self, rec: SessionRecord, direction: str, pos: int,
-                           frame: Frame, index: int | None, in_message: bool) -> None:
-        src, dst, circuit, channel = rec.route[direction][pos]
+    def _encode_on_channel(self, p: dict, frame: Frame) -> None:
+        pos, hops = p["pos"], p["hops"]
+        src, dst, circuit, channel = hops[pos]
         encode_frame(circuit.pool, channel.tx, frame)
         if pos == 0:
             # relays already logged this frame at their decode step
-            self.emit(src, "DATA", rec.session_id, dir=direction,
-                      frame=frame.data.hex(), index=index)
-        meta = {"session": rec.session_id, "rec": rec, "dir": direction,
-                "index": index, "in_message": in_message, "pos": pos + 1}
-        if pos + 2 == len(rec.path):
+            self.emit(src, "DATA", p["session"], dir=p["dir"],
+                      frame=frame.data.hex(), index=p["index"])
+        p["pos"] = pos = pos + 1
+        if pos == len(hops):
             # final hop: delivery is same-tick, the channel itself is free
-            self.schedule(self.now, dst, "consume_frame", meta)
+            self.schedule(self.now, dst, "consume_frame", p)
         else:
-            self.schedule(self.now + 1, dst, "relay_frame", meta)
+            self.schedule(self.now + 1, dst, "relay_frame", p)
 
     def _on_channel_send(self, target: str, p: dict) -> None:
-        circuit = self.circuits.get(p["circuit"])
-        if circuit is None:
-            return
-        channel = p["channel"]
-        if not circuit.pool.plate_fresh(channel.tx):
+        circuit, channel = self.circuits.get(p["circuit"]), p["channel"]
+        if circuit is None or not circuit.pool.plate_fresh(channel.tx):
             return
         while channel.queue:
             item = channel.queue.popleft()
-            if item[0].state is SessionState.ESTABLISHED:
+            if item[0]["rec"].state is _ESTABLISHED:
                 self._encode_on_channel(*item)
                 return
             self.dropped_frames["session_closed"] += 1
 
-    def _receive_frame(self, rec: SessionRecord, target: str, p: dict) -> Frame | None:
+    def _receive_frame(self, target: str, p: dict) -> Frame | None:
         """Decode, reset and drain the inbound channel; log DATA and return the
         frame, or None when there is no circuit or the session has closed."""
-        src, _, inbound, channel = rec.route[p["dir"]][p["pos"] - 1]
+        src, _, inbound, channel = p["hops"][p["pos"] - 1]
         if inbound is None:
             self.dropped_frames["no_inbound_circuit"] += 1
             return None
@@ -490,22 +503,21 @@ class Simulation:
         if channel.queue:
             self.schedule(self.now, src, "channel_send",
                           {"circuit": inbound.circuit_id, "channel": channel})
-        if rec.state is not SessionState.ESTABLISHED:
+        if p["rec"].state is not _ESTABLISHED:
             self.dropped_frames["session_closed"] += 1
             return None
-        self.emit(target, "DATA", rec.session_id, dir=p["dir"],
+        self.emit(target, "DATA", p["session"], dir=p["dir"],
                   frame=frame.data.hex(), index=p["index"])
         return frame
 
     def _on_relay_frame(self, target: str, p: dict) -> None:
-        rec = p["rec"]
-        frame = self._receive_frame(rec, target, p)
+        frame = self._receive_frame(target, p)
         if frame is not None:
-            self._submit_frame(rec, p["dir"], frame, p["index"], p["in_message"], p["pos"])
+            self._forward(p, frame)
 
     def _on_consume_frame(self, target: str, p: dict) -> None:
         rec = p["rec"]
-        frame = self._receive_frame(rec, target, p)
+        frame = self._receive_frame(target, p)
         if frame is None:
             return
         user = self.nodes[target]
@@ -581,8 +593,7 @@ class Simulation:
         }
 
     def trace_lines(self) -> Iterator[str]:
-        for record in self.trace:
-            yield record.to_json_line()
+        return (record.to_json_line() for record in self.trace)
 
     def write_trace(self, path: str) -> None:
         """Write the trace as NDJSON, one line at a time."""

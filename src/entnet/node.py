@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
 from .codec import Frame, MessageBuffer
+from .qbs import SessionState
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulation
@@ -77,8 +78,6 @@ class UserNode:
             sim.send_message(rec.session_id, rec.workload_payload, sender=self.qid)
 
     def _on_negotiate_ask(self, sim: "Simulation", p: dict) -> None:
-        from .qbs import SessionState
-
         if sim.sessions[p["session"]].state is not SessionState.NEGOTIATING:
             return  # the owner already timed the negotiation out
         accepted = self.decide(p["caller"])

@@ -123,8 +123,8 @@ class SessionRecord:
 class DirectedChannel:
     """One send direction of a circuit: tx plate at the sender, rx at the receiver.
 
-    The queue holds frames waiting for the plate pair to be re-provisioned by
-    the decoding side; it drains one frame per reset.
+    The queue holds (frame event payload, frame) items waiting for the plate
+    pair to be re-provisioned by the decoding side; it drains one per reset.
     """
 
     tx: Plate

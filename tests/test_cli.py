@@ -79,6 +79,15 @@ def test_seed_override_keeps_record_type_sequence(example_file, tmp_path):
     assert types_a == types_b
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_rejects_out_of_range_seed_override(example_file, capsys, seed):
+    path = example_file("same-qbs")
+    assert main(["run", path, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "invalid: seed: must be an unsigned 64-bit integer\n"
+    assert captured.out == ""
+
+
 def test_cross_qbs_run_traces_mother_lookup(example_file, tmp_path):
     path = example_file("cross-qbs")
     trace = tmp_path / "trace.ndjson"

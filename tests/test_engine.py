@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import chain, repeat
 
 import pytest
 from conftest import record_types
@@ -96,10 +97,22 @@ def test_per_tick_budget_catches_same_tick_storms():
 
 def test_seq_entries_of_past_ticks_are_pruned():
     sim = Simulation(desk_scale_scenario(seed=7, sessions=500))
-    sim.run_until_idle()
+    limit = 0
+    while sim._ticks:
+        limit += 25
+        sim.run_until(limit)
+        assert min(sim._seq_by_tick) >= sim.now
+        assert sorted(sim._calendar) == sorted(sim._ticks)
+        assert all(tick > limit for tick in sim._ticks)
     assert sim.now > 100
-    assert min(sim._seq_by_tick) >= sim.now
-    assert sorted(sim._seq_ticks) == sorted(sim._seq_by_tick)
+    # what is left: `now`, and later ticks whose events were all cancelled
+    assert set(sim._seq_by_tick) == {sim.now, *sim._idle_ticks}
+    assert sim._calendar == {}
+
+
+class _Idle:
+    def handle(self, _sim, verb, payload):
+        pass
 
 
 def test_seq_entries_of_cancelled_only_ticks_are_pruned():
@@ -107,16 +120,98 @@ def test_seq_entries_of_cancelled_only_ticks_are_pruned():
     sim.run_until_idle()
     # the workload session's negotiation timeout, cancelled when it established
     timeout_tick = max(sim._seq_by_tick)
-    assert timeout_tick > sim.now and sim._queue == []
-    class Probe:
-        def handle(self, _sim, verb, payload):
-            pass
-
-    sim.nodes["probe"] = Probe()
+    assert timeout_tick > sim.now and sim._calendar == {}
+    assert sim._idle_ticks == [timeout_tick]
+    sim.nodes["probe"] = _Idle()
     sim.schedule(timeout_tick + 1, "probe", "poke")
     sim.run_until_idle()
     assert sim.now == timeout_tick + 1
     assert sorted(sim._seq_by_tick) == [sim.now]
+    assert sim._idle_ticks == []
+
+
+def test_cancelled_only_tick_keeps_its_seq_numbering():
+    sim = Simulation(example_scenario("same-qbs"))
+    sim.run_until_idle()
+    timeout_tick = max(sim._seq_by_tick)
+    next_seq = sim._seq_by_tick[timeout_tick]
+    assert timeout_tick > sim.now and next_seq > 0
+    sim.nodes["probe"] = _Idle()
+    assert sim.schedule(timeout_tick, "probe", "poke") == (timeout_tick, next_seq)
+    assert sim.run_until_idle() == timeout_tick
+
+
+class _OrderProbe:
+    """Runs a fixed plan of ops, one op list per event in execution order:
+    schedule at `now`, schedule `k` ticks ahead, or cancel a pending key.
+    Each event's payload carries its own (tick, seq) key."""
+
+    def __init__(self, sim, plan):
+        self.sim, self.plan = sim, plan
+        self.executed, self.scheduled, self.cancelled = [], set(), set()
+        self.pending = set()
+
+    def post(self, tick):
+        payload = {"key": None}
+        payload["key"] = key = self.sim.schedule(tick, "probe", "poke", payload)
+        self.scheduled.add(key)
+        self.pending.add(key)
+
+    def handle(self, sim, verb, payload):
+        key = payload["key"]
+        self.pending.remove(key)  # a key runs once, and never after its cancel
+        self.executed.append(key)
+        ops = self.plan[len(self.executed) - 1] if len(self.executed) <= len(self.plan) else ()
+        for op, arg in ops:
+            if op == "now":
+                self.post(sim.now)
+            elif op == "later":
+                self.post(sim.now + arg)
+            elif self.pending:
+                victim = sorted(self.pending)[arg % len(self.pending)]
+                sim.cancel(victim)
+                self.pending.remove(victim)
+                self.cancelled.add(victim)
+
+
+def run_order_probe(plan, starts, chunks=None):
+    """Executed keys of a probe run, checking `now` after every run call;
+    chunks=None runs to idle at once, else run_until advances by each chunk."""
+    sim = Simulation(empty_scenario())
+    probe = sim.nodes["probe"] = _OrderProbe(sim, plan)
+    for tick in starts:
+        probe.post(tick)
+
+    def last_ran():
+        return probe.executed[-1][0] if probe.executed else 0
+
+    if chunks is None:
+        assert sim.run_until_idle() == sim.now == last_ran()
+    else:
+        limit = 0
+        for step in chain([0], chunks, repeat(1)):
+            limit += step
+            assert sim.run_until(limit) == sim.now == last_ran() <= limit
+            if not probe.pending:
+                break
+    executed = probe.executed
+    assert all(a < b for a, b in zip(executed, executed[1:]))
+    assert set(executed) == probe.scheduled - probe.cancelled
+    assert not set(executed) & probe.cancelled
+    return executed
+
+
+_ops = st.lists(st.one_of(st.tuples(st.just("now"), st.just(0)),
+                          st.tuples(st.just("later"), st.integers(1, 3)),
+                          st.tuples(st.just("cancel"), st.integers(0, 50))), max_size=3)
+
+
+@given(plan=st.lists(_ops, max_size=40),
+       starts=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+       chunks=st.lists(st.integers(0, 3), max_size=10))
+def test_event_order_holds_across_run_until_chunks(plan, starts, chunks):
+    whole = run_order_probe(plan, starts)
+    assert run_order_probe(plan, starts, chunks) == whole
 
 
 def test_run_until_stops_at_limit():
@@ -177,6 +272,21 @@ def test_seed_override_keeps_protocol_sequence():
     first.run_until_idle()
     second.run_until_idle()
     assert record_types(first) == record_types(second)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True])
+def test_seed_override_must_be_unsigned_64_bit(seed):
+    with pytest.raises(ValidationError) as err:
+        Simulation(example_scenario("same-qbs"), seed=seed)
+    assert err.value.findings == ["seed: must be an unsigned 64-bit integer"]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_override_accepts_the_unsigned_64_bit_range(seed):
+    sim = Simulation(example_scenario("same-qbs"), seed=seed)
+    assert sim.seed == seed
+    sim.run_until_idle()
+    check_all(sim)
 
 
 def test_distance_independence_of_traces():

@@ -6,6 +6,7 @@ writes. A change that moves one of these digests changes observable
 behaviour and must say why; never re-capture them to make a diff pass.
 """
 
+import bisect
 import gc
 import hashlib
 import weakref
@@ -101,17 +102,21 @@ def teardown_mid_stream():
     return sim, to_d, owned
 
 
-def build(name):
+def fresh(name):
+    """A not yet run simulation of a workload-driven golden run."""
     if name == "cross-qbs-seed-42":
-        sim = Simulation(example_scenario("cross-qbs"), seed=42)
-    elif name == "desk-500":
-        sim = Simulation(desk_scale_scenario(seed=7, sessions=500))
-    elif name == "bidirectional-4k":
+        return Simulation(example_scenario("cross-qbs"), seed=42)
+    if name == "desk-500":
+        return Simulation(desk_scale_scenario(seed=7, sessions=500))
+    return Simulation(example_scenario(name))
+
+
+def build(name):
+    if name == "bidirectional-4k":
         return bidirectional_4k()
-    elif name == "teardown-mid-stream":
+    if name == "teardown-mid-stream":
         return teardown_mid_stream()[0]
-    else:
-        sim = Simulation(example_scenario(name))
+    sim = fresh(name)
     sim.run_until_idle()
     return sim
 
@@ -119,6 +124,24 @@ def build(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digests(name, tmp_path):
     assert digests(build(name), tmp_path) == GOLDEN[name]
+
+
+# final tick of each run; stepping continues 200 ticks past it
+STEPPED = {"same-qbs": 7, "cross-qbs": 13, "interplanet": 14, "desk-500": 1009}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPED))
+def test_tick_by_tick_stepping_matches_one_run(name, tmp_path):
+    whole = fresh(name)
+    assert whole.run_until_idle() == STEPPED[name]
+    record_ticks = [record.tick for record in whole.trace]
+    stepped = fresh(name)
+    for tick in range(STEPPED[name] + 201):
+        assert stepped.run_until(tick) == stepped.now <= tick
+        # every record up to the limit is out, and none after it
+        assert len(stepped.trace) == bisect.bisect_right(record_ticks, tick)
+    assert stepped.now == STEPPED[name]
+    assert digests(stepped, tmp_path) == digests(whole, tmp_path)
 
 
 def test_teardown_mid_stream_spares_the_shared_home_circuit():
