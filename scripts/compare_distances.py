@@ -4,10 +4,12 @@
 Runs the cross-station walkthrough with every link set to the same length,
 sweeping from one metre to a light-year, and shows that the trace bytes and
 delivery ticks never change while the classical light-speed baseline grows
-without bound.
+without bound. Exits 1, naming the link lengths, if any trace differs from
+the first one.
 """
 
 import argparse
+import sys
 
 from entnet import Simulation, example_scenario, with_uniform_distances
 
@@ -28,6 +30,7 @@ def main() -> None:
 
     base = example_scenario(args.kind)
     reference_bytes = None
+    differing = []
     print(f"{'link length':>18} | {'entangled ticks':>15} | "
           f"{'processing ticks':>16} | {'classical baseline':>20} | trace")
     for label, meters in SWEEP:
@@ -36,14 +39,17 @@ def main() -> None:
         trace = "\n".join(sim.trace_lines()).encode()
         if reference_bytes is None:
             reference_bytes = trace
-        identical = "identical" if trace == reference_bytes else "DIFFERS"
+        if trace != reference_bytes:
+            differing.append(label)
         report = sim.latency_report(1)
         print(f"{label:>18} | {report.entangled_channel_ticks:>15} | "
               f"{report.processing_ticks:>16} | "
-              f"{report.classical_baseline_seconds:>18.3e} s | {identical}")
-    if reference_bytes is not None:
-        print("\nevery run produced byte-identical traces; only the")
-        print("classical light-speed baseline depends on distance")
+              f"{report.classical_baseline_seconds:>18.3e} s | "
+              f"{'DIFFERS' if trace != reference_bytes else 'identical'}")
+    if differing:
+        sys.exit(f"\ntraces differ from the {SWEEP[0][0]} run at: {', '.join(differing)}")
+    print("\nevery run produced byte-identical traces; only the")
+    print("classical light-speed baseline depends on distance")
 
 
 if __name__ == "__main__":

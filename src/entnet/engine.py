@@ -46,7 +46,7 @@ from .qbs import (
     SessionRecord,
     SessionState,
 )
-from .scenario import Scenario, validate_scenario
+from .scenario import Scenario, is_u64, validate_scenario
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -115,7 +115,7 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
         findings = validate_scenario(scenario)
-        if seed is not None and not (type(seed) is int and 0 <= seed < 2**64):
+        if seed is not None and not is_u64(seed):
             findings.append("seed: must be an unsigned 64-bit integer")
         if findings:
             raise ValidationError(findings)
@@ -281,10 +281,6 @@ class Simulation:
         self.circuits[circuit_id] = circuit
         if owner_session is None:
             self._permanent.add(circuit_id)
-        for end in (a, b):
-            station = self.nodes.get(end)
-            if isinstance(station, QbsNode):
-                station.circuit_table[circuit_id] = circuit
         return circuit
 
     def register_user(self, child: QbsNode, mother: QbsNode, qid: int,
@@ -324,7 +320,6 @@ class Simulation:
                             user.node_id, qbs_id)
         rec.circuits.append(user.home_circuit)
         self.sessions[session_id] = rec
-        self.nodes[qbs_id].sessions[session_id] = rec
         user.active_sessions.add(session_id)
         self.emit(user.node_id, "SESSION_REQUEST", session_id,
                   caller=caller_qid, callee=callee_qid)
@@ -380,10 +375,6 @@ class Simulation:
             self.emit(releasing_node, "CIRCUIT_RELEASED", rec.session_id,
                       circuit=circuit_id, scope="session" if owned else "permanent")
             if owned:
-                for end in (circuit.a, circuit.b):
-                    station = self.nodes.get(end)
-                    if isinstance(station, QbsNode):
-                        station.circuit_table.pop(circuit_id, None)
                 self.released_plate_draws += circuit.pool.plate_draws
                 del self.circuits[circuit_id]
         rec.circuits.clear()

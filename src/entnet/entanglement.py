@@ -12,6 +12,8 @@ particle i (the MSB-first frame order). The Tx plate holds the ionized
 halves and its partner Rx plate the others, so both always share one
 `fixed` mask and `tx.up ^ rx.up == fixed`. Observing a plate that still has
 unfixed particles (a blind decode) fixes them all with one 128-bit draw.
+Single pairs from `PairPool.create_pair` live on the same kind of plates:
+pair i is particle i % 128 of the pool's plate pair i // 128.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import random
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterator
 
 from .errors import AlreadyFixed, MismatchedPlates, TriggerOnNonIonized, UnknownParticle
 
@@ -31,14 +32,11 @@ ALL = (1 << PLATE_WIDTH) - 1  # every particle of a plate
 TX = "tx"
 RX = "rx"
 
-_UNOBSERVED, _UP, _DOWN = 0, 1, 2
-_OPPOSITE = {_UP: _DOWN, _DOWN: _UP}
-
 
 class Spin(IntEnum):
-    UNOBSERVED = _UNOBSERVED
-    UP = _UP
-    DOWN = _DOWN
+    UNOBSERVED = 0
+    UP = 1
+    DOWN = 2
 
     def opposite(self) -> "Spin":
         if self is Spin.UNOBSERVED:
@@ -67,6 +65,15 @@ class Plate:
     partner: Plate | None = field(default=None, repr=False)
 
 
+def _fix(plate: Plate, mask: int, up: int) -> None:
+    """Fix the particles in `mask`: `up` of them Up here, the rest Up on the partner."""
+    partner = plate.partner
+    plate.fixed |= mask
+    partner.fixed |= mask
+    plate.up |= up
+    partner.up |= up ^ mask
+
+
 def derive_seed(root: int, label: str) -> int:
     """Stable 64-bit child seed; sha256 keeps it independent of PYTHONHASHSEED."""
     digest = hashlib.sha256(f"{root}/{label}".encode()).digest()
@@ -76,29 +83,30 @@ def derive_seed(root: int, label: str) -> int:
 class PairPool:
     """Store of live entangled pairs with a pool-local random stream.
 
-    Particle ids 2i and 2i+1 are the two halves of pair i; ids are never
-    reused within a pool. Plate pairs keep their state in their own `Plate`
-    bit-fields; `plate_draws` counts the blind decodes that drew from the
-    stream.
+    Every pair lives on a plate pair. `create_pair` hands out pair i as
+    particle i % PLATE_WIDTH of `pair_plates[i // PLATE_WIDTH]`, making a
+    plate pair whenever the last one is used up: particle id 2i is its
+    ionized Tx half and 2i + 1 its Rx half. Ids are never reused within a
+    pool. `plate_draws` counts the blind decodes that drew from the stream.
     """
 
     def __init__(self, seed: int = 0) -> None:
-        # pair record: [spin_a, spin_b, ionized_a, ionized_b]
-        self._pairs: dict[int, list] = {}
+        self.pair_plates: list[tuple[Plate, Plate]] = []
         self._next_pair = 0
         self._plate_pairs = 0
         self.plate_draws = 0
         self._seed = seed
 
     def __len__(self) -> int:
-        """Live pairs: per-pair records plus PLATE_WIDTH per plate pair."""
-        return len(self._pairs) + PLATE_WIDTH * self._plate_pairs
+        """Live pairs: PLATE_WIDTH per plate pair, handed out or not."""
+        return PLATE_WIDTH * self._plate_pairs
 
-    def _pair(self, particle_id: int) -> list:
-        rec = self._pairs.get(particle_id >> 1)
-        if rec is None:
+    def _locate(self, particle_id: int) -> tuple[Plate, int]:
+        """The plate holding a particle handed out by create_pair, and its bit."""
+        if not 0 <= particle_id < 2 * self._next_pair:
             raise UnknownParticle(f"no live particle {particle_id}")
-        return rec
+        plate_index, i = divmod(particle_id >> 1, PLATE_WIDTH)
+        return self.pair_plates[plate_index][particle_id & 1], 1 << (PLATE_WIDTH - 1 - i)
 
     @cached_property
     def rng(self) -> random.Random:
@@ -107,21 +115,23 @@ class PairPool:
 
     # pair-level operations -------------------------------------------------
 
-    def create_pair(self, ionize_first: bool) -> tuple[int, int]:
-        """Create a fresh pair; the first particle is ionized iff ionize_first."""
+    def create_pair(self) -> tuple[int, int]:
+        """Hand out a fresh pair as (ionized Tx particle, Rx particle)."""
         index = self._next_pair
+        if index % PLATE_WIDTH == 0:
+            self.pair_plates.append(self.make_plate_pair())
         self._next_pair += 1
-        self._pairs[index] = [_UNOBSERVED, _UNOBSERVED, bool(ionize_first), False]
         return 2 * index, 2 * index + 1
 
     def partner(self, particle_id: int) -> int:
-        self._pair(particle_id)
+        self._locate(particle_id)
         return particle_id ^ 1
 
     def particle(self, particle_id: int) -> Particle:
-        rec = self._pair(particle_id)
-        side = particle_id & 1
-        return Particle(particle_id, rec[2 + side], Spin(rec[side]), particle_id ^ 1)
+        plate, bit = self._locate(particle_id)
+        spin = (Spin.UNOBSERVED if not plate.fixed & bit
+                else Spin.UP if plate.up & bit else Spin.DOWN)
+        return Particle(particle_id, plate.role == TX, spin, particle_id ^ 1)
 
     def trigger_spin(self, particle_id: int, direction: Spin) -> None:
         """Fix this particle to `direction` and its partner to the opposite.
@@ -129,27 +139,21 @@ class PairPool:
         Both ends change in the same call: the remote side is readable the
         very tick the trigger lands, whatever the distance.
         """
-        d = int(direction)
-        if d not in _OPPOSITE:
+        if direction not in (Spin.UP, Spin.DOWN):
             raise ValueError(f"trigger direction must be Up or Down, got {direction!r}")
-        rec = self._pair(particle_id)
-        side = particle_id & 1
-        if not rec[2 + side]:
+        plate, bit = self._locate(particle_id)
+        if plate.role != TX:
             raise TriggerOnNonIonized(f"particle {particle_id} is not ionized")
-        if rec[side] != _UNOBSERVED:
+        if plate.fixed & bit:
             raise AlreadyFixed(f"particle {particle_id} spin already fixed")
-        rec[side] = d
-        rec[1 - side] = _OPPOSITE[d]
+        _fix(plate, bit, bit if direction == Spin.UP else 0)
 
     def observe(self, particle_id: int) -> Spin:
         """Return the spin, fixing a fresh pair with a uniform draw first."""
-        rec = self._pair(particle_id)
-        side = particle_id & 1
-        if rec[side] == _UNOBSERVED:
-            d = _UP if self.rng.getrandbits(1) else _DOWN
-            rec[side] = d
-            rec[1 - side] = _OPPOSITE[d]
-        return Spin(rec[side])
+        plate, bit = self._locate(particle_id)
+        if not plate.fixed & bit:
+            _fix(plate, bit, bit if self.rng.getrandbits(1) else 0)
+        return Spin.UP if plate.up & bit else Spin.DOWN
 
     # plate-level operations ------------------------------------------------
 
@@ -194,14 +198,6 @@ class PairPool:
         free = plate.fixed ^ ALL
         if free:
             self.plate_draws += 1
-            drawn = self.rng.getrandbits(PLATE_WIDTH) & free
-            partner = plate.partner
-            plate.up |= drawn
-            partner.up |= drawn ^ free
-            plate.fixed = partner.fixed = ALL
+            _fix(plate, free, self.rng.getrandbits(PLATE_WIDTH) & free)
         return plate.up
 
-    def pairs_snapshot(self) -> Iterator[tuple[int, Spin, Spin]]:
-        """(pair_index, spin_first, spin_second) for every pair from create_pair."""
-        for index, rec in self._pairs.items():
-            yield index, Spin(rec[0]), Spin(rec[1])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .engine import Simulation, TraceRecord
-from .entanglement import Plate, Spin
+from .entanglement import Plate
 from .errors import InvariantViolation
 from .node import UserNode
 from .qbs import ChildQbs, LocalUser, QbsNode, RemotePlanet, SessionState
@@ -83,24 +83,24 @@ def _plate_fault(tx: Plate, rx: Plate) -> str | None:
     return None
 
 
+def _plate_name(circuit, tx: Plate) -> str:
+    for (src, dst), channel in circuit.channels.items():
+        if channel.tx is tx:
+            return f"channel {src}->{dst}"
+    return f"pair plate {[plate for plate, _ in circuit.pool.pair_plates].index(tx)}"
+
+
 def check_anti_correlation(sim: Simulation) -> None:
-    """Every live channel's plates, and every doubly-fixed pair, carry opposite spins."""
-    for circuit in sim.circuits.values():
-        for (src, dst), channel in circuit.channels.items():
-            fault = _plate_fault(channel.tx, channel.rx)
-            if fault:
-                raise InvariantViolation(
-                    f"circuit {circuit.circuit_id} channel {src}->{dst} generation "
-                    f"{channel.tx.generation}: {fault}")
-        for index, first, second in circuit.pool.pairs_snapshot():
-            fixed = Spin.UNOBSERVED not in (first, second)
-            if fixed and first.opposite() is not second:
-                raise InvariantViolation(
-                    f"circuit {circuit.circuit_id} pair {index}: "
-                    f"{first.name}/{second.name} not anti-correlated")
-            if (first is Spin.UNOBSERVED) != (second is Spin.UNOBSERVED):
-                raise InvariantViolation(
-                    f"circuit {circuit.circuit_id} pair {index}: one side fixed alone")
+    """Every plate pair of every live circuit, channel or pool-held, carries opposite spins."""
+    circuits = sim.circuits.values()
+    plate_pairs = [(c, ch.tx, ch.rx) for c in circuits for ch in c.channels.values()]
+    plate_pairs += [(c, tx, rx) for c in circuits for tx, rx in c.pool.pair_plates]
+    for circuit, tx, rx in plate_pairs:
+        fault = _plate_fault(tx, rx)
+        if fault:
+            raise InvariantViolation(
+                f"circuit {circuit.circuit_id} {_plate_name(circuit, tx)} generation "
+                f"{tx.generation}: {fault}")
 
 
 def check_no_blind_decodes(sim: Simulation) -> None:
@@ -126,12 +126,6 @@ def check_circuit_conservation(sim: Simulation) -> None:
         raise InvariantViolation(
             f"circuit sets differ: extra={sorted(actual - expected)} "
             f"missing={sorted(expected - actual)}")
-    for station in sim.nodes.values():
-        if isinstance(station, QbsNode):
-            stray = set(station.circuit_table) - expected
-            if stray:
-                raise InvariantViolation(
-                    f"{station.qbs_id} still holds session circuits {sorted(stray)}")
 
 
 def check_registry_coherence(sim: Simulation) -> None:

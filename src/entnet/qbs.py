@@ -165,8 +165,6 @@ class QbsNode:
         self.kind = kind
         self.mother_id = mother_id  # home Mother, set on children only
         self.registry: dict[int, Location] = {}
-        self.sessions: dict[int, SessionRecord] = {}
-        self.circuit_table: dict[int, Circuit] = {}
         self.peer_mothers: dict[str, "QbsNode"] = {}
         self.negotiation_budget = 100  # ticks a callee may take to answer
 
@@ -274,7 +272,6 @@ class QbsNode:
         rec = sim.sessions[p["session"]]
         if rec.state is not SessionState.NEGOTIATING:
             return  # the owner already timed the negotiation out
-        self.sessions[rec.session_id] = rec
         callee_node = self.lookup_local(p["callee"])
         rec.callee_node = callee_node
         sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id,

@@ -9,8 +9,8 @@ each tagged with the path of the offending field.
 from __future__ import annotations
 
 import json
-import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
@@ -93,18 +93,16 @@ def _parse_payload(raw, path: str, findings: list[str]) -> bytes:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build a Scenario from parsed JSON; raises ValidationError on any problem."""
+    """Build a Scenario from parsed JSON; raises ValidationError on any problem.
+
+    Parsing checks the shape (objects, lists, policies, payloads) and passes
+    leaf values through as they are; validate_scenario checks their types."""
     findings: list[str] = []
     if not isinstance(raw, dict):
         raise ValidationError(["$: scenario must be a JSON object"])
     for key in raw:
         if key not in ("seed", "planets", "links", "workload"):
             findings.append(f"{key}: unknown field")
-
-    seed = raw.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        findings.append("seed: required unsigned 64-bit integer")
-        seed = 0
 
     planets = []
     for i, p in enumerate(_expect_list(raw, "planets", findings, required=True)):
@@ -123,20 +121,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 if not isinstance(u, dict):
                     findings.append(f"{path}: must be an object")
                     continue
-                users.append(UserSpec(
-                    node_id=_expect_str(u, "node_id", path, findings),
-                    qid=_expect_int(u, "qid", path, findings),
-                    accept_policy=_parse_policy(u.get("accept_policy"),
-                                                path, findings),
-                ))
-            children.append(ChildSpec(
-                qbs_id=_expect_str(c, "qbs_id", f"planets[{i}].children[{j}]", findings),
-                users=tuple(users),
-            ))
-        planets.append(PlanetSpec(
-            mother_id=_expect_str(p, "mother_id", f"planets[{i}]", findings),
-            children=tuple(children),
-        ))
+                policy = _parse_policy(u.get("accept_policy"), path, findings)
+                users.append(UserSpec(u.get("node_id"), u.get("qid"), policy))
+            children.append(ChildSpec(c.get("qbs_id"), tuple(users)))
+        planets.append(PlanetSpec(p.get("mother_id"), tuple(children)))
 
     links = []
     for i, l in enumerate(_expect_list(raw, "links", findings)):
@@ -144,15 +132,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not isinstance(l, dict):
             findings.append(f"{path}: must be an object")
             continue
-        distance = l.get("distance_meters")
-        if not isinstance(distance, (int, float)) or isinstance(distance, bool):
-            findings.append(f"{path}.distance_meters: required number")
-            distance = 0.0
-        links.append(LinkSpec(
-            a=_expect_str(l, "a", path, findings),
-            b=_expect_str(l, "b", path, findings),
-            distance_meters=float(distance),
-        ))
+        links.append(LinkSpec(l.get("a"), l.get("b"), l.get("distance_meters")))
 
     workload = []
     for i, w in enumerate(_expect_list(raw, "workload", findings)):
@@ -160,17 +140,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not isinstance(w, dict):
             findings.append(f"{path}: must be an object")
             continue
-        workload.append(WorkloadItem(
-            at_tick=_expect_int(w, "at_tick", path, findings),
-            from_qid=_expect_int(w, "from_qid", path, findings),
-            to_qid=_expect_int(w, "to_qid", path, findings),
-            payload=_parse_payload(w.get("payload", ""), f"{path}.payload", findings),
-        ))
+        payload = _parse_payload(w.get("payload", ""), f"{path}.payload", findings)
+        workload.append(WorkloadItem(w.get("at_tick"), w.get("from_qid"), w.get("to_qid"),
+                                     payload))
 
-    if findings:
-        raise ValidationError(findings)
-    scenario = Scenario(seed, tuple(planets), tuple(links), tuple(workload))
-    findings = validate_scenario(scenario)
+    scenario = Scenario(raw.get("seed"), tuple(planets), tuple(links), tuple(workload))
+    findings += validate_scenario(scenario)
     if findings:
         raise ValidationError(findings)
     return scenario
@@ -184,22 +159,6 @@ def _expect_list(obj: dict, key: str, findings: list[str], prefix: str = "",
     if not isinstance(value, list):
         findings.append(f"{prefix}{key}: required list")
         return []
-    return value
-
-
-def _expect_str(obj: dict, key: str, path: str, findings: list[str]) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        findings.append(f"{path}.{key}: required non-empty string")
-        return f"<missing {key}>"
-    return value
-
-
-def _expect_int(obj: dict, key: str, path: str, findings: list[str]) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        findings.append(f"{path}.{key}: required integer")
-        return 0
     return value
 
 
@@ -217,18 +176,25 @@ def load_scenario(path: str) -> Scenario:
 # semantic validation -------------------------------------------------------------
 
 
+def is_u64(value) -> bool:
+    """The rule for seeds and QIDs: an int, not a bool, in [0, 2**64)."""
+    return type(value) is int and 0 <= value < _U64
+
+
 def validate_scenario(scenario: Scenario,
                       max_payload_bytes: int = DEFAULT_PAYLOAD_CAP) -> list[str]:
-    """All semantic problems with an already-structured scenario."""
+    """All problems with a structured scenario: field types, ranges and references."""
     findings: list[str] = []
     node_ids: dict[str, str] = {}
     qids: dict[int, str] = {}
 
-    if not 0 <= scenario.seed < _U64:
+    if not is_u64(scenario.seed):
         findings.append("seed: must be an unsigned 64-bit integer")
 
     def claim_node(node_id: str, path: str) -> None:
-        if node_id in node_ids:
+        if not isinstance(node_id, str) or not node_id:
+            findings.append(f"{path}: must be a non-empty string")
+        elif node_id in node_ids:
             findings.append(f"{path}: duplicate id '{node_id}' "
                             f"(also used at {node_ids[node_id]})")
         else:
@@ -241,7 +207,9 @@ def validate_scenario(scenario: Scenario,
             for k, user in enumerate(child.users):
                 path = f"planets[{i}].children[{j}].users[{k}]"
                 claim_node(user.node_id, f"{path}.node_id")
-                if not 0 <= user.qid < _U64:
+                if not isinstance(user.accept_policy, (AcceptAll, AcceptList, RejectAll)):
+                    findings.append(f"{path}.accept_policy: must be an accept policy")
+                if not is_u64(user.qid):
                     findings.append(f"{path}.qid: must be an unsigned 64-bit integer")
                 elif user.qid in qids:
                     findings.append(f"{path}.qid: duplicate QID {user.qid} "
@@ -252,15 +220,18 @@ def validate_scenario(scenario: Scenario,
     seen_pairs: set[frozenset] = set()
     for i, link in enumerate(scenario.links):
         path = f"links[{i}]"
-        for end in ("a", "b"):
-            if getattr(link, end) not in node_ids:
-                findings.append(f"{path}.{end}: unknown node id "
-                                f"'{getattr(link, end)}'")
+        ends = (link.a, link.b)
+        for end, node_id in zip("ab", ends):
+            if not isinstance(node_id, str) or node_id not in node_ids:
+                findings.append(f"{path}.{end}: unknown node id {node_id!r}")
         if link.a == link.b:
             findings.append(f"{path}: link endpoints must differ")
-        if not math.isfinite(link.distance_meters) or link.distance_meters < 0:
-            findings.append(f"{path}.distance_meters: must be finite and >= 0")
-        pair = frozenset((link.a, link.b))
+        distance = link.distance_meters
+        if type(distance) not in (int, float) or not 0 <= distance <= sys.float_info.max:
+            findings.append(f"{path}.distance_meters: must be a number, finite and >= 0")
+        if not all(isinstance(node_id, str) for node_id in ends):
+            continue
+        pair = frozenset(ends)
         if pair in seen_pairs and link.a != link.b:
             findings.append(f"{path}: duplicate link between "
                             f"'{link.a}' and '{link.b}'")
@@ -268,14 +239,17 @@ def validate_scenario(scenario: Scenario,
 
     for i, item in enumerate(scenario.workload):
         path = f"workload[{i}]"
-        if item.at_tick < 0:
-            findings.append(f"{path}.at_tick: must be >= 0")
+        if type(item.at_tick) is not int or item.at_tick < 0:
+            findings.append(f"{path}.at_tick: must be an integer >= 0")
         for end in ("from_qid", "to_qid"):
-            if getattr(item, end) not in qids:
-                findings.append(f"{path}.{end}: unknown QID {getattr(item, end)}")
+            qid = getattr(item, end)
+            if type(qid) is not int or qid not in qids:
+                findings.append(f"{path}.{end}: unknown QID {qid!r}")
         if item.from_qid == item.to_qid:
             findings.append(f"{path}: from_qid and to_qid must differ")
-        if len(item.payload) > max_payload_bytes:
+        if not isinstance(item.payload, bytes):
+            findings.append(f"{path}.payload: must be bytes")
+        elif len(item.payload) > max_payload_bytes:
             findings.append(f"{path}.payload: {len(item.payload)} bytes exceeds "
                             f"the {max_payload_bytes}-byte cap")
 

@@ -16,7 +16,7 @@ from entnet.errors import (
 
 def test_create_pair_contract():
     pool = PairPool(0)
-    p1, p2 = pool.create_pair(ionize_first=True)
+    p1, p2 = pool.create_pair()
     assert pool.particle(p1).ionized
     assert not pool.particle(p2).ionized
     assert pool.particle(p1).spin is Spin.UNOBSERVED
@@ -25,7 +25,7 @@ def test_create_pair_contract():
 
 def test_partner_relation_symmetric_irreflexive():
     pool = PairPool(0)
-    p1, p2 = pool.create_pair(True)
+    p1, p2 = pool.create_pair()
     assert pool.partner(p1) == p2
     assert pool.partner(p2) == p1
     assert pool.partner(p1) != p1
@@ -33,13 +33,13 @@ def test_partner_relation_symmetric_irreflexive():
 
 def test_successive_pairs_have_distinct_ids():
     pool = PairPool(0)
-    ids = [*pool.create_pair(True), *pool.create_pair(True)]
+    ids = [*pool.create_pair(), *pool.create_pair()]
     assert len(set(ids)) == 4
 
 
 def test_trigger_up_fixes_partner_down():
     pool = PairPool(0)
-    p1, p2 = pool.create_pair(True)
+    p1, p2 = pool.create_pair()
     pool.trigger_spin(p1, Spin.UP)
     assert pool.particle(p1).spin is Spin.UP
     assert pool.particle(p2).spin is Spin.DOWN
@@ -47,7 +47,7 @@ def test_trigger_up_fixes_partner_down():
 
 def test_trigger_down_fixes_partner_up():
     pool = PairPool(0)
-    p1, p2 = pool.create_pair(True)
+    p1, p2 = pool.create_pair()
     pool.trigger_spin(p1, Spin.DOWN)
     assert pool.particle(p1).spin is Spin.DOWN
     assert pool.particle(p2).spin is Spin.UP
@@ -55,14 +55,14 @@ def test_trigger_down_fixes_partner_up():
 
 def test_trigger_requires_ionized():
     pool = PairPool(0)
-    _, p2 = pool.create_pair(True)
+    _, p2 = pool.create_pair()
     with pytest.raises(TriggerOnNonIonized):
         pool.trigger_spin(p2, Spin.UP)
 
 
 def test_trigger_requires_unobserved():
     pool = PairPool(0)
-    p1, _ = pool.create_pair(True)
+    p1, _ = pool.create_pair()
     pool.trigger_spin(p1, Spin.UP)
     with pytest.raises(AlreadyFixed):
         pool.trigger_spin(p1, Spin.DOWN)
@@ -70,14 +70,14 @@ def test_trigger_requires_unobserved():
 
 def test_observe_after_trigger_is_opposite():
     pool = PairPool(0)
-    p1, p2 = pool.create_pair(True)
+    p1, p2 = pool.create_pair()
     pool.trigger_spin(p1, Spin.UP)
     assert pool.observe(p2) is Spin.DOWN
 
 
 def test_observe_is_idempotent():
     pool = PairPool(3)
-    p1, _ = pool.create_pair(True)
+    p1, _ = pool.create_pair()
     first = pool.observe(p1)
     assert pool.observe(p1) is first
     assert pool.observe(p1) is first
@@ -85,7 +85,7 @@ def test_observe_is_idempotent():
 
 def test_observe_fixes_partner_opposite():
     pool = PairPool(5)
-    p1, p2 = pool.create_pair(True)
+    p1, p2 = pool.create_pair()
     assert pool.observe(p1).opposite() is pool.observe(p2)
 
 
@@ -98,7 +98,7 @@ def test_observe_unknown_particle():
 def test_observe_sequence_is_seed_deterministic():
     def draws(seed):
         pool = PairPool(seed)
-        return [pool.observe(pool.create_pair(True)[0]) for _ in range(64)]
+        return [pool.observe(pool.create_pair()[0]) for _ in range(64)]
 
     assert draws(11) == draws(11)
     assert draws(11) != draws(12)  # astronomically unlikely to collide
@@ -107,7 +107,7 @@ def test_observe_sequence_is_seed_deterministic():
 def test_lazy_stream_draws_like_an_eager_one():
     pool = PairPool(77)
     _, rx = pool.make_plate_pair()
-    p1, _ = pool.create_pair(True)
+    p1, _ = pool.create_pair()
     assert "rng" not in vars(pool)  # nothing built before the first draw
     eager = random.Random(77)
     assert pool.observe_plate(rx) == eager.getrandbits(PLATE_WIDTH)
@@ -220,7 +220,7 @@ def test_encoded_plate_decodes_without_drawing():
 def test_fixed_spins_never_change(ops, seed):
     """Whatever the operation sequence, the first fixed value persists."""
     pool = PairPool(seed)
-    p1, p2 = pool.create_pair(True)
+    p1, p2 = pool.create_pair()
     fixed: dict[int, Spin] = {}
 
     def snap():
@@ -243,13 +243,8 @@ def test_fixed_spins_never_change(ops, seed):
         snap()
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=60),
-       st.integers(0, 2**32))
-@settings(max_examples=60)
-def test_anti_correlation_holds_after_any_sequence(ops, seed):
-    """Exhaustive pool scan: doubly-fixed pairs are always opposite."""
-    pool = PairPool(seed)
-    pairs = [pool.create_pair(True) for _ in range(8)]
+def _apply_pair_ops(pool, pairs, ops):
+    """Observe either half or trigger the Tx half, ignoring refused triggers."""
     for kind, which in ops:
         p1, p2 = pairs[which]
         try:
@@ -263,7 +258,66 @@ def test_anti_correlation_holds_after_any_sequence(ops, seed):
                 pool.trigger_spin(p1, Spin.DOWN)
         except (AlreadyFixed, TriggerOnNonIonized):
             pass
-    for _, first, second in pool.pairs_snapshot():
+
+
+def _assert_anti_correlated(pool, pairs):
+    for p1, p2 in pairs:
+        first, second = pool.particle(p1).spin, pool.particle(p2).spin
         assert (first is Spin.UNOBSERVED) == (second is Spin.UNOBSERVED)
         if first is not Spin.UNOBSERVED:
             assert first.opposite() is second
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=60),
+       st.integers(0, 2**32))
+@settings(max_examples=60)
+def test_anti_correlation_holds_after_any_sequence(ops, seed):
+    """Exhaustive pool scan: doubly-fixed pairs are always opposite."""
+    pool = PairPool(seed)
+    pairs = [pool.create_pair() for _ in range(8)]
+    _apply_pair_ops(pool, pairs, ops)
+    _assert_anti_correlated(pool, pairs)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 129)), max_size=80),
+       st.integers(0, 2**32))
+@settings(max_examples=60)
+def test_anti_correlation_holds_across_a_plate_boundary(ops, seed):
+    """130 pairs span two pair plates; every pair stays opposite and plate-coherent."""
+    pool = PairPool(seed)
+    pairs = [pool.create_pair() for _ in range(130)]
+    assert len(pool.pair_plates) == 2
+    _apply_pair_ops(pool, pairs, ops)
+    _assert_anti_correlated(pool, pairs)
+    for tx, rx in pool.pair_plates:
+        assert tx.fixed == rx.fixed and tx.up ^ rx.up == tx.fixed
+
+
+def test_pairs_on_either_side_of_a_plate_boundary():
+    pool = PairPool(9)
+    pairs = [pool.create_pair() for _ in range(129)]
+    (a127, b127), (a128, b128) = pairs[127], pairs[128]
+    (tx0, rx0), (tx1, rx1) = pool.pair_plates
+    assert len(pool) == 2 * PLATE_WIDTH
+    pool.trigger_spin(a127, Spin.UP)
+    assert (tx0.fixed, tx0.up, rx0.up) == (1, 1, 0)  # pair 127 is the last bit of plate 0
+    assert pool.particle(b127).spin is Spin.DOWN
+    assert pool.particle(a128).spin is Spin.UNOBSERVED and tx1.fixed == 0
+    assert pool.observe(b128).opposite() is pool.observe(a128)
+    assert rx1.fixed == tx1.fixed == 1 << (PLATE_WIDTH - 1)  # pair 128 is bit 127 of plate 1
+    assert pool.particle(a128).ionized and not pool.particle(b128).ionized
+    with pytest.raises(TriggerOnNonIonized):
+        pool.trigger_spin(b127, Spin.UP)
+
+
+@pytest.mark.parametrize("created", [0, 1, 130])
+def test_unknown_particle_outside_the_handed_out_ids(created):
+    pool = PairPool(0)
+    for _ in range(created):
+        pool.create_pair()
+    for bad in (-1, 2 * created):
+        for op in (pool.particle, pool.partner, pool.observe):
+            with pytest.raises(UnknownParticle):
+                op(bad)
+        with pytest.raises(UnknownParticle):
+            pool.trigger_spin(bad, Spin.UP)

@@ -1,7 +1,6 @@
 import pytest
 
 from entnet import Frame, Simulation, decode_frame, encode_frame, example_scenario
-from entnet.entanglement import _UP
 from entnet.errors import InvariantViolation
 from entnet.invariants import check_all, check_anti_correlation
 
@@ -48,10 +47,12 @@ def test_up_bit_outside_fixed_mask_is_caught(run_example):
 def test_per_pair_records_are_still_scanned(run_example):
     sim = run_example("cross-qbs")
     circuit, _ = live_channel(sim)
-    a, _ = circuit.pool.create_pair(ionize_first=True)
+    a, _ = circuit.pool.create_pair()
+    circuit.pool.observe(a)
     check_anti_correlation(sim)
-    circuit.pool._pairs[a >> 1][:2] = [_UP, _UP]
-    with pytest.raises(InvariantViolation, match="not anti-correlated"):
+    tx, rx = circuit.pool.pair_plates[0]
+    rx.up ^= tx.fixed  # the observed pair's Rx half now shows the Tx half's spin
+    with pytest.raises(InvariantViolation, match="pair plate 0 .*not opposite"):
         check_anti_correlation(sim)
 
 

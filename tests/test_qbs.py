@@ -159,12 +159,13 @@ def test_open_session_rejects_self_call():
 # brokered circuits ---------------------------------------------------------------
 
 
-def test_provisioned_circuit_lands_in_both_tables():
+def test_provisioned_circuit_joins_both_stations():
     sim = Simulation(two_station_scenario())
     sid = sim.open_session("qbs-1", 1, 3)
     cid = sim.provision_interqbs_circuit("m", "qbs-1", "qbs-2", sid)
-    assert cid in sim.nodes["qbs-1"].circuit_table
-    assert cid in sim.nodes["qbs-2"].circuit_table
+    circuit = sim.circuits[cid]
+    assert {circuit.a, circuit.b} == {"qbs-1", "qbs-2"}
+    assert circuit.owner_session == sid
 
 
 def test_concurrent_sessions_get_distinct_circuits():
@@ -182,12 +183,12 @@ def test_concurrent_sessions_get_distinct_circuits():
     check_circuit_conservation(sim)
 
 
-def test_teardown_removes_provisioned_circuit_from_both_tables():
+def test_teardown_removes_provisioned_circuit():
     sim = Simulation(two_station_scenario(workload=[WorkloadItem(0, 1, 3, b"x")]))
-    before = set(sim.nodes["qbs-1"].circuit_table)
+    before = set(sim.circuits)
     sim.run_until_idle()
     assert sim.sessions[1].state is SessionState.CLOSED
-    assert set(sim.nodes["qbs-1"].circuit_table) == before
+    assert set(sim.circuits) == before
     provisioned = [r.detail["circuit"] for r in sim.trace
                    if r.type == "CIRCUIT_PROVISIONED"]
     assert provisioned and provisioned[0] not in sim.circuits

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entnet import (
     Scenario,
+    Simulation,
     desk_scale_scenario,
     example_scenario,
     scenario_from_dict,
@@ -10,7 +15,7 @@ from entnet import (
     with_uniform_distances,
 )
 from entnet.errors import ValidationError
-from entnet.node import AcceptList, RejectAll
+from entnet.node import AcceptAll, AcceptList, RejectAll
 from entnet.scenario import ChildSpec, PlanetSpec, UserSpec, WorkloadItem
 
 
@@ -70,6 +75,8 @@ def test_link_findings():
         links=[{"a": "a", "b": "a", "distance_meters": 1.0}]))
     assert any("finite and >= 0" in f for f in findings_for(
         links=[{"a": "a", "b": "q", "distance_meters": -1.0}]))
+    assert any("finite and >= 0" in f for f in findings_for(  # JSON ints are unbounded
+        links=[{"a": "a", "b": "q", "distance_meters": 10**400}]))
     assert any("duplicate link" in f for f in findings_for(
         links=[{"a": "a", "b": "q", "distance_meters": 1.0},
                {"a": "q", "b": "a", "distance_meters": 2.0}]))
@@ -159,3 +166,65 @@ def test_desk_scale_scenario_is_valid_and_deterministic():
     assert validate_scenario(first) == []
     assert sum(len(c.users) for c in first.planets[0].children) == 10
     assert len(first.workload) == 20
+
+
+# ill-typed fields of code-built scenarios ------------------------------------------
+
+_WELL_TYPED = {
+    "id": lambda v: isinstance(v, str) and v != "",
+    "int": lambda v: type(v) is int,
+    "distance": lambda v: type(v) in (int, float),
+    "bytes": lambda v: isinstance(v, bytes),
+    "policy": lambda v: isinstance(v, (AcceptAll, AcceptList, RejectAll)),
+}
+
+
+def _leaf_fields(scenario):
+    """(path, kind) of every leaf field; a path is attribute names and tuple indexes."""
+    yield ("seed",), "int"
+    for i, planet in enumerate(scenario.planets):
+        yield ("planets", i, "mother_id"), "id"
+        for j, child in enumerate(planet.children):
+            child_path = ("planets", i, "children", j)
+            yield (*child_path, "qbs_id"), "id"
+            for k in range(len(child.users)):
+                for name, kind in (("node_id", "id"), ("qid", "int"),
+                                   ("accept_policy", "policy")):
+                    yield (*child_path, "users", k, name), kind
+    for i in range(len(scenario.links)):
+        for name, kind in (("a", "id"), ("b", "id"), ("distance_meters", "distance")):
+            yield ("links", i, name), kind
+    for i in range(len(scenario.workload)):
+        for name, kind in (("at_tick", "int"), ("from_qid", "int"), ("to_qid", "int"),
+                           ("payload", "bytes")):
+            yield ("workload", i, name), kind
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(head, int):
+        items = list(obj)
+        items[head] = _replaced(items[head], rest, value)
+        return tuple(items)
+    return replace(obj, **{head: _replaced(getattr(obj, head), rest, value)})
+
+
+_INTERPLANET = example_scenario("interplanet")
+
+
+@given(st.sampled_from(list(_leaf_fields(_INTERPLANET))),
+       st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                 st.text(max_size=3), st.binary(max_size=3),
+                 st.lists(st.integers(), max_size=2), st.just({}), st.just(AcceptAll)))
+@settings(max_examples=200)
+def test_one_ill_typed_field_is_a_finding(field, value):
+    path, kind = field
+    assume(not _WELL_TYPED[kind](value))
+    with pytest.raises(ValidationError) as err:
+        Simulation(_replaced(_INTERPLANET, path, value))
+    assert err.value.findings
+    if path == ("seed",) and value is not None:  # None means "no override"
+        with pytest.raises(ValidationError):
+            Simulation(_INTERPLANET, seed=value)
