@@ -35,8 +35,6 @@ from .errors import (
 )
 from .node import AcceptAll, AcceptPolicy, UserNode
 from .qbs import (
-    CHILD,
-    MOTHER,
     ChildQbs,
     Circuit,
     FailureReason,
@@ -238,11 +236,11 @@ class Simulation:
         }
         mothers: list[QbsNode] = []
         for planet in self.scenario.planets:
-            mother = QbsNode(planet.mother_id, MOTHER)
+            mother = QbsNode(planet.mother_id)
             self.nodes[mother.qbs_id] = mother
             mothers.append(mother)
             for child_spec in planet.children:
-                child = QbsNode(child_spec.qbs_id, CHILD, mother_id=mother.qbs_id)
+                child = QbsNode(child_spec.qbs_id, mother.qbs_id)
                 self.nodes[child.qbs_id] = child
         for mother in mothers:
             mother.peer_mothers = {m.qbs_id: m for m in mothers if m is not mother}
@@ -320,7 +318,6 @@ class Simulation:
                             user.node_id, qbs_id)
         rec.circuits.append(user.home_circuit)
         self.sessions[session_id] = rec
-        user.active_sessions.add(session_id)
         self.emit(user.node_id, "SESSION_REQUEST", session_id,
                   caller=caller_qid, callee=callee_qid)
         self.schedule(self.now + 1, qbs_id, "session_lookup", {"session": session_id})
@@ -357,7 +354,6 @@ class Simulation:
                      REVERSE: [(b, a, c, c.channels[b, a]) for a, b, c in reversed(hops)]}
         rec.transition(SessionState.ESTABLISHED)
         rec.established_tick = self.now
-        callee_user.active_sessions.add(rec.session_id)
         self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, path=list(rec.path))
         if rec.workload_payload is not None:
             self.schedule(self.now + 1, rec.caller_node, "session_ready",
@@ -387,7 +383,6 @@ class Simulation:
         for qid in (rec.caller, rec.callee):
             user = self.users.get(qid)
             if user is not None:
-                user.active_sessions.discard(rec.session_id)
                 for key in [k for k in user._rx_buffers if k[0] == rec.session_id]:
                     del user._rx_buffers[key]
 
@@ -423,12 +418,12 @@ class Simulation:
         self.emit(sender_node, "SEND", session_id,
                   bytes=len(payload), dir=direction, frames=len(frames))
         for index, frame in enumerate(frames):
-            self._submit_frame(rec, direction, frame, index, in_message=True)
+            self._submit_frame(rec, direction, frame, index)
 
     def relay_data(self, session_id: int, frame: Frame, reverse: bool = False) -> None:
         """Push a single raw frame down the path, outside any message."""
         self._submit_frame(self._established(session_id), REVERSE if reverse else FORWARD,
-                           frame, index=None, in_message=False)
+                           frame, index=None)
 
     def _established(self, session_id: int) -> SessionRecord:
         rec = self.sessions.get(session_id)
@@ -440,12 +435,11 @@ class Simulation:
         return rec
 
     def _submit_frame(self, rec: SessionRecord, direction: str, frame: Frame,
-                      index: int | None, in_message: bool) -> None:
+                      index: int | None) -> None:
         """Start a frame down its route with the one event payload for all its hops:
         `pos` counts the hops it was encoded onto; hops[pos - 1] it arrives over."""
         self._forward({"session": rec.session_id, "rec": rec, "dir": direction,
-                       "index": index, "in_message": in_message, "pos": 0,
-                       "hops": rec.route[direction]}, frame)
+                       "index": index, "pos": 0, "hops": rec.route[direction]}, frame)
 
     def _forward(self, p: dict, frame: Frame) -> None:
         circuit, channel = p["hops"][p["pos"]][2:]
@@ -512,7 +506,7 @@ class Simulation:
         if frame is None:
             return
         user = self.nodes[target]
-        if not p["in_message"]:
+        if p["index"] is None:  # relayed outside any message
             user.raw_frames.append((rec.session_id, frame))
             return
         key = (rec.session_id, p["dir"])
@@ -524,7 +518,7 @@ class Simulation:
         user.inbox.append((self.now, rec.session_id, payload))
         self.emit(target, "DELIVER", rec.session_id,
                   bytes=len(payload), dir=p["dir"])
-        if rec.auto_teardown and p["dir"] == FORWARD:
+        if rec.workload_payload is not None and p["dir"] == FORWARD:
             self.schedule(self.now + 1, rec.caller_qbs, "teardown",
                           {"session": rec.session_id})
 

@@ -131,7 +131,7 @@ def check_circuit_conservation(sim: Simulation) -> None:
 def check_registry_coherence(sim: Simulation) -> None:
     """Mother -> Child -> LocalUser pointers terminate at the owning node."""
     mothers = [n for n in sim.nodes.values()
-               if isinstance(n, QbsNode) and n.kind == "mother"]
+               if isinstance(n, QbsNode) and n.mother_id is None]
     for mother in mothers:
         for qid, entry in mother.registry.items():
             if isinstance(entry, RemotePlanet):
@@ -156,13 +156,16 @@ def check_registry_coherence(sim: Simulation) -> None:
 
 
 def check_active_session_membership(sim: Simulation) -> None:
-    """Every active session of a user names that user as caller or callee."""
-    for user in sim.users.values():
-        for session_id in user.active_sessions:
-            rec = sim.sessions[session_id]
-            if user.qid not in (rec.caller, rec.callee):
+    """A live session's caller node, and its callee node once resolved, is the
+    user registered under that QID."""
+    for rec in sim.sessions.values():
+        if rec.terminal:
+            continue
+        for qid, node_id in ((rec.caller, rec.caller_node), (rec.callee, rec.callee_node)):
+            user = sim.users.get(qid)
+            if node_id is not None and (user is None or user.node_id != node_id):
                 raise InvariantViolation(
-                    f"user {user.node_id} holds foreign session {session_id}")
+                    f"session {rec.session_id}: {node_id} is not the user of QID {qid}")
 
 
 def check_session_circuit_binding(sim: Simulation) -> None:

@@ -44,7 +44,6 @@ class UserNode:
     home_qbs: str
     policy: AcceptPolicy = field(default_factory=AcceptAll)
     home_circuit: int | None = None
-    active_sessions: set[int] = field(default_factory=set)
     # completed messages: (arrival_tick, session_id, payload)
     inbox: list[tuple[int, int, bytes]] = field(default_factory=list)
     # frames relayed outside any message, by session
@@ -70,7 +69,6 @@ class UserNode:
         session_id = sim.open_session(self.home_qbs, self.qid, p["to_qid"])
         rec = sim.sessions[session_id]
         rec.workload_payload = p["payload"]
-        rec.auto_teardown = True
 
     def _on_session_ready(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]

@@ -20,10 +20,6 @@ from .errors import IllegalTransition
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulation
 
-CHILD = "child"
-MOTHER = "mother"
-
-
 # registry entry variants -----------------------------------------------------
 
 
@@ -99,7 +95,6 @@ class SessionRecord:
     established_tick: int | None = None
     # workload plumbing: a payload queued at request time, sent on establish
     workload_payload: bytes | None = None
-    auto_teardown: bool = False
     timeout_key: tuple[int, int] | None = None
 
     def transition(self, new: SessionState, failure: FailureReason | None = None) -> None:
@@ -160,9 +155,8 @@ class Circuit:
 class QbsNode:
     """One base station, Child or Mother."""
 
-    def __init__(self, qbs_id: str, kind: str, mother_id: str | None = None) -> None:
+    def __init__(self, qbs_id: str, mother_id: str | None = None) -> None:
         self.qbs_id = qbs_id
-        self.kind = kind
         self.mother_id = mother_id  # home Mother, set on children only
         self.registry: dict[int, Location] = {}
         self.peer_mothers: dict[str, "QbsNode"] = {}

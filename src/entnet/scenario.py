@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from .errors import ValidationError
 from .node import AcceptAll, AcceptList, AcceptPolicy, RejectAll
 
-DEFAULT_PAYLOAD_CAP = 1 << 20  # bytes
+PAYLOAD_CAP = 1 << 20  # bytes
 _U64 = 1 << 64
 
 
@@ -64,102 +64,92 @@ class Scenario:
 
 # parsing ----------------------------------------------------------------------
 
+# the keys a JSON object of each kind may hold
+_SCENARIO_KEYS = frozenset({"seed", "planets", "links", "workload"})
+_PLANET_KEYS = frozenset({"mother_id", "children"})
+_CHILD_KEYS = frozenset({"qbs_id", "users"})
+_USER_KEYS = frozenset({"node_id", "qid", "accept_policy"})
+_LINK_KEYS = frozenset({"a", "b", "distance_meters"})
+_ITEM_KEYS = frozenset({"at_tick", "from_qid", "to_qid", "payload"})
 
-def _parse_policy(raw, path: str, findings: list[str]) -> AcceptPolicy:
+
+def _parse_policy(raw):
+    """The policy a JSON value names; any other value passes through."""
     if raw is None or raw == "accept_all":
         return AcceptAll()
     if raw == "reject_all":
         return RejectAll()
-    if isinstance(raw, dict) and set(raw) == {"accept_list"} and \
-            isinstance(raw["accept_list"], list) and \
-            all(isinstance(q, int) for q in raw["accept_list"]):
-        return AcceptList(frozenset(raw["accept_list"]))
-    findings.append(f"{path}: accept_policy must be 'accept_all', 'reject_all' "
-                    f"or {{'accept_list': [qids]}}")
-    return AcceptAll()
+    if type(raw) is dict and raw.keys() == {"accept_list"}:
+        try:
+            return AcceptList(frozenset(raw["accept_list"]))
+        except TypeError:  # not a list, or it holds a list or an object
+            pass
+    return raw
 
 
 def _parse_payload(raw, path: str, findings: list[str]) -> bytes:
-    if isinstance(raw, str):
-        return raw.encode("utf-8")
-    if isinstance(raw, dict) and set(raw) == {"hex"} and isinstance(raw["hex"], str):
-        try:
+    try:
+        if isinstance(raw, str):
+            return raw.encode("utf-8")
+        if isinstance(raw, dict) and raw.keys() == {"hex"} and isinstance(raw["hex"], str):
             return bytes.fromhex(raw["hex"])
-        except ValueError:
-            findings.append(f"{path}.hex: not valid hex")
-            return b""
-    findings.append(f"{path}: payload must be a UTF-8 string or {{'hex': '..'}}")
+        findings.append(f"{path}.payload: payload must be a UTF-8 string or {{'hex': '..'}}")
+    except ValueError:  # a bad hex digit, or a lone surrogate that UTF-8 cannot encode
+        findings.append(f"{path}.payload: not valid UTF-8" if isinstance(raw, str)
+                        else f"{path}.payload.hex: not valid hex")
     return b""
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from parsed JSON; raises ValidationError on any problem.
 
-    Parsing checks the shape (objects, lists, policies, payloads) and passes
-    leaf values through as they are; validate_scenario checks their types."""
-    findings: list[str] = []
+    Parsing maps JSON objects onto specs, names policies and decodes payloads;
+    any other value passes through as it is, for validate_scenario to check.
+    A null or absent list is empty, except `planets`, which is required."""
     if not isinstance(raw, dict):
         raise ValidationError(["$: scenario must be a JSON object"])
-    for key in raw:
-        if key not in ("seed", "planets", "links", "workload"):
-            findings.append(f"{key}: unknown field")
+    findings = [f"{key}: unknown field" for key in raw if key not in _SCENARIO_KEYS]
 
-    planets = []
-    for i, p in enumerate(_expect_list(raw, "planets", findings, required=True)):
-        if not isinstance(p, dict):
-            findings.append(f"planets[{i}]: must be an object")
-            continue
-        children = []
-        for j, c in enumerate(_expect_list(p, "children", findings, f"planets[{i}].")):
-            if not isinstance(c, dict):
-                findings.append(f"planets[{i}].children[{j}]: must be an object")
-                continue
-            users = []
-            for k, u in enumerate(_expect_list(c, "users", findings,
-                                               f"planets[{i}].children[{j}].")):
-                path = f"planets[{i}].children[{j}].users[{k}]"
-                if not isinstance(u, dict):
-                    findings.append(f"{path}: must be an object")
-                    continue
-                policy = _parse_policy(u.get("accept_policy"), path, findings)
-                users.append(UserSpec(u.get("node_id"), u.get("qid"), policy))
-            children.append(ChildSpec(c.get("qbs_id"), tuple(users)))
-        planets.append(PlanetSpec(p.get("mother_id"), tuple(children)))
+    def objects(value, path: str, keys: frozenset, make, empty=()):
+        """A JSON list with each object checked for unknown keys and mapped by
+        `make(obj, path)`; null is `empty`, other values and elements pass through."""
+        if type(value) is not list:
+            return empty if value is None else value
+        mapped = []
+        for i, obj in enumerate(value):
+            if type(obj) is dict:
+                if not obj.keys() <= keys:
+                    findings.extend(f"{path}[{i}].{key}: unknown field"
+                                    for key in obj if key not in keys)
+                obj = make(obj, f"{path}[{i}]")
+            mapped.append(obj)
+        return tuple(mapped)
 
-    links = []
-    for i, l in enumerate(_expect_list(raw, "links", findings)):
-        path = f"links[{i}]"
-        if not isinstance(l, dict):
-            findings.append(f"{path}: must be an object")
-            continue
-        links.append(LinkSpec(l.get("a"), l.get("b"), l.get("distance_meters")))
+    def planet(p: dict, path: str) -> PlanetSpec:
+        return PlanetSpec(p.get("mother_id"),
+                          objects(p.get("children"), f"{path}.children", _CHILD_KEYS, child))
 
-    workload = []
-    for i, w in enumerate(_expect_list(raw, "workload", findings)):
-        path = f"workload[{i}]"
-        if not isinstance(w, dict):
-            findings.append(f"{path}: must be an object")
-            continue
-        payload = _parse_payload(w.get("payload", ""), f"{path}.payload", findings)
-        workload.append(WorkloadItem(w.get("at_tick"), w.get("from_qid"), w.get("to_qid"),
-                                     payload))
+    def child(c: dict, path: str) -> ChildSpec:
+        return ChildSpec(c.get("qbs_id"),
+                         objects(c.get("users"), f"{path}.users", _USER_KEYS, user))
 
-    scenario = Scenario(raw.get("seed"), tuple(planets), tuple(links), tuple(workload))
+    def user(u: dict, path: str) -> UserSpec:
+        return UserSpec(u.get("node_id"), u.get("qid"), _parse_policy(u.get("accept_policy")))
+
+    def item(w: dict, path: str) -> WorkloadItem:
+        return WorkloadItem(w.get("at_tick"), w.get("from_qid"), w.get("to_qid"),
+                            _parse_payload(w.get("payload", ""), path, findings))
+
+    scenario = Scenario(
+        raw.get("seed"),
+        objects(raw.get("planets"), "planets", _PLANET_KEYS, planet, empty=None),
+        objects(raw.get("links"), "links", _LINK_KEYS,
+                lambda l, _: LinkSpec(l.get("a"), l.get("b"), l.get("distance_meters"))),
+        objects(raw.get("workload"), "workload", _ITEM_KEYS, item))
     findings += validate_scenario(scenario)
     if findings:
         raise ValidationError(findings)
     return scenario
-
-
-def _expect_list(obj: dict, key: str, findings: list[str], prefix: str = "",
-                 required: bool = False) -> list:
-    value = obj.get(key)
-    if value is None and not required:
-        return []
-    if not isinstance(value, list):
-        findings.append(f"{prefix}{key}: required list")
-        return []
-    return value
 
 
 def load_scenario(path: str) -> Scenario:
@@ -168,7 +158,7 @@ def load_scenario(path: str) -> Scenario:
         text = handle.read()
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ValidationError([f"$: not valid JSON: {exc}"]) from exc
     return scenario_from_dict(raw)
 
@@ -181,9 +171,8 @@ def is_u64(value) -> bool:
     return type(value) is int and 0 <= value < _U64
 
 
-def validate_scenario(scenario: Scenario,
-                      max_payload_bytes: int = DEFAULT_PAYLOAD_CAP) -> list[str]:
-    """All problems with a structured scenario: field types, ranges and references."""
+def validate_scenario(scenario: Scenario) -> list[str]:
+    """All problems with a structured scenario: shapes, types, ranges and references."""
     findings: list[str] = []
     node_ids: dict[str, str] = {}
     qids: dict[int, str] = {}
@@ -200,15 +189,30 @@ def validate_scenario(scenario: Scenario,
         else:
             node_ids[node_id] = path
 
-    for i, planet in enumerate(scenario.planets):
+    def each(items, cls: type, path: str):
+        """(index, item) for each `cls` element of a tuple or list; the rest are findings."""
+        if not isinstance(items, (tuple, list)):
+            findings.append(f"{path}: must be a list")
+            return
+        for i, item in enumerate(items):
+            if isinstance(item, cls):
+                yield i, item
+            else:
+                findings.append(f"{path}[{i}]: must be an object")
+
+    for i, planet in each(scenario.planets, PlanetSpec, "planets"):
         claim_node(planet.mother_id, f"planets[{i}].mother_id")
-        for j, child in enumerate(planet.children):
+        for j, child in each(planet.children, ChildSpec, f"planets[{i}].children"):
             claim_node(child.qbs_id, f"planets[{i}].children[{j}].qbs_id")
-            for k, user in enumerate(child.users):
+            for k, user in each(child.users, UserSpec, f"planets[{i}].children[{j}].users"):
                 path = f"planets[{i}].children[{j}].users[{k}]"
                 claim_node(user.node_id, f"{path}.node_id")
-                if not isinstance(user.accept_policy, (AcceptAll, AcceptList, RejectAll)):
-                    findings.append(f"{path}.accept_policy: must be an accept policy")
+                policy = user.accept_policy
+                if not (isinstance(policy, (AcceptAll, RejectAll)) or
+                        isinstance(policy, AcceptList) and type(policy.qids) is frozenset
+                        and all(map(is_u64, policy.qids))):
+                    findings.append(f"{path}.accept_policy: must be 'accept_all', "
+                                    "'reject_all' or {'accept_list': [unsigned 64-bit QIDs]}")
                 if not is_u64(user.qid):
                     findings.append(f"{path}.qid: must be an unsigned 64-bit integer")
                 elif user.qid in qids:
@@ -218,7 +222,7 @@ def validate_scenario(scenario: Scenario,
                     qids[user.qid] = path
 
     seen_pairs: set[frozenset] = set()
-    for i, link in enumerate(scenario.links):
+    for i, link in each(scenario.links, LinkSpec, "links"):
         path = f"links[{i}]"
         ends = (link.a, link.b)
         for end, node_id in zip("ab", ends):
@@ -237,7 +241,7 @@ def validate_scenario(scenario: Scenario,
                             f"'{link.a}' and '{link.b}'")
         seen_pairs.add(pair)
 
-    for i, item in enumerate(scenario.workload):
+    for i, item in each(scenario.workload, WorkloadItem, "workload"):
         path = f"workload[{i}]"
         if type(item.at_tick) is not int or item.at_tick < 0:
             findings.append(f"{path}.at_tick: must be an integer >= 0")
@@ -249,9 +253,9 @@ def validate_scenario(scenario: Scenario,
             findings.append(f"{path}: from_qid and to_qid must differ")
         if not isinstance(item.payload, bytes):
             findings.append(f"{path}.payload: must be bytes")
-        elif len(item.payload) > max_payload_bytes:
+        elif len(item.payload) > PAYLOAD_CAP:
             findings.append(f"{path}.payload: {len(item.payload)} bytes exceeds "
-                            f"the {max_payload_bytes}-byte cap")
+                            f"the {PAYLOAD_CAP}-byte cap")
 
     return findings
 

@@ -34,6 +34,14 @@ def test_validate_duplicate_qid_names_it(tmp_path, capsys):
     assert "7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["{", "[" * 100_000 + "]" * 100_000], ids=["cut", "deep"])
+def test_validate_unreadable_json_is_a_finding(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("invalid: $: not valid JSON: ")
+
+
 def test_validate_missing_file_is_io_failure(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err

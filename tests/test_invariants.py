@@ -2,7 +2,7 @@ import pytest
 
 from entnet import Frame, Simulation, decode_frame, encode_frame, example_scenario
 from entnet.errors import InvariantViolation
-from entnet.invariants import check_all, check_anti_correlation
+from entnet.invariants import check_active_session_membership, check_all, check_anti_correlation
 
 
 def live_channel(sim):
@@ -78,3 +78,15 @@ def test_blind_decode_on_released_circuit_is_caught():
     assert owned[0].circuit_id not in sim.circuits
     with pytest.raises(InvariantViolation, match="released circuits"):
         check_all(sim)
+
+
+@pytest.mark.parametrize("end", ["caller_node", "callee_node"])
+def test_live_session_naming_a_foreign_user_is_caught(end):
+    sim = Simulation(example_scenario("cross-qbs"))
+    sim.run_until(4)  # the workload session is live and its callee resolved
+    rec = sim.sessions[1]
+    assert not rec.terminal and rec.callee_node == "user-c"
+    check_active_session_membership(sim)
+    setattr(rec, end, "user-a" if end == "callee_node" else "user-c")
+    with pytest.raises(InvariantViolation, match="is not the user of QID"):
+        check_active_session_membership(sim)

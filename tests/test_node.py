@@ -126,7 +126,19 @@ def test_every_inbox_entry_has_a_send(run_example):
     assert sends == delivers == 1
 
 
-def test_active_sessions_cleared_after_close(run_example):
-    sim = run_example("cross-qbs")
-    assert sim.users[11].active_sessions == set()
-    assert sim.users[13].active_sessions == set()
+def test_partial_message_buffer_dropped_at_close():
+    sim = Simulation(example_scenario("cross-qbs"))
+    sim.run_until_idle()
+    sid = sim.request_session(11, 13)
+    sim.run_until_idle()
+    sim.send_message(sid, bytes(64))  # a header and four data frames
+    callee = sim.users[13]
+    while not callee._rx_buffers:
+        sim.run_until(sim.now + 1)
+    assert list(callee._rx_buffers) == [(sid, "fwd")]
+    sim.teardown_session(sid)
+    assert callee._rx_buffers == {}
+    sim.run_until_idle()
+    assert callee._rx_buffers == {}
+    assert not any(r.type == "DELIVER" and r.session == sid for r in sim.trace)
+    check_all(sim)
