@@ -25,6 +25,7 @@ from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_mes
 from .entanglement import derive_seed
 from .errors import (
     CallerUnknown,
+    DuplicateNode,
     DuplicateQid,
     SchedulingError,
     SelfCall,
@@ -287,10 +288,9 @@ class Simulation:
         for station in [mother, *mother.peer_mothers.values()]:
             if qid in station.registry:
                 raise DuplicateQid(f"QID {qid} already registered")
-        user = self.nodes.get(node_id)
-        if not isinstance(user, UserNode):
-            user = UserNode(node_id, qid, child.qbs_id, policy or AcceptAll())
-            self.nodes[node_id] = user
+        if node_id in self.nodes:
+            raise DuplicateNode(f"node id {node_id!r} already in use")
+        user = self.nodes[node_id] = UserNode(node_id, qid, child.qbs_id, policy or AcceptAll())
         self.users[qid] = user
         child.registry[qid] = LocalUser(node_id)
         mother.registry[qid] = ChildQbs(child.qbs_id)
@@ -306,35 +306,28 @@ class Simulation:
 
     # session control plane --------------------------------------------------
 
-    def open_session(self, qbs_id: str, caller_qid: int, callee_qid: int) -> int:
+    def request_session(self, caller_qid: int, callee_qid: int) -> int:
         """Create a session at the caller's Child and start the lookup chain."""
         user = self.users.get(caller_qid)
-        if user is None or user.home_qbs != qbs_id:
-            raise CallerUnknown(f"QID {caller_qid} is not attached to {qbs_id}")
+        if user is None:
+            raise CallerUnknown(f"QID {caller_qid} is not attached anywhere")
         if caller_qid == callee_qid:
             raise SelfCall(f"QID {caller_qid} cannot call itself")
         session_id = next(self._next_session)
         rec = SessionRecord(session_id, caller_qid, callee_qid,
-                            user.node_id, qbs_id)
+                            user.node_id, user.home_qbs)
         rec.circuits.append(user.home_circuit)
         self.sessions[session_id] = rec
         self.emit(user.node_id, "SESSION_REQUEST", session_id,
                   caller=caller_qid, callee=callee_qid)
-        self.schedule(self.now + 1, qbs_id, "session_lookup", {"session": session_id})
+        self.schedule(self.now + 1, user.home_qbs, "session_lookup", {"session": session_id})
         return session_id
 
-    def request_session(self, caller_qid: int, callee_qid: int) -> int:
-        user = self.users.get(caller_qid)
-        if user is None:
-            raise CallerUnknown(f"QID {caller_qid} is not attached anywhere")
-        return self.open_session(user.home_qbs, caller_qid, callee_qid)
-
     def provision_interqbs_circuit(self, mother_id: str, qbs_a: str, qbs_b: str,
-                                   session_id: int | None = None) -> int:
-        """Broker a direct child<->child circuit, tagged with its owning session."""
+                                   session_id: int) -> int:
+        """Broker a direct child<->child circuit, owned by the session it serves."""
         circuit = self._create_circuit(qbs_a, qbs_b, owner_session=session_id)
-        if session_id is not None:
-            self.sessions[session_id].circuits.append(circuit.circuit_id)
+        self.sessions[session_id].circuits.append(circuit.circuit_id)
         self.emit(mother_id, "CIRCUIT_PROVISIONED", session_id,
                   a=qbs_a, b=qbs_b, circuit=circuit.circuit_id)
         return circuit.circuit_id
@@ -353,14 +346,14 @@ class Simulation:
         rec.route = {FORWARD: [(a, b, c, c.channels[a, b]) for a, b, c in hops],
                      REVERSE: [(b, a, c, c.channels[b, a]) for a, b, c in reversed(hops)]}
         rec.transition(SessionState.ESTABLISHED)
-        rec.established_tick = self.now
         self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, path=list(rec.path))
         if rec.workload_payload is not None:
             self.schedule(self.now + 1, rec.caller_node, "session_ready",
                           {"session": rec.session_id})
 
     def release_session_circuits(self, rec: SessionRecord, releasing_node: str) -> None:
-        """Unbind every circuit the session holds; destroy the session-owned ones.
+        """Unbind every circuit the session holds; destroy the session-owned
+        ones and drop any message still being reassembled.
 
         The route keeps its permanent hops, so a frame still in flight on a
         home circuit is decoded and its channel drained for the sessions
@@ -374,24 +367,17 @@ class Simulation:
                 self.released_plate_draws += circuit.pool.plate_draws
                 del self.circuits[circuit_id]
         rec.circuits.clear()
+        rec.rx_buffers.clear()
         for hops in rec.route.values():  # in place: frames in flight hold these lists
             hops[:] = [hop if hop[2] is None or hop[2].owner_session is None
                        else hop[:2] + (None, None) for hop in hops]
-
-    def finish_session(self, rec: SessionRecord) -> None:
-        """Drop per-user bookkeeping once a session reaches a terminal state."""
-        for qid in (rec.caller, rec.callee):
-            user = self.users.get(qid)
-            if user is not None:
-                for key in [k for k in user._rx_buffers if k[0] == rec.session_id]:
-                    del user._rx_buffers[key]
 
     def teardown_session(self, session_id: int) -> None:
         """Close an established session and release everything it holds."""
         rec = self.sessions.get(session_id)
         if rec is None:
             raise UnknownSession(f"no session {session_id}")
-        if rec.terminal or rec.state is SessionState.TEARING_DOWN:
+        if rec.terminal:
             return
         if rec.state is not SessionState.ESTABLISHED:
             raise SessionNotEstablished(
@@ -399,7 +385,6 @@ class Simulation:
         self.emit(rec.caller_qbs, "TEARDOWN", session_id)
         rec.transition(SessionState.TEARING_DOWN)
         self.release_session_circuits(rec, rec.caller_qbs)
-        self.finish_session(rec)
         rec.transition(SessionState.CLOSED)
         self.emit(rec.caller_qbs, "CLOSED", session_id)
 
@@ -509,16 +494,15 @@ class Simulation:
         if p["index"] is None:  # relayed outside any message
             user.raw_frames.append((rec.session_id, frame))
             return
-        key = (rec.session_id, p["dir"])
-        buffer = user._rx_buffers.setdefault(key, MessageBuffer())
-        payload = buffer.push(frame)
+        direction = p["dir"]
+        payload = rec.rx_buffers.setdefault(direction, MessageBuffer()).push(frame)
         if payload is None:
             return
-        del user._rx_buffers[key]
+        del rec.rx_buffers[direction]
         user.inbox.append((self.now, rec.session_id, payload))
         self.emit(target, "DELIVER", rec.session_id,
-                  bytes=len(payload), dir=p["dir"])
-        if rec.workload_payload is not None and p["dir"] == FORWARD:
+                  bytes=len(payload), dir=direction)
+        if rec.workload_payload is not None and direction == FORWARD:
             self.schedule(self.now + 1, rec.caller_qbs, "teardown",
                           {"session": rec.session_id})
 
@@ -562,8 +546,7 @@ class Simulation:
         by_state = Counter(rec.state for rec in self.sessions.values())
         by_failure = Counter(rec.failure for rec in self.sessions.values()
                              if rec.failure is not None)
-        established = sum(1 for rec in self.sessions.values()
-                          if rec.established_tick is not None)
+        established = sum(1 for rec in self.sessions.values() if rec.path)
         return {
             "final_tick": self.now,
             "record_counts": dict(sorted(Counter(r.type for r in self.trace).items())),

@@ -36,6 +36,10 @@ class DuplicateQid(SimError):
     """QID is already registered somewhere in the scenario."""
 
 
+class DuplicateNode(SimError):
+    """Node id is already in use by a station or another user."""
+
+
 class CallerUnknown(SimError):
     """The acting user is not attached where the operation requires."""
 

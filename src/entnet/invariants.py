@@ -156,11 +156,9 @@ def check_registry_coherence(sim: Simulation) -> None:
 
 
 def check_active_session_membership(sim: Simulation) -> None:
-    """A live session's caller node, and its callee node once resolved, is the
+    """Every session's caller node, and its callee node once resolved, is the
     user registered under that QID."""
     for rec in sim.sessions.values():
-        if rec.terminal:
-            continue
         for qid, node_id in ((rec.caller, rec.caller_node), (rec.callee, rec.callee_node)):
             user = sim.users.get(qid)
             if node_id is not None and (user is None or user.node_id != node_id):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
-from .codec import Frame, MessageBuffer
+from .codec import Frame
 from .qbs import SessionState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,7 +48,6 @@ class UserNode:
     inbox: list[tuple[int, int, bytes]] = field(default_factory=list)
     # frames relayed outside any message, by session
     raw_frames: list[tuple[int, Frame]] = field(default_factory=list)
-    _rx_buffers: dict[tuple[int, str], MessageBuffer] = field(default_factory=dict)
 
     def decide(self, caller: int) -> bool:
         """Accept or reject a session ask; a pure function of the policy."""
@@ -66,13 +65,13 @@ class UserNode:
         getattr(self, "_on_" + verb)(sim, payload)
 
     def _on_workload_send(self, sim: "Simulation", p: dict) -> None:
-        session_id = sim.open_session(self.home_qbs, self.qid, p["to_qid"])
+        session_id = sim.request_session(self.qid, p["to_qid"])
         rec = sim.sessions[session_id]
         rec.workload_payload = p["payload"]
 
     def _on_session_ready(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        if rec.workload_payload is not None:
+        if rec.state is SessionState.ESTABLISHED:  # not torn down before it was sent
             sim.send_message(rec.session_id, rec.workload_payload, sender=self.qid)
 
     def _on_negotiate_ask(self, sim: "Simulation", p: dict) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Union
 
+from .codec import MessageBuffer
 from .entanglement import PairPool, Plate
 from .errors import IllegalTransition
 
@@ -92,7 +93,8 @@ class SessionRecord:
     # per direction, hop i of the path as (src, dst, circuit, channel), set at
     # establish; release leaves circuit and channel None on destroyed hops
     route: dict[str, list[tuple]] = field(default_factory=dict)
-    established_tick: int | None = None
+    # per direction, the message its receiving user is reassembling
+    rx_buffers: dict[str, MessageBuffer] = field(default_factory=dict)
     # workload plumbing: a payload queued at request time, sent on establish
     workload_payload: bytes | None = None
     timeout_key: tuple[int, int] | None = None
@@ -197,9 +199,8 @@ class QbsNode:
         sim.schedule(sim.now + 1, callee_node, "negotiate_ask",
                      {"session": rec.session_id, "caller": rec.caller,
                       "answer_to": self.qbs_id})
-        owner = sim.nodes[rec.caller_qbs]
         rec.timeout_key = sim.schedule(
-            sim.now + owner.negotiation_budget, rec.caller_qbs,
+            sim.now + self.negotiation_budget, self.qbs_id,
             "negotiation_timeout", {"session": rec.session_id})
 
     def _on_mother_lookup(self, sim: "Simulation", p: dict) -> None:
@@ -251,7 +252,6 @@ class QbsNode:
         if not p["found"]:
             rec.transition(SessionState.FAILED, FailureReason.NOT_FOUND)
             sim.release_session_circuits(rec, self.qbs_id)
-            sim.finish_session(rec)
             return
         rec.callee_qbs = p["callee_qbs"]
         rec.transition(SessionState.NEGOTIATING)
@@ -282,13 +282,10 @@ class QbsNode:
             return
         if rec.state is not SessionState.NEGOTIATING:
             return  # answer landed after a timeout already failed the session
-        if rec.timeout_key is not None:
-            sim.cancel(rec.timeout_key)
-            rec.timeout_key = None
+        sim.cancel(rec.timeout_key)
         if not p["accepted"]:
             rec.transition(SessionState.FAILED, FailureReason.REJECTED)
             sim.release_session_circuits(rec, self.qbs_id)
-            sim.finish_session(rec)
             return
         rec.callee_node = p["callee_node"]
         sim.establish_session(rec)
@@ -299,10 +296,8 @@ class QbsNode:
             return
         sim.emit(self.qbs_id, "REJECT", rec.session_id,
                  caller=rec.caller, reason="timeout")
-        rec.timeout_key = None
         rec.transition(SessionState.FAILED, FailureReason.REJECTED)
         sim.release_session_circuits(rec, self.qbs_id)
-        sim.finish_session(rec)
 
     def _on_teardown(self, sim: "Simulation", p: dict) -> None:
         sim.teardown_session(p["session"])

@@ -80,10 +80,9 @@ def _parse_policy(raw):
     if raw == "reject_all":
         return RejectAll()
     if type(raw) is dict and raw.keys() == {"accept_list"}:
-        try:
-            return AcceptList(frozenset(raw["accept_list"]))
-        except TypeError:  # not a list, or it holds a list or an object
-            pass
+        qids = raw["accept_list"]
+        if type(qids) is list and all(map(is_u64, qids)):
+            return AcceptList(frozenset(qids))
     return raw
 
 

@@ -189,7 +189,7 @@ def test_criterion_8_desk_scale():
     assert outcomes["closed"] == outcomes["established"]
     # delivery integrity across the whole randomized workload
     sent = sorted(rec.workload_payload for rec in sim.sessions.values()
-                  if rec.established_tick is not None)
+                  if rec.path)
     received = sorted(payload for user in sim.users.values()
                       for _, _, payload in user.inbox)
     assert sent == received

@@ -80,13 +80,20 @@ def test_blind_decode_on_released_circuit_is_caught():
         check_all(sim)
 
 
-@pytest.mark.parametrize("end", ["caller_node", "callee_node"])
-def test_live_session_naming_a_foreign_user_is_caught(end):
+@pytest.mark.parametrize("end, closed", [("caller_node", False), ("callee_node", False),
+                                         ("caller_node", True)],
+                         ids=["caller_node", "callee_node", "closed-caller_node"])
+def test_live_session_naming_a_foreign_user_is_caught(end, closed):
     sim = Simulation(example_scenario("cross-qbs"))
     sim.run_until(4)  # the workload session is live and its callee resolved
     rec = sim.sessions[1]
     assert not rec.terminal and rec.callee_node == "user-c"
     check_active_session_membership(sim)
+    if closed:  # a closed session is checked too, so check_all sees the offence
+        sim.run_until_idle()
+        assert rec.terminal
+        check_all(sim)
     setattr(rec, end, "user-a" if end == "callee_node" else "user-c")
+    check = check_all if closed else check_active_session_membership
     with pytest.raises(InvariantViolation, match="is not the user of QID"):
-        check_active_session_membership(sim)
+        check(sim)

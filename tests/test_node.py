@@ -132,13 +132,27 @@ def test_partial_message_buffer_dropped_at_close():
     sid = sim.request_session(11, 13)
     sim.run_until_idle()
     sim.send_message(sid, bytes(64))  # a header and four data frames
-    callee = sim.users[13]
-    while not callee._rx_buffers:
+    rec = sim.sessions[sid]
+    while not rec.rx_buffers:
         sim.run_until(sim.now + 1)
-    assert list(callee._rx_buffers) == [(sid, "fwd")]
+    assert list(rec.rx_buffers) == ["fwd"]
     sim.teardown_session(sid)
-    assert callee._rx_buffers == {}
+    assert rec.rx_buffers == {}
     sim.run_until_idle()
-    assert callee._rx_buffers == {}
+    assert rec.rx_buffers == {}
     assert not any(r.type == "DELIVER" and r.session == sid for r in sim.trace)
+    check_all(sim)
+
+
+def test_teardown_before_the_workload_payload_is_sent():
+    sim = Simulation(example_scenario("same-qbs"))
+    sim.run_until(0)  # the workload opens session 1 at tick 0
+    while sim.sessions[1].state is not SessionState.ESTABLISHED:
+        sim.run_until(sim.now + 1)
+    sim.teardown_session(1)
+    sim.run_until_idle()
+    assert sim.sessions[1].state is SessionState.CLOSED
+    types = record_types(sim, 1)
+    assert "SEND" not in types[types.index("CLOSED"):]
+    assert "DATA" not in types[types.index("CLOSED"):]
     check_all(sim)

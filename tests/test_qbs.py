@@ -5,6 +5,7 @@ from entnet import (
     ChildQbs,
     Frame,
     LocalUser,
+    QbsNode,
     RemotePlanet,
     SessionState,
     Simulation,
@@ -12,6 +13,7 @@ from entnet import (
 )
 from entnet.errors import (
     CallerUnknown,
+    DuplicateNode,
     DuplicateQid,
     IllegalTransition,
     SelfCall,
@@ -55,7 +57,7 @@ def test_register_then_lookup_local():
 def test_late_registered_user_fits_the_topology():
     sim = Simulation(two_station_scenario())
     sim.register_user(sim.nodes["qbs-2"], sim.nodes["m"], 99, "user-x")
-    sid = sim.open_session("qbs-1", 1, 99)
+    sid = sim.request_session(1, 99)
     sim.run_until_idle()
     assert sim.sessions[sid].state is SessionState.ESTABLISHED
     sim.send_message(sid, b"welcome aboard")
@@ -74,6 +76,20 @@ def test_duplicate_registration_rejected():
     sim = Simulation(two_station_scenario())
     with pytest.raises(DuplicateQid):
         sim.register_user(sim.nodes["qbs-2"], sim.nodes["m"], 1, "user-x")
+
+
+@pytest.mark.parametrize("node_id", ["qbs-2", "user-c"])
+def test_registration_under_a_node_id_in_use_rejected(node_id):
+    sim = Simulation(example_scenario("cross-qbs"))
+    def snapshot():
+        return (dict(sim.nodes), dict(sim.users), dict(sim.circuits),
+                {n.qbs_id: dict(n.registry) for n in sim.nodes.values()
+                 if isinstance(n, QbsNode)})
+    before = snapshot()
+    with pytest.raises(DuplicateNode):
+        sim.register_user(sim.nodes["qbs-1"], sim.nodes["earth-mother"], 99, node_id)
+    assert snapshot() == before
+    check_all(sim)
 
 
 def test_lookup_local_misses_remote_user():
@@ -109,7 +125,7 @@ def test_mother_registry_mirrors_children():
 
 def test_same_qbs_session_establishes_with_path_of_three():
     sim = Simulation(two_station_scenario())
-    sid = sim.open_session("qbs-1", 1, 2)
+    sid = sim.request_session(1, 2)
     sim.run_until_idle()
     rec = sim.sessions[sid]
     assert rec.state is SessionState.ESTABLISHED
@@ -118,7 +134,7 @@ def test_same_qbs_session_establishes_with_path_of_three():
 
 def test_cross_qbs_session_path_is_caller_qbs1_qbs2_callee():
     sim = Simulation(two_station_scenario())
-    sid = sim.open_session("qbs-1", 1, 3)
+    sid = sim.request_session(1, 3)
     sim.run_until_idle()
     assert sim.sessions[sid].path == ["a1", "qbs-1", "qbs-2", "c1"]
 
@@ -142,18 +158,16 @@ def test_rejected_session_holds_no_circuits():
     check_circuit_conservation(sim)
 
 
-def test_open_session_rejects_unattached_caller():
+def test_request_session_rejects_unknown_caller():
     sim = Simulation(two_station_scenario())
     with pytest.raises(CallerUnknown):
-        sim.open_session("qbs-2", 1, 3)  # QID 1 lives on qbs-1
-    with pytest.raises(CallerUnknown):
-        sim.open_session("qbs-1", 777, 3)
+        sim.request_session(777, 3)
 
 
-def test_open_session_rejects_self_call():
+def test_request_session_rejects_self_call():
     sim = Simulation(two_station_scenario())
     with pytest.raises(SelfCall):
-        sim.open_session("qbs-1", 1, 1)
+        sim.request_session(1, 1)
 
 
 # brokered circuits ---------------------------------------------------------------
@@ -161,7 +175,7 @@ def test_open_session_rejects_self_call():
 
 def test_provisioned_circuit_joins_both_stations():
     sim = Simulation(two_station_scenario())
-    sid = sim.open_session("qbs-1", 1, 3)
+    sid = sim.request_session(1, 3)
     cid = sim.provision_interqbs_circuit("m", "qbs-1", "qbs-2", sid)
     circuit = sim.circuits[cid]
     assert {circuit.a, circuit.b} == {"qbs-1", "qbs-2"}
@@ -213,7 +227,7 @@ def test_teardown_unknown_session():
 
 def test_double_teardown_is_noop():
     sim = Simulation(two_station_scenario())
-    sid = sim.open_session("qbs-1", 1, 2)
+    sid = sim.request_session(1, 2)
     sim.run_until_idle()
     sim.teardown_session(sid)
     closed_count = record_types(sim).count("CLOSED")
@@ -223,7 +237,7 @@ def test_double_teardown_is_noop():
 
 def test_teardown_before_establishment_raises():
     sim = Simulation(two_station_scenario())
-    sid = sim.open_session("qbs-1", 1, 2)
+    sid = sim.request_session(1, 2)
     sim.run_until(1)  # still negotiating
     with pytest.raises(SessionNotEstablished):
         sim.teardown_session(sid)
@@ -269,7 +283,7 @@ def test_illegal_transition_is_a_loud_bug():
 def test_negotiation_timeout_fails_session_as_rejected():
     sim = Simulation(two_station_scenario())
     sim.nodes["qbs-1"].negotiation_budget = 5
-    sid = sim.open_session("qbs-1", 1, 2)
+    sid = sim.request_session(1, 2)
     # the callee never answers: swallow the ask on the user instance
     sim.users[2]._on_negotiate_ask = lambda _sim, _p: None
     sim.run_until_idle()
@@ -285,7 +299,7 @@ def test_negotiation_timeout_fails_session_as_rejected():
 def test_answer_after_timeout_is_ignored():
     sim = Simulation(two_station_scenario())
     sim.nodes["qbs-1"].negotiation_budget = 0
-    sid = sim.open_session("qbs-1", 1, 2)
+    sid = sim.request_session(1, 2)
     sim.run_until_idle()
     rec = sim.sessions[sid]
     assert rec.state is SessionState.FAILED

@@ -142,7 +142,8 @@ def test_unknown_nested_field_flagged(where):
 
 
 @pytest.mark.parametrize("qids", [[True], [-5], [2**64], [2**70], ["1"], [[1]], [{}],
-                                  [None], [1.0], "12", 5, None, {"1": 1}])
+                                  [None], [1.0], "12", 5, None, {"1": 1},
+                                  [1, True], [1, 1.0]])
 def test_accept_list_holds_unsigned_64_bit_qids(qids):
     raw = minimal_dict()
     raw["planets"][0]["children"][0]["users"][1]["accept_policy"] = {"accept_list": qids}
