@@ -241,17 +241,15 @@ class Simulation:
             self.nodes[mother.qbs_id] = mother
             mothers.append(mother)
             for child_spec in planet.children:
-                child = QbsNode(child_spec.qbs_id, mother.qbs_id)
-                self.nodes[child.qbs_id] = child
+                self.nodes[child_spec.qbs_id] = QbsNode(child_spec.qbs_id, mother.qbs_id)
         for mother in mothers:
             mother.peer_mothers = {m.qbs_id: m for m in mothers if m is not mother}
 
-        for planet, mother in zip(self.scenario.planets, mothers):
+        for planet in self.scenario.planets:
             for child_spec in planet.children:
-                child = self.nodes[child_spec.qbs_id]
-                self._create_circuit(child.qbs_id, mother.qbs_id)
+                self._create_circuit(child_spec.qbs_id, planet.mother_id)
                 for user_spec in child_spec.users:
-                    self.register_user(child, mother, user_spec.qid,
+                    self.register_user(child_spec.qbs_id, user_spec.qid,
                                        user_spec.node_id, user_spec.accept_policy)
         for i, mother_a in enumerate(mothers):
             for mother_b in mothers[i + 1:]:
@@ -282,9 +280,13 @@ class Simulation:
             self._permanent.add(circuit_id)
         return circuit
 
-    def register_user(self, child: QbsNode, mother: QbsNode, qid: int,
-                      node_id: str, policy: AcceptPolicy | None = None) -> None:
+    def register_user(self, child_id: str, qid: int, node_id: str,
+                      policy: AcceptPolicy | None = None) -> None:
         """Attach a user to a Child: registries updated everywhere, circuit provisioned."""
+        child = self.nodes.get(child_id)
+        if not isinstance(child, QbsNode) or child.mother_id is None:
+            raise ValueError(f"{child_id!r} is not a Child station")
+        mother = self.nodes[child.mother_id]
         for station in [mother, *mother.peer_mothers.values()]:
             if qid in station.registry:
                 raise DuplicateQid(f"QID {qid} already registered")
@@ -407,6 +409,8 @@ class Simulation:
 
     def relay_data(self, session_id: int, frame: Frame, reverse: bool = False) -> None:
         """Push a single raw frame down the path, outside any message."""
+        if not isinstance(frame, Frame):
+            raise TypeError(f"relay_data takes a Frame, not {type(frame).__name__}")
         self._submit_frame(self._established(session_id), REVERSE if reverse else FORWARD,
                            frame, index=None)
 

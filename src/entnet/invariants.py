@@ -26,9 +26,9 @@ _RECORD_RULES: dict[str, tuple[frozenset, SessionState | None]] = {
     "LOOKUP_LOCAL_MISS": (frozenset({SessionState.IDLE}), SessionState.QUERYING_MOTHER),
     "MOTHER_LOOKUP": (frozenset({SessionState.QUERYING_MOTHER}), None),
     "MOTHER_LOOKUP_MISS": (frozenset({SessionState.QUERYING_MOTHER}), SessionState.FAILED),
-    "CIRCUIT_PROVISIONED": (frozenset({SessionState.QUERYING_MOTHER}), None),
-    "NEGOTIATE": (frozenset({SessionState.NEGOTIATING, SessionState.QUERYING_MOTHER}),
-                  SessionState.NEGOTIATING),
+    # the last record before the caller's Child starts negotiating a cross-station path
+    "CIRCUIT_PROVISIONED": (frozenset({SessionState.QUERYING_MOTHER}), SessionState.NEGOTIATING),
+    "NEGOTIATE": (frozenset({SessionState.NEGOTIATING}), None),
     "ACCEPT": (frozenset({SessionState.NEGOTIATING}), None),
     "REJECT": (frozenset({SessionState.NEGOTIATING}), SessionState.FAILED),
     "ESTABLISHED": (frozenset({SessionState.NEGOTIATING}), SessionState.ESTABLISHED),

@@ -75,11 +75,11 @@ class UserNode:
             sim.send_message(rec.session_id, rec.workload_payload, sender=self.qid)
 
     def _on_negotiate_ask(self, sim: "Simulation", p: dict) -> None:
-        if sim.sessions[p["session"]].state is not SessionState.NEGOTIATING:
+        rec = sim.sessions[p["session"]]
+        if rec.state is not SessionState.NEGOTIATING:
             return  # the owner already timed the negotiation out
-        accepted = self.decide(p["caller"])
-        record_type = "ACCEPT" if accepted else "REJECT"
-        sim.emit(self.node_id, record_type, p["session"], caller=p["caller"])
-        sim.schedule(sim.now + 1, p["answer_to"], "negotiation_answer",
-                     {"session": p["session"], "accepted": accepted,
-                      "callee_node": self.node_id})
+        accepted = self.decide(rec.caller)
+        sim.emit(self.node_id, "ACCEPT" if accepted else "REJECT", rec.session_id,
+                 caller=rec.caller)
+        sim.schedule(sim.now + 1, rec.callee_qbs, "negotiation_answer",
+                     {"session": rec.session_id, "accepted": accepted})

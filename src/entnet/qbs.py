@@ -179,100 +179,85 @@ class QbsNode:
     def _on_session_lookup(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
         rec.transition(SessionState.LOOKING_UP_LOCAL)
-        callee_node = self.lookup_local(rec.callee)
-        if callee_node is not None:
+        rec.callee_node = self.lookup_local(rec.callee)
+        if rec.callee_node is not None:
             sim.emit(self.qbs_id, "LOOKUP_LOCAL_HIT", rec.session_id, qid=rec.callee)
-            rec.callee_node = callee_node
             rec.callee_qbs = self.qbs_id
-            self._start_negotiation(sim, rec, callee_node)
+            self._start_negotiation(sim, rec)
         else:
             sim.emit(self.qbs_id, "LOOKUP_LOCAL_MISS", rec.session_id, qid=rec.callee)
             rec.transition(SessionState.QUERYING_MOTHER)
             sim.schedule(sim.now + 1, self.mother_id, "mother_lookup",
-                         {"session": rec.session_id, "qid": rec.callee})
+                         {"session": rec.session_id})
 
-    def _start_negotiation(self, sim: "Simulation", rec: SessionRecord,
-                           callee_node: str) -> None:
+    def _start_negotiation(self, sim: "Simulation", rec: SessionRecord) -> None:
+        """At the caller's Child: ask the callee's station (inline if here), arm the timeout."""
         rec.transition(SessionState.NEGOTIATING)
-        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id,
-                 caller=rec.caller, callee=rec.callee)
-        sim.schedule(sim.now + 1, callee_node, "negotiate_ask",
-                     {"session": rec.session_id, "caller": rec.caller,
-                      "answer_to": self.qbs_id})
+        if rec.callee_qbs == self.qbs_id:
+            self._ask_callee(sim, rec)
+        else:
+            sim.schedule(sim.now + 1, rec.callee_qbs, "session_ask", {"session": rec.session_id})
         rec.timeout_key = sim.schedule(
             sim.now + self.negotiation_budget, self.qbs_id,
             "negotiation_timeout", {"session": rec.session_id})
+
+    def _ask_callee(self, sim: "Simulation", rec: SessionRecord) -> None:
+        """At the callee's station, once rec.callee_node is resolved."""
+        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id, caller=rec.caller, callee=rec.callee)
+        sim.schedule(sim.now + 1, rec.callee_node, "negotiate_ask", {"session": rec.session_id})
 
     def _on_mother_lookup(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        qid = p["qid"]
-        entry = self.registry.get(qid)
-        if entry is None:
-            sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, qid=qid)
-            sim.schedule(sim.now + 1, rec.caller_qbs, "mother_answer",
-                         {"session": rec.session_id, "found": False})
-        elif isinstance(entry, ChildQbs):
+        entry = self.registry.get(rec.callee)
+        if isinstance(entry, RemotePlanet):  # delegated to another planet's Mother
             sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
-                     qid=qid, child=entry.qbs_id)
-            sim.provision_interqbs_circuit(self.qbs_id, rec.caller_qbs,
-                                           entry.qbs_id, rec.session_id)
-            sim.schedule(sim.now + 1, rec.caller_qbs, "mother_answer",
-                         {"session": rec.session_id, "found": True,
-                          "callee_qbs": entry.qbs_id})
-        else:  # delegated to another planet's Mother
-            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
-                     qid=qid, remote=entry.mother_id)
-            sim.schedule(sim.now + 1, entry.mother_id, "peer_lookup",
-                         {"session": rec.session_id, "qid": qid,
-                          "reply_to": self.qbs_id})
+                     qid=rec.callee, remote=entry.mother_id)
+            sim.schedule(sim.now + 1, entry.mother_id, "peer_lookup", {"session": rec.session_id})
+        else:
+            self._answer_child(sim, rec, self._resolve_child(sim, rec))
 
     def _on_peer_lookup(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        qid = p["qid"]
-        entry = self.registry.get(qid)
-        if isinstance(entry, ChildQbs):
-            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
-                     qid=qid, child=entry.qbs_id)
-            answer = {"session": rec.session_id, "found": True,
-                      "callee_qbs": entry.qbs_id}
-        else:
-            sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, qid=qid)
-            answer = {"session": rec.session_id, "found": False}
-        sim.schedule(sim.now + 1, p["reply_to"], "peer_answer", answer)
+        answer = {"session": rec.session_id, "callee_qbs": self._resolve_child(sim, rec)}
+        sim.schedule(sim.now + 1, sim.nodes[rec.caller_qbs].mother_id, "peer_answer", answer)
 
     def _on_peer_answer(self, sim: "Simulation", p: dict) -> None:
-        rec = sim.sessions[p["session"]]
-        if p["found"]:
+        self._answer_child(sim, sim.sessions[p["session"]], p["callee_qbs"])
+
+    def _resolve_child(self, sim: "Simulation", rec: SessionRecord) -> str | None:
+        """Log this Mother's lookup; the callee's Child on this planet, or None."""
+        entry = self.registry.get(rec.callee)
+        if isinstance(entry, ChildQbs):
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
+                     qid=rec.callee, child=entry.qbs_id)
+            return entry.qbs_id
+        sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, qid=rec.callee)
+        return None
+
+    def _answer_child(self, sim: "Simulation", rec: SessionRecord,
+                      callee_qbs: str | None) -> None:
+        """Caller's home Mother: broker the circuit if the callee was found, answer its Child."""
+        if callee_qbs is not None:
             sim.provision_interqbs_circuit(self.qbs_id, rec.caller_qbs,
-                                           p["callee_qbs"], rec.session_id)
-        sim.schedule(sim.now + 1, rec.caller_qbs, "mother_answer", dict(p))
+                                           callee_qbs, rec.session_id)
+        sim.schedule(sim.now + 1, rec.caller_qbs, "mother_answer",
+                     {"session": rec.session_id, "callee_qbs": callee_qbs})
 
     def _on_mother_answer(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        if not p["found"]:
+        rec.callee_qbs = p["callee_qbs"]
+        if rec.callee_qbs is None:
             rec.transition(SessionState.FAILED, FailureReason.NOT_FOUND)
             sim.release_session_circuits(rec, self.qbs_id)
-            return
-        rec.callee_qbs = p["callee_qbs"]
-        rec.transition(SessionState.NEGOTIATING)
-        sim.schedule(sim.now + 1, rec.callee_qbs, "session_ask",
-                     {"session": rec.session_id, "caller": rec.caller,
-                      "callee": rec.callee})
-        rec.timeout_key = sim.schedule(
-            sim.now + self.negotiation_budget, self.qbs_id,
-            "negotiation_timeout", {"session": rec.session_id})
+        else:
+            self._start_negotiation(sim, rec)
 
     def _on_session_ask(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
         if rec.state is not SessionState.NEGOTIATING:
             return  # the owner already timed the negotiation out
-        callee_node = self.lookup_local(p["callee"])
-        rec.callee_node = callee_node
-        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id,
-                 caller=p["caller"], callee=p["callee"])
-        sim.schedule(sim.now + 1, callee_node, "negotiate_ask",
-                     {"session": rec.session_id, "caller": p["caller"],
-                      "answer_to": self.qbs_id})
+        rec.callee_node = self.lookup_local(rec.callee)
+        self._ask_callee(sim, rec)
 
     def _on_negotiation_answer(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
@@ -287,7 +272,6 @@ class QbsNode:
             rec.transition(SessionState.FAILED, FailureReason.REJECTED)
             sim.release_session_circuits(rec, self.qbs_id)
             return
-        rec.callee_node = p["callee_node"]
         sim.establish_session(rec)
 
     def _on_negotiation_timeout(self, sim: "Simulation", p: dict) -> None:

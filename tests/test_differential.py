@@ -2,8 +2,8 @@
 
 Each script drives the session API (request_session, send_message,
 teardown_session and a station's negotiation_budget) the same way on both
-simulators; the trace and stats bytes must be equal. refsim is imported
-from perfbench/ read-only.
+simulators; the trace and stats bytes must be equal, and entnet's run must
+pass `check_all`. refsim is imported from perfbench/ read-only.
 """
 
 import json
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import entnet
+from entnet.invariants import check_all
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import refsim  # noqa: E402
@@ -57,7 +58,7 @@ def with_budget(ticks):
     return script
 
 
-SCRIPTS = [teardown_mid_stream, bidirectional, *map(with_budget, (0, 2, 3, 5))]
+SCRIPTS = [teardown_mid_stream, bidirectional, *map(with_budget, (0, 1, 2, 3, 5))]
 
 
 def _play(package, kind, script):
@@ -74,6 +75,7 @@ def test_session_api_matches_refsim(kind, script):
     _, _, ref_trace, ref_stats = _play(refsim, kind, script)
     assert trace == ref_trace
     assert stats == ref_stats
+    check_all(sim)
     if script is teardown_mid_stream:  # the teardown cut a message in flight
         types = [r.type for r in sim.trace if r.session == sid]
         assert "DATA" in types and "DELIVER" not in types

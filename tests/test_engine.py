@@ -453,6 +453,25 @@ def test_raw_relay_data_arrives_identically():
     assert sim.users[12].receive_poll() == []  # raw frames are not messages
 
 
+@pytest.mark.parametrize("busy", [False, True], ids=["free-channel", "busy-channel"])
+def test_relay_data_rejects_a_non_frame_before_scheduling(busy):
+    sim = Simulation(example_scenario("same-qbs"))
+    sim.run_until_idle()
+    sid = sim.request_session(11, 12)
+    sim.run_until_idle()
+    frame = Frame(bytes(range(16)))
+    if busy:  # the bad frame would queue behind this one on the caller's home channel
+        sim.relay_data(sid, frame)
+    records, events = len(sim.trace), sum(map(len, sim._calendar.values()))
+    with pytest.raises(TypeError, match="Frame"):
+        sim.relay_data(sid, bytes(16))
+    assert (len(sim.trace), sum(map(len, sim._calendar.values()))) == (records, events)
+    sim.run_until_idle()
+    assert sim.users[12].raw_frames == ([(sid, frame)] if busy else [])
+    sim.teardown_session(sid)
+    check_all(sim)
+
+
 def test_shared_channel_contention_keeps_messages_intact():
     scenario = Scenario(
         seed=9,

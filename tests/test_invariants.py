@@ -2,7 +2,12 @@ import pytest
 
 from entnet import Frame, Simulation, decode_frame, encode_frame, example_scenario
 from entnet.errors import InvariantViolation
-from entnet.invariants import check_active_session_membership, check_all, check_anti_correlation
+from entnet.invariants import (
+    check_active_session_membership,
+    check_all,
+    check_anti_correlation,
+    check_trace_state_machine,
+)
 
 
 def live_channel(sim):
@@ -97,3 +102,32 @@ def test_live_session_naming_a_foreign_user_is_caught(end, closed):
     check = check_all if closed else check_active_session_membership
     with pytest.raises(InvariantViolation, match="is not the user of QID"):
         check(sim)
+
+
+def cross_station_trace(kind, budget):
+    sim = Simulation(example_scenario(kind))
+    sim.nodes["qbs-1"].negotiation_budget = budget  # the caller's Child
+    sim.run_until_idle()
+    return [r for r in sim.trace if r.session == 1]
+
+
+@pytest.mark.parametrize("kind", ["cross-qbs", "interplanet"])
+def test_negotiate_ahead_of_the_brokered_circuit_is_caught(kind):
+    records = cross_station_trace(kind, 100)
+    check_trace_state_machine(records)
+    types = [r.type for r in records]
+    provisioned, negotiate = types.index("CIRCUIT_PROVISIONED"), types.index("NEGOTIATE")
+    records.insert(provisioned, records.pop(negotiate))
+    with pytest.raises(InvariantViolation, match="NEGOTIATE .* state querying_mother"):
+        check_trace_state_machine(records)
+
+
+@pytest.mark.parametrize("kind", ["cross-qbs", "interplanet"])
+def test_zero_tick_timeout_needs_the_brokered_circuit(kind):
+    records = cross_station_trace(kind, 0)  # the timeout fires before NEGOTIATE
+    types = [r.type for r in records]
+    assert "NEGOTIATE" not in types and types[types.index("CIRCUIT_PROVISIONED") + 1] == "REJECT"
+    check_trace_state_machine(records)
+    records = [r for r in records if r.type != "CIRCUIT_PROVISIONED"]
+    with pytest.raises(InvariantViolation, match="REJECT .* state querying_mother"):
+        check_trace_state_machine(records)

@@ -47,16 +47,22 @@ def two_station_scenario(**kwargs):
 # registries -------------------------------------------------------------------
 
 
+def registries(sim):
+    """Everything register_user may mutate."""
+    return (dict(sim.nodes), dict(sim.users), dict(sim.circuits),
+            {n.qbs_id: dict(n.registry) for n in sim.nodes.values()
+             if isinstance(n, QbsNode)})
+
+
 def test_register_then_lookup_local():
     sim = Simulation(two_station_scenario())
-    child, mother = sim.nodes["qbs-1"], sim.nodes["m"]
-    sim.register_user(child, mother, 99, "user-x")
-    assert child.lookup_local(99) == "user-x"
+    sim.register_user("qbs-1", 99, "user-x")
+    assert sim.nodes["qbs-1"].lookup_local(99) == "user-x"
 
 
 def test_late_registered_user_fits_the_topology():
     sim = Simulation(two_station_scenario())
-    sim.register_user(sim.nodes["qbs-2"], sim.nodes["m"], 99, "user-x")
+    sim.register_user("qbs-2", 99, "user-x")
     sid = sim.request_session(1, 99)
     sim.run_until_idle()
     assert sim.sessions[sid].state is SessionState.ESTABLISHED
@@ -75,20 +81,38 @@ def test_register_then_mother_entry():
 def test_duplicate_registration_rejected():
     sim = Simulation(two_station_scenario())
     with pytest.raises(DuplicateQid):
-        sim.register_user(sim.nodes["qbs-2"], sim.nodes["m"], 1, "user-x")
+        sim.register_user("qbs-2", 1, "user-x")
 
 
 @pytest.mark.parametrize("node_id", ["qbs-2", "user-c"])
 def test_registration_under_a_node_id_in_use_rejected(node_id):
     sim = Simulation(example_scenario("cross-qbs"))
-    def snapshot():
-        return (dict(sim.nodes), dict(sim.users), dict(sim.circuits),
-                {n.qbs_id: dict(n.registry) for n in sim.nodes.values()
-                 if isinstance(n, QbsNode)})
-    before = snapshot()
+    before = registries(sim)
     with pytest.raises(DuplicateNode):
-        sim.register_user(sim.nodes["qbs-1"], sim.nodes["earth-mother"], 99, node_id)
-    assert snapshot() == before
+        sim.register_user("qbs-1", 99, node_id)
+    assert registries(sim) == before
+    check_all(sim)
+
+
+@pytest.mark.parametrize("child_id", ["earth-mother", "user-a", "qbs-9"])
+def test_registration_at_a_non_child_rejected(child_id):
+    sim = Simulation(example_scenario("cross-qbs"))
+    before = registries(sim)
+    with pytest.raises(ValueError, match="not a Child station"):
+        sim.register_user(child_id, 99, "user-y")
+    assert registries(sim) == before
+    check_all(sim)
+
+
+def test_registration_takes_the_childs_own_mother():
+    sim = Simulation(example_scenario("interplanet"))
+    sim.register_user("qbs-2", 99, "user-x")  # a Mars Child
+    assert sim.nodes["mars-mother"].registry[99] == ChildQbs("qbs-2")
+    assert sim.nodes["earth-mother"].registry[99] == RemotePlanet("mars-mother")
+    sid = sim.request_session(11, 99)
+    sim.run_until_idle()
+    assert sim.sessions[sid].path == ["user-a", "qbs-1", "qbs-2", "user-x"]
+    sim.teardown_session(sid)
     check_all(sim)
 
 
