@@ -55,9 +55,6 @@ REVERSE = "rev"
 # looked up once: the data plane tests it on every hop
 _ESTABLISHED = SessionState.ESTABLISHED
 
-# detail key tuples seen already in sorted order; emit sorts any other tuple
-_SORTED_DETAIL_KEYS: set[tuple[str, ...]] = set()
-
 
 class TraceRecord(NamedTuple):
     tick: int
@@ -171,16 +168,11 @@ class Simulation:
 
     def emit(self, node: str, record_type: str, session: int | None = None,
              **detail) -> None:
-        """Append a trace record; detail keys are stored in sorted order."""
+        """Append a trace record. Callers pass detail keys in sorted order,
+        the order the trace line writes them in; emit does not reorder them."""
         now = self.now
         seq = self._seq_by_tick[now]  # `now` always has an entry
         self._seq_by_tick[now] = seq + 1
-        keys = tuple(detail)
-        if keys not in _SORTED_DETAIL_KEYS:
-            if list(keys) == sorted(keys):
-                _SORTED_DETAIL_KEYS.add(keys)
-            else:
-                detail = dict(sorted(detail.items()))
         self.trace.append(_new_record((now, seq, node, record_type, session, detail)))
 
     def run_until_idle(self) -> int:
@@ -196,7 +188,7 @@ class Simulation:
         seq_by_tick, idle = self._seq_by_tick, self._idle_ticks
         # data-plane verbs the engine handles itself rather than via a node class
         handlers = {verb: getattr(self, "_on_" + verb)
-                    for verb in ("relay_frame", "consume_frame", "channel_send")}
+                    for verb in ("frame_arrival", "channel_send")}
         while ticks:
             tick = ticks[0]
             if tick > tick_limit:
@@ -321,7 +313,7 @@ class Simulation:
         rec.circuits.append(user.home_circuit)
         self.sessions[session_id] = rec
         self.emit(user.node_id, "SESSION_REQUEST", session_id,
-                  caller=caller_qid, callee=callee_qid)
+                  callee=callee_qid, caller=caller_qid)
         self.schedule(self.now + 1, user.home_qbs, "session_lookup", {"session": session_id})
         return session_id
 
@@ -395,11 +387,7 @@ class Simulation:
     def send_message(self, session_id: int, payload: bytes,
                      sender: int | None = None) -> None:
         """Segment a byte message and stream its frames down the session path."""
-        rec = self._established(session_id)
-        sender_qid = rec.caller if sender is None else sender
-        if sender_qid not in (rec.caller, rec.callee):
-            raise CallerUnknown(f"QID {sender_qid} does not own session {session_id}")
-        direction = REVERSE if sender_qid == rec.callee else FORWARD
+        rec, direction = self._established(session_id, sender)
         frames = segment_message(payload)
         sender_node = rec.route[direction][0][0]
         self.emit(sender_node, "SEND", session_id,
@@ -407,21 +395,23 @@ class Simulation:
         for index, frame in enumerate(frames):
             self._submit_frame(rec, direction, frame, index)
 
-    def relay_data(self, session_id: int, frame: Frame, reverse: bool = False) -> None:
+    def relay_data(self, session_id: int, frame: Frame, sender: int | None = None) -> None:
         """Push a single raw frame down the path, outside any message."""
         if not isinstance(frame, Frame):
             raise TypeError(f"relay_data takes a Frame, not {type(frame).__name__}")
-        self._submit_frame(self._established(session_id), REVERSE if reverse else FORWARD,
-                           frame, index=None)
+        self._submit_frame(*self._established(session_id, sender), frame, index=None)
 
-    def _established(self, session_id: int) -> SessionRecord:
+    def _established(self, session_id: int, sender: int | None) -> tuple[SessionRecord, str]:
+        """The established session and the direction `sender` (default: caller) sends in."""
         rec = self.sessions.get(session_id)
         if rec is None:
             raise UnknownSession(f"no session {session_id}")
         if rec.state is not _ESTABLISHED:
             raise SessionNotEstablished(
                 f"session {session_id} is {rec.state.value}, not established")
-        return rec
+        if sender not in (None, rec.caller, rec.callee):
+            raise CallerUnknown(f"QID {sender} does not own session {session_id}")
+        return rec, REVERSE if sender == rec.callee else FORWARD
 
     def _submit_frame(self, rec: SessionRecord, direction: str, frame: Frame,
                       index: int | None) -> None:
@@ -448,16 +438,15 @@ class Simulation:
             self.emit(src, "DATA", p["session"], dir=p["dir"],
                       frame=frame.data.hex(), index=p["index"])
         p["pos"] = pos = pos + 1
-        if pos == len(hops):
-            # final hop: delivery is same-tick, the channel itself is free
-            self.schedule(self.now, dst, "consume_frame", p)
-        else:
-            self.schedule(self.now + 1, dst, "relay_frame", p)
+        # a relaying station spends a tick; delivery at the route's end is same-tick
+        self.schedule(self.now if pos == len(hops) else self.now + 1, dst,
+                      "frame_arrival", p)
 
     def _on_channel_send(self, target: str, p: dict) -> None:
-        circuit, channel = self.circuits.get(p["circuit"]), p["channel"]
-        if circuit is None or not circuit.pool.plate_fresh(channel.tx):
-            return
+        # Only home circuits queue (a session's own channel gets one frame a tick,
+        # decoded before the next), and they outlive sessions. The arrival that
+        # scheduled this reset the plate, and `_forward` has queued every frame since.
+        channel = p["channel"]
         while channel.queue:
             item = channel.queue.popleft()
             if item[0]["rec"].state is _ESTABLISHED:
@@ -465,34 +454,25 @@ class Simulation:
                 return
             self.dropped_frames["session_closed"] += 1
 
-    def _receive_frame(self, target: str, p: dict) -> Frame | None:
-        """Decode, reset and drain the inbound channel; log DATA and return the
-        frame, or None when there is no circuit or the session has closed."""
-        src, _, inbound, channel = p["hops"][p["pos"] - 1]
+    def _on_frame_arrival(self, target: str, p: dict) -> None:
+        """Decode, reset and drain the inbound channel and log DATA; then relay
+        the frame on its next hop, or deliver it at the route's end."""
+        pos, hops, rec = p["pos"], p["hops"], p["rec"]
+        src, _, inbound, channel = hops[pos - 1]
         if inbound is None:
             self.dropped_frames["no_inbound_circuit"] += 1
-            return None
+            return
         frame = decode_frame(inbound.pool, channel.rx)
         inbound.pool.reset_plate_pair(channel.tx, channel.rx)
         if channel.queue:
-            self.schedule(self.now, src, "channel_send",
-                          {"circuit": inbound.circuit_id, "channel": channel})
-        if p["rec"].state is not _ESTABLISHED:
+            self.schedule(self.now, src, "channel_send", {"channel": channel})
+        if rec.state is not _ESTABLISHED:
             self.dropped_frames["session_closed"] += 1
-            return None
+            return
         self.emit(target, "DATA", p["session"], dir=p["dir"],
                   frame=frame.data.hex(), index=p["index"])
-        return frame
-
-    def _on_relay_frame(self, target: str, p: dict) -> None:
-        frame = self._receive_frame(target, p)
-        if frame is not None:
+        if pos < len(hops):
             self._forward(p, frame)
-
-    def _on_consume_frame(self, target: str, p: dict) -> None:
-        rec = p["rec"]
-        frame = self._receive_frame(target, p)
-        if frame is None:
             return
         user = self.nodes[target]
         if p["index"] is None:  # relayed outside any message

@@ -18,9 +18,12 @@ from .errors import InvariantViolation
 from .node import UserNode
 from .qbs import ChildQbs, LocalUser, QbsNode, RemotePlanet, SessionState
 
+# replay-only state after a REJECT: the caller's Child's timeout may still log another
+_REFUSED = "refused"
+
 # session states in which each record type may appear; entries marked with a
 # target state move the replayed machine along the legal-transition relation
-_RECORD_RULES: dict[str, tuple[frozenset, SessionState | None]] = {
+_RECORD_RULES: dict[str, tuple[frozenset, SessionState | str | None]] = {
     "SESSION_REQUEST": (frozenset({None}), SessionState.IDLE),
     "LOOKUP_LOCAL_HIT": (frozenset({SessionState.IDLE}), SessionState.NEGOTIATING),
     "LOOKUP_LOCAL_MISS": (frozenset({SessionState.IDLE}), SessionState.QUERYING_MOTHER),
@@ -30,20 +33,21 @@ _RECORD_RULES: dict[str, tuple[frozenset, SessionState | None]] = {
     "CIRCUIT_PROVISIONED": (frozenset({SessionState.QUERYING_MOTHER}), SessionState.NEGOTIATING),
     "NEGOTIATE": (frozenset({SessionState.NEGOTIATING}), None),
     "ACCEPT": (frozenset({SessionState.NEGOTIATING}), None),
-    "REJECT": (frozenset({SessionState.NEGOTIATING}), SessionState.FAILED),
+    "REJECT": (frozenset({SessionState.NEGOTIATING, _REFUSED}), _REFUSED),
     "ESTABLISHED": (frozenset({SessionState.NEGOTIATING}), SessionState.ESTABLISHED),
     "SEND": (frozenset({SessionState.ESTABLISHED}), None),
     "DATA": (frozenset({SessionState.ESTABLISHED}), None),
     "DELIVER": (frozenset({SessionState.ESTABLISHED}), None),
     "TEARDOWN": (frozenset({SessionState.ESTABLISHED}), SessionState.TEARING_DOWN),
-    "CIRCUIT_RELEASED": (frozenset({SessionState.TEARING_DOWN, SessionState.FAILED}), None),
+    "CIRCUIT_RELEASED": (frozenset({SessionState.TEARING_DOWN, SessionState.FAILED, _REFUSED}),
+                         None),
     "CLOSED": (frozenset({SessionState.TEARING_DOWN}), SessionState.CLOSED),
 }
 
 
 def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
     """Replay every session's records against the legal transition relation."""
-    states: dict[int, SessionState | None] = {}
+    states: dict[int, SessionState | str] = {}
     for record in records:
         if record.session is None:
             continue
@@ -52,7 +56,7 @@ def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
         if state not in allowed:
             raise InvariantViolation(
                 f"session {record.session}: {record.type} at tick {record.tick} "
-                f"not legal in state {state.value if state else None}")
+                f"not legal in state {getattr(state, 'value', state)}")
         if target is not None:
             states[record.session] = target
 

@@ -47,7 +47,6 @@ Location = Union[LocalUser, ChildQbs, RemotePlanet]
 
 class SessionState(str, Enum):
     IDLE = "idle"
-    LOOKING_UP_LOCAL = "looking_up_local"
     QUERYING_MOTHER = "querying_mother"
     NEGOTIATING = "negotiating"
     ESTABLISHED = "established"
@@ -62,10 +61,7 @@ class FailureReason(str, Enum):
 
 
 TRANSITIONS: dict[SessionState, frozenset[SessionState]] = {
-    SessionState.IDLE: frozenset({SessionState.LOOKING_UP_LOCAL}),
-    SessionState.LOOKING_UP_LOCAL: frozenset(
-        {SessionState.NEGOTIATING, SessionState.QUERYING_MOTHER, SessionState.FAILED}
-    ),
+    SessionState.IDLE: frozenset({SessionState.NEGOTIATING, SessionState.QUERYING_MOTHER}),
     SessionState.QUERYING_MOTHER: frozenset({SessionState.NEGOTIATING, SessionState.FAILED}),
     SessionState.NEGOTIATING: frozenset({SessionState.ESTABLISHED, SessionState.FAILED}),
     SessionState.ESTABLISHED: frozenset({SessionState.TEARING_DOWN}),
@@ -178,7 +174,6 @@ class QbsNode:
 
     def _on_session_lookup(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        rec.transition(SessionState.LOOKING_UP_LOCAL)
         rec.callee_node = self.lookup_local(rec.callee)
         if rec.callee_node is not None:
             sim.emit(self.qbs_id, "LOOKUP_LOCAL_HIT", rec.session_id, qid=rec.callee)
@@ -203,7 +198,7 @@ class QbsNode:
 
     def _ask_callee(self, sim: "Simulation", rec: SessionRecord) -> None:
         """At the callee's station, once rec.callee_node is resolved."""
-        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id, caller=rec.caller, callee=rec.callee)
+        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id, callee=rec.callee, caller=rec.caller)
         sim.schedule(sim.now + 1, rec.callee_node, "negotiate_ask", {"session": rec.session_id})
 
     def _on_mother_lookup(self, sim: "Simulation", p: dict) -> None:
@@ -229,7 +224,7 @@ class QbsNode:
         entry = self.registry.get(rec.callee)
         if isinstance(entry, ChildQbs):
             sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
-                     qid=rec.callee, child=entry.qbs_id)
+                     child=entry.qbs_id, qid=rec.callee)
             return entry.qbs_id
         sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, qid=rec.callee)
         return None

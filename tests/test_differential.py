@@ -1,9 +1,10 @@
 """Differential tests: entnet against refsim, the benchmark's frozen copy.
 
 Each script drives the session API (request_session, send_message,
-teardown_session and a station's negotiation_budget) the same way on both
-simulators; the trace and stats bytes must be equal, and entnet's run must
-pass `check_all`. refsim is imported from perfbench/ read-only.
+relay_data, teardown_session, a station's negotiation_budget and a user's
+accept policy) the same way on both simulators; the trace and stats bytes
+must be equal, and entnet's run must pass `check_all`. refsim is imported
+from perfbench/ read-only.
 """
 
 import json
@@ -24,6 +25,10 @@ CALLER = 11
 
 def _data(size: int) -> bytes:
     return bytes(i % 251 for i in range(size))
+
+
+def _package(sim):
+    return entnet if isinstance(sim, entnet.Simulation) else refsim
 
 
 def teardown_mid_stream(sim, callee):
@@ -49,16 +54,40 @@ def bidirectional(sim, callee):
     return sid
 
 
-def with_budget(ticks):
+def raw_frames(sim, callee):
+    sim.run_until_idle()
+    sid = sim.request_session(CALLER, callee)
+    sim.run_until_idle()
+    package = _package(sim)
+    forward, backward = package.Frame(_data(16)), package.Frame(_data(32)[16:])
+    sim.send_message(sid, _data(40))
+    sim.relay_data(sid, forward)
+    if package is entnet:
+        sim.relay_data(sid, backward, sender=callee)
+    else:  # refsim names the direction, not the sender
+        sim.relay_data(sid, backward, reverse=True)
+    sim.run_until_idle()
+    assert sim.users[callee].raw_frames == [(sid, forward)]
+    assert sim.users[CALLER].raw_frames == [(sid, backward)]
+    sim.teardown_session(sid)
+    sim.run_until_idle()
+    return sid
+
+
+def with_budget(ticks, refusing=False):
     def script(sim, callee):
         sim.nodes["qbs-1"].negotiation_budget = ticks  # the caller's Child
+        if refusing:
+            sim.users[callee].policy = _package(sim).RejectAll()
         sim.run_until_idle()
         return 1
-    script.__name__ = f"negotiation_budget_{ticks}"
+    script.__name__ = f"{'refusing_' if refusing else ''}negotiation_budget_{ticks}"
     return script
 
 
-SCRIPTS = [teardown_mid_stream, bidirectional, *map(with_budget, (0, 1, 2, 3, 5))]
+BUDGETS = (0, 1, 2, 3, 5)
+SCRIPTS = [teardown_mid_stream, bidirectional, raw_frames, *map(with_budget, BUDGETS),
+           *(with_budget(ticks, refusing=True) for ticks in BUDGETS)]
 
 
 def _play(package, kind, script):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from entnet import (
     Frame,
+    RejectAll,
     SPEED_OF_LIGHT_M_PER_S,
     Simulation,
     Spin,
@@ -18,13 +19,14 @@ from entnet import (
     with_uniform_distances,
 )
 from entnet.errors import (
+    CallerUnknown,
     SchedulingError,
     SessionNotEstablished,
     TickBudgetExceeded,
     UnknownSession,
     ValidationError,
 )
-from entnet.invariants import check_all, check_causality
+from entnet.invariants import _RECORD_RULES, check_all, check_causality
 from entnet.scenario import (
     ChildSpec,
     LinkSpec,
@@ -372,6 +374,23 @@ def test_trace_lines_have_fixed_key_order(run_example):
                                           "session", "detail"]
 
 
+def test_every_record_type_is_emitted_with_sorted_detail_keys(run_example):
+    runs = [run_example(kind) for kind in ("same-qbs", "cross-qbs", "interplanet")]
+    sid = runs[1].request_session(11, 13)
+    runs[1].run_until_idle()
+    runs[1].relay_data(sid, Frame(bytes(range(16))))
+    refused = Simulation(example_scenario("same-qbs"))  # a refusal racing a 1-tick timeout
+    refused.users[12].policy = RejectAll()
+    refused.nodes["qbs-1"].negotiation_budget = 1
+    refused.request_session(11, 404)  # nobody holds QID 404
+    for sim in (*runs, refused):
+        sim.run_until_idle()
+    records = [r for sim in (*runs, refused) for r in sim.trace]
+    assert {r.type for r in records} >= set(_RECORD_RULES)
+    for r in records:
+        assert list(r.detail) == sorted(r.detail), r
+
+
 def reference_line(record):
     return json.dumps({"tick": record.tick, "seq": record.seq, "node": record.node,
                        "type": record.type, "session": record.session,
@@ -451,6 +470,35 @@ def test_raw_relay_data_arrives_identically():
     sim.run_until_idle()
     assert sim.users[12].raw_frames == [(sid, frame)]
     assert sim.users[12].receive_poll() == []  # raw frames are not messages
+
+
+def test_raw_frame_from_the_callee_reaches_the_caller():
+    sim = Simulation(example_scenario("interplanet"))
+    sim.run_until_idle()
+    sid = sim.request_session(11, 13)
+    sim.run_until_idle()
+    frame = Frame(bytes(range(16)))
+    sim.relay_data(sid, frame, sender=13)
+    sim.run_until_idle()
+    assert sim.users[11].raw_frames == [(sid, frame)]
+    assert sim.users[13].raw_frames == []
+    assert [r.detail["dir"] for r in sim.trace if r.type == "DATA" and r.session == sid] \
+        == ["rev"] * 4  # logged at the callee, at both stations and at the caller
+    sim.teardown_session(sid)
+    check_all(sim)
+
+
+def test_relay_data_from_a_stranger_rejected_before_scheduling():
+    sim = Simulation(example_scenario("same-qbs"))
+    sim.run_until_idle()
+    sid = sim.request_session(11, 12)
+    sim.run_until_idle()
+    records, events = len(sim.trace), sum(map(len, sim._calendar.values()))
+    with pytest.raises(CallerUnknown, match="999"):
+        sim.relay_data(sid, Frame(bytes(16)), sender=999)
+    assert (len(sim.trace), sum(map(len, sim._calendar.values()))) == (records, events)
+    sim.run_until_idle()
+    assert sim.users[11].raw_frames == sim.users[12].raw_frames == []
 
 
 @pytest.mark.parametrize("busy", [False, True], ids=["free-channel", "busy-channel"])

@@ -1,6 +1,6 @@
 import pytest
 
-from entnet import Frame, Simulation, decode_frame, encode_frame, example_scenario
+from entnet import Frame, RejectAll, Simulation, decode_frame, encode_frame, example_scenario
 from entnet.errors import InvariantViolation
 from entnet.invariants import (
     check_active_session_membership,
@@ -130,4 +130,32 @@ def test_zero_tick_timeout_needs_the_brokered_circuit(kind):
     check_trace_state_machine(records)
     records = [r for r in records if r.type != "CIRCUIT_PROVISIONED"]
     with pytest.raises(InvariantViolation, match="REJECT .* state querying_mother"):
+        check_trace_state_machine(records)
+
+
+def refused_trace(kind, budget):
+    """Session 1's records when its callee refuses under the caller's Child's budget."""
+    sim = Simulation(example_scenario(kind))
+    sim.users[12 if kind == "same-qbs" else 13].policy = RejectAll()
+    sim.nodes["qbs-1"].negotiation_budget = budget
+    sim.run_until_idle()
+    return sim, [r for r in sim.trace if r.session == 1]
+
+
+@pytest.mark.parametrize("kind, budget", [("same-qbs", 1), ("same-qbs", 2),
+                                          ("cross-qbs", 3), ("interplanet", 4)])
+def test_timeout_racing_the_callees_refusal_is_legal(kind, budget):
+    sim, records = refused_trace(kind, budget)
+    rejects = [r.detail for r in records if r.type == "REJECT"]
+    assert rejects[0] == {"caller": 11} and rejects[1]["reason"] == "timeout"
+    check_all(sim)
+
+
+@pytest.mark.parametrize("record_type", ["ESTABLISHED", "ACCEPT", "NEGOTIATE", "SEND", "DATA"])
+def test_records_after_a_refusal_are_caught(record_type):
+    _, records = refused_trace("same-qbs", 1)
+    check_trace_state_machine(records)
+    reject = [r.type for r in records].index("REJECT")
+    records.insert(reject + 1, records[reject]._replace(type=record_type))
+    with pytest.raises(InvariantViolation, match=f"{record_type} .* state refused"):
         check_trace_state_machine(records)
