@@ -8,13 +8,10 @@ from .codec import (
     MessageBuffer,
     decode_frame,
     encode_frame,
-    frame_count,
-    random_frame,
-    reassemble,
     segment_message,
 )
 from .engine import SPEED_OF_LIGHT_M_PER_S, LatencyReport, Simulation, TraceRecord
-from .entanglement import PLATE_WIDTH, PairPool, Particle, Plate, Spin, derive_seed
+from .entanglement import PLATE_WIDTH, PairPool, Particle, Plate, Spin
 from .node import AcceptAll, AcceptList, RejectAll, UserNode
 from .qbs import (
     ChildQbs,
@@ -68,15 +65,11 @@ __all__ = [
     "TraceRecord",
     "UserNode",
     "decode_frame",
-    "derive_seed",
     "desk_scale_scenario",
     "encode_frame",
     "errors",
     "example_scenario",
-    "frame_count",
     "load_scenario",
-    "random_frame",
-    "reassemble",
     "scenario_from_dict",
     "scenario_to_dict",
     "scenario_to_json",

@@ -9,12 +9,10 @@ significant bit of the first character.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from .entanglement import ALL, PLATE_WIDTH, PairPool, Plate
-from .errors import LengthOverrun, PlateAlreadyUsed
+from .errors import LengthOverrun
 
 FRAME_BITS = PLATE_WIDTH
 FRAME_BYTES = FRAME_BITS // 8
@@ -33,24 +31,6 @@ class Frame:
         if len(self.data) != FRAME_BYTES:
             raise ValueError(f"a frame is exactly {FRAME_BYTES} bytes, got {len(self.data)}")
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "Frame":
-        seq = list(bits)
-        if len(seq) != FRAME_BITS:
-            raise ValueError(f"a frame is exactly {FRAME_BITS} bits, got {len(seq)}")
-        out = bytearray(FRAME_BYTES)
-        for i, bit in enumerate(seq):
-            if bit:
-                out[i >> 3] |= 0x80 >> (i & 7)
-        return cls(bytes(out))
-
-    @classmethod
-    def zeros(cls) -> "Frame":
-        return cls(bytes(FRAME_BYTES))
-
-    def bit(self, i: int) -> int:
-        return (self.data[i >> 3] >> (7 - (i & 7))) & 1
-
     def hex(self) -> str:
         return self.data.hex()
 
@@ -65,14 +45,8 @@ def _built(data: bytes) -> Frame:
     return frame
 
 
-def random_frame(rng: random.Random) -> Frame:
-    return Frame(rng.randbytes(FRAME_BYTES))
-
-
 def encode_frame(pool: PairPool, tx: Plate, frame: Frame) -> None:
-    """Trigger the whole Tx plate: bit 1 -> Up, bit 0 -> Down."""
-    if not pool.plate_fresh(tx):
-        raise PlateAlreadyUsed(f"tx plate generation {tx.generation} already carries data")
+    """Trigger the whole fresh Tx plate: bit 1 -> Up, bit 0 -> Down."""
     pool.trigger_plate(tx, int.from_bytes(frame.data, "big"))
 
 
@@ -96,11 +70,6 @@ def segment_message(payload: bytes) -> list[Frame]:
     return frames
 
 
-def frame_count(payload_bytes: int) -> int:
-    """Frames needed for a payload: 1 header + ceil(n / 16) data frames."""
-    return 1 + -(-payload_bytes // FRAME_BYTES)
-
-
 class MessageBuffer:
     """Reassembles one segmented message from in-order frames."""
 
@@ -108,10 +77,6 @@ class MessageBuffer:
         self.declared_length: int | None = None
         self._data = bytearray()
         self._complete = False
-
-    @property
-    def complete(self) -> bool:
-        return self._complete
 
     def push(self, frame: Frame) -> bytes | None:
         """Feed the next frame; returns the payload once complete, else None."""
@@ -125,14 +90,3 @@ class MessageBuffer:
             self._complete = True
             return bytes(self._data[: self.declared_length])
         return None
-
-
-def reassemble(frames: Iterable[Frame]) -> bytes:
-    """Reassemble a full frame sequence; raises if it does not complete."""
-    buffer = MessageBuffer()
-    result: bytes | None = None
-    for frame in frames:
-        result = buffer.push(frame)
-    if result is None:
-        raise ValueError("frame sequence ended before the declared length")
-    return result

@@ -22,7 +22,6 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterator, NamedTuple
 
 from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_message
-from .entanglement import derive_seed
 from .errors import (
     CallerUnknown,
     DuplicateNode,
@@ -45,7 +44,7 @@ from .qbs import (
     SessionRecord,
     SessionState,
 )
-from .scenario import Scenario, is_u64, validate_scenario
+from .scenario import Scenario, is_u64, validate_scenario, validate_user
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -264,8 +263,8 @@ class Simulation:
 
     def _create_circuit(self, a: str, b: str, owner_session: int | None = None) -> Circuit:
         circuit_id = next(self._next_circuit)
-        circuit = Circuit.build(circuit_id, a, b,
-                                derive_seed(self.seed, f"circuit:{circuit_id}"),
+        # a str seed: the pool hashes it only if it ever draws, and no clean run does
+        circuit = Circuit.build(circuit_id, a, b, f"{self.seed}/circuit:{circuit_id}",
                                 owner_session)
         self.circuits[circuit_id] = circuit
         if owner_session is None:
@@ -274,7 +273,12 @@ class Simulation:
 
     def register_user(self, child_id: str, qid: int, node_id: str,
                       policy: AcceptPolicy | None = None) -> None:
-        """Attach a user to a Child: registries updated everywhere, circuit provisioned."""
+        """Attach a user to a Child: registries updated everywhere, circuit provisioned.
+        Raises ValidationError on a user the scenario would reject."""
+        policy = AcceptAll() if policy is None else policy
+        findings = validate_user(node_id, qid, policy)
+        if findings:
+            raise ValidationError(findings)
         child = self.nodes.get(child_id)
         if not isinstance(child, QbsNode) or child.mother_id is None:
             raise ValueError(f"{child_id!r} is not a Child station")
@@ -284,7 +288,7 @@ class Simulation:
                 raise DuplicateQid(f"QID {qid} already registered")
         if node_id in self.nodes:
             raise DuplicateNode(f"node id {node_id!r} already in use")
-        user = self.nodes[node_id] = UserNode(node_id, qid, child.qbs_id, policy or AcceptAll())
+        user = self.nodes[node_id] = UserNode(node_id, qid, child.qbs_id, policy)
         self.users[qid] = user
         child.registry[qid] = LocalUser(node_id)
         mother.registry[qid] = ChildQbs(child.qbs_id)
@@ -349,9 +353,8 @@ class Simulation:
         """Unbind every circuit the session holds; destroy the session-owned
         ones and drop any message still being reassembled.
 
-        The route keeps its permanent hops, so a frame still in flight on a
-        home circuit is decoded and its channel drained for the sessions
-        sharing it; a frame on a destroyed hop is dropped undecoded."""
+        A frame still in flight keeps its own hop list: it is decoded, its
+        plate reset and its channel drained, then dropped as session_closed."""
         for circuit_id in rec.circuits:
             circuit = self.circuits.get(circuit_id)
             owned = circuit is not None and circuit.owner_session == rec.session_id
@@ -362,15 +365,17 @@ class Simulation:
                 del self.circuits[circuit_id]
         rec.circuits.clear()
         rec.rx_buffers.clear()
-        for hops in rec.route.values():  # in place: frames in flight hold these lists
-            hops[:] = [hop if hop[2] is None or hop[2].owner_session is None
-                       else hop[:2] + (None, None) for hop in hops]
+        rec.route.clear()
 
-    def teardown_session(self, session_id: int) -> None:
-        """Close an established session and release everything it holds."""
+    def _session(self, session_id: int) -> SessionRecord:
         rec = self.sessions.get(session_id)
         if rec is None:
             raise UnknownSession(f"no session {session_id}")
+        return rec
+
+    def teardown_session(self, session_id: int) -> None:
+        """Close an established session and release everything it holds."""
+        rec = self._session(session_id)
         if rec.terminal:
             return
         if rec.state is not SessionState.ESTABLISHED:
@@ -403,9 +408,7 @@ class Simulation:
 
     def _established(self, session_id: int, sender: int | None) -> tuple[SessionRecord, str]:
         """The established session and the direction `sender` (default: caller) sends in."""
-        rec = self.sessions.get(session_id)
-        if rec is None:
-            raise UnknownSession(f"no session {session_id}")
+        rec = self._session(session_id)
         if rec.state is not _ESTABLISHED:
             raise SessionNotEstablished(
                 f"session {session_id} is {rec.state.value}, not established")
@@ -422,9 +425,7 @@ class Simulation:
 
     def _forward(self, p: dict, frame: Frame) -> None:
         circuit, channel = p["hops"][p["pos"]][2:]
-        if circuit is None:
-            self.dropped_frames["no_circuit"] += 1
-        elif not channel.queue and circuit.pool.plate_fresh(channel.tx):
+        if not channel.queue and circuit.pool.plate_fresh(channel.tx):
             self._encode_on_channel(p, frame)
         else:
             channel.queue.append((p, frame))
@@ -459,9 +460,6 @@ class Simulation:
         the frame on its next hop, or deliver it at the route's end."""
         pos, hops, rec = p["pos"], p["hops"], p["rec"]
         src, _, inbound, channel = hops[pos - 1]
-        if inbound is None:
-            self.dropped_frames["no_inbound_circuit"] += 1
-            return
         frame = decode_frame(inbound.pool, channel.rx)
         inbound.pool.reset_plate_pair(channel.tx, channel.rx)
         if channel.queue:
@@ -493,9 +491,7 @@ class Simulation:
     # reporting ----------------------------------------------------------------
 
     def latency_report(self, session_id: int) -> LatencyReport:
-        rec = self.sessions.get(session_id)
-        if rec is None:
-            raise UnknownSession(f"no session {session_id}")
+        rec = self._session(session_id)
         if not rec.path:
             raise SessionNotEstablished(f"session {session_id} never established")
         baseline_meters = sum(

@@ -4,7 +4,8 @@ A pair starts Unobserved; the first trigger or observation fixes both ends
 at the same instant, with opposite spins, and a fixed spin never changes.
 Triggering requires an ionized particle (fixed measurement axis). Each pool
 owns its own deterministic random stream, so observation draws never depend
-on what any other pool did in the meantime.
+on what any other pool did in the meantime. Its first draw builds the
+stream from the seed; a `str` seed is hashed by sha512, not PYTHONHASHSEED.
 
 A plate is one generation of PLATE_WIDTH pairs held as two ints: `fixed`
 marks the fixed particles and `up` those fixed Up, bit 127 - i standing for
@@ -18,13 +19,13 @@ pair i is particle i % 128 of the pool's plate pair i // 128.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 
-from .errors import AlreadyFixed, MismatchedPlates, TriggerOnNonIonized, UnknownParticle
+from .errors import (AlreadyFixed, MismatchedPlates, PlateAlreadyUsed, TriggerOnNonIonized,
+                     UnknownParticle)
 
 PLATE_WIDTH = 128
 ALL = (1 << PLATE_WIDTH) - 1  # every particle of a plate
@@ -74,12 +75,6 @@ def _fix(plate: Plate, mask: int, up: int) -> None:
     partner.up |= up ^ mask
 
 
-def derive_seed(root: int, label: str) -> int:
-    """Stable 64-bit child seed; sha256 keeps it independent of PYTHONHASHSEED."""
-    digest = hashlib.sha256(f"{root}/{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 class PairPool:
     """Store of live entangled pairs with a pool-local random stream.
 
@@ -90,7 +85,7 @@ class PairPool:
     pool. `plate_draws` counts the blind decodes that drew from the stream.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int | str = 0) -> None:
         self.pair_plates: list[tuple[Plate, Plate]] = []
         self._next_pair = 0
         self._plate_pairs = 0
@@ -185,7 +180,7 @@ class PairPool:
         if tx.role != TX:
             raise TriggerOnNonIonized(f"{tx.role} plate is not ionized")
         if tx.fixed:
-            raise AlreadyFixed(f"plate generation {tx.generation} already fixed")
+            raise PlateAlreadyUsed(f"tx plate generation {tx.generation} already carries data")
         if not 0 <= bits <= ALL:
             raise ValueError(f"a plate carries exactly {PLATE_WIDTH} bits")
         rx = tx.partner

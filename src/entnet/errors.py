@@ -18,15 +18,15 @@ class AlreadyFixed(SimError):
     """The spin of this pair has already been fixed."""
 
 
+class PlateAlreadyUsed(AlreadyFixed):
+    """Tx plate already carries data for this generation."""
+
+
 class MismatchedPlates(SimError):
     """The two plates are not a partnered Tx/Rx pair."""
 
 
 # frame codec
-class PlateAlreadyUsed(SimError):
-    """Tx plate already carries data for this generation."""
-
-
 class LengthOverrun(SimError):
     """A data frame arrived after the message was already complete."""
 

@@ -87,7 +87,7 @@ class SessionRecord:
     path: list[str] = field(default_factory=list)
     circuits: list[int] = field(default_factory=list)
     # per direction, hop i of the path as (src, dst, circuit, channel), set at
-    # establish; release leaves circuit and channel None on destroyed hops
+    # establish and never changed; release clears it
     route: dict[str, list[tuple]] = field(default_factory=dict)
     # per direction, the message its receiving user is reassembling
     rx_buffers: dict[str, MessageBuffer] = field(default_factory=dict)
@@ -137,7 +137,7 @@ class Circuit:
     channels: dict[tuple[str, str], DirectedChannel] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, circuit_id: int, a: str, b: str, seed: int,
+    def build(cls, circuit_id: int, a: str, b: str, seed: int | str,
               owner_session: int | None = None) -> "Circuit":
         pool = PairPool(seed)
         circuit = cls(circuit_id, a, b, pool, owner_session)

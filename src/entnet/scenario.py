@@ -170,6 +170,21 @@ def is_u64(value) -> bool:
     return type(value) is int and 0 <= value < _U64
 
 
+def validate_user(node_id, qid, policy, path: str = "user") -> list[str]:
+    """The rules one user meets wherever it attaches: node id, QID and accept policy."""
+    findings = []
+    if not isinstance(node_id, str) or not node_id:
+        findings.append(f"{path}.node_id: must be a non-empty string")
+    if not (isinstance(policy, (AcceptAll, RejectAll)) or
+            isinstance(policy, AcceptList) and type(policy.qids) is frozenset
+            and all(map(is_u64, policy.qids))):
+        findings.append(f"{path}.accept_policy: must be 'accept_all', "
+                        "'reject_all' or {'accept_list': [unsigned 64-bit QIDs]}")
+    if not is_u64(qid):
+        findings.append(f"{path}.qid: must be an unsigned 64-bit integer")
+    return findings
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """All problems with a structured scenario: shapes, types, ranges and references."""
     findings: list[str] = []
@@ -205,16 +220,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             claim_node(child.qbs_id, f"planets[{i}].children[{j}].qbs_id")
             for k, user in each(child.users, UserSpec, f"planets[{i}].children[{j}].users"):
                 path = f"planets[{i}].children[{j}].users[{k}]"
-                claim_node(user.node_id, f"{path}.node_id")
-                policy = user.accept_policy
-                if not (isinstance(policy, (AcceptAll, RejectAll)) or
-                        isinstance(policy, AcceptList) and type(policy.qids) is frozenset
-                        and all(map(is_u64, policy.qids))):
-                    findings.append(f"{path}.accept_policy: must be 'accept_all', "
-                                    "'reject_all' or {'accept_list': [unsigned 64-bit QIDs]}")
+                findings += validate_user(user.node_id, user.qid, user.accept_policy, path)
+                if isinstance(user.node_id, str) and user.node_id:  # else already a finding
+                    claim_node(user.node_id, f"{path}.node_id")
                 if not is_u64(user.qid):
-                    findings.append(f"{path}.qid: must be an unsigned 64-bit integer")
-                elif user.qid in qids:
+                    continue
+                if user.qid in qids:
                     findings.append(f"{path}.qid: duplicate QID {user.qid} "
                                     f"(also used at {qids[user.qid]})")
                 else:

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from entnet import Simulation, example_scenario
+
+# "fast" is the default; `--hypothesis-profile=long` runs a deeper search,
+# e.g. `pytest tests/test_random_scenarios.py --hypothesis-profile=long`
+settings.register_profile("fast", max_examples=100)
+settings.register_profile("long", max_examples=2000)
+settings.load_profile("fast")
 
 
 @pytest.fixture

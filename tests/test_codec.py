@@ -12,15 +12,20 @@ from entnet import (
     PairPool,
     decode_frame,
     encode_frame,
-    frame_count,
-    random_frame,
-    reassemble,
     segment_message,
 )
 from entnet.entanglement import ALL
 from entnet.errors import LengthOverrun, PlateAlreadyUsed
 
 frames = st.binary(min_size=FRAME_BYTES, max_size=FRAME_BYTES).map(Frame)
+ZEROS = Frame(bytes(FRAME_BYTES))
+FIRST_BIT = Frame(b"\x80" + bytes(FRAME_BYTES - 1))  # bit 0 set, the rest clear
+
+
+def pushed(frames_in):
+    """What MessageBuffer.push returns for each frame in turn."""
+    buffer = MessageBuffer()
+    return [buffer.push(frame) for frame in frames_in]
 
 
 def fresh_channel(seed=0):
@@ -33,18 +38,17 @@ def test_frame_requires_exact_width():
     with pytest.raises(ValueError):
         Frame(b"\x00" * 15)
     with pytest.raises(ValueError):
-        Frame.from_bits([1] * 127)
+        Frame(b"\x00" * 17)
 
 
 def test_frame_bit_order_is_msb_first():
-    frame = Frame.from_bits([1] + [0] * 127)
-    assert frame.data[0] == 0x80
-    assert frame.bit(0) == 1 and frame.bit(1) == 0
+    pool, tx, _ = fresh_channel()
+    encode_frame(pool, tx, FIRST_BIT)
+    assert tx.up == 1 << (PLATE_WIDTH - 1)  # bit 0 is the MSB of the first byte
 
 
 def test_hex_dump_is_32_lowercase_chars_msb_first():
-    frame = Frame.from_bits([1] + [0] * 127)
-    dump = frame.hex()
+    dump = FIRST_BIT.hex()
     assert len(dump) == 32
     assert dump == dump.lower()
     assert dump[0] == "8"  # bit 0 is the MSB of the first character
@@ -53,14 +57,14 @@ def test_hex_dump_is_32_lowercase_chars_msb_first():
 
 def test_encode_all_zeros_spins():
     pool, tx, rx = fresh_channel()
-    encode_frame(pool, tx, Frame.zeros())
+    encode_frame(pool, tx, ZEROS)
     assert tx.fixed == ALL and tx.up == 0  # every particle fixed Down
     assert pool.observe_plate(rx) == ALL  # every partner observed Up
 
 
 def test_encode_single_one_bit():
     pool, tx, rx = fresh_channel()
-    encode_frame(pool, tx, Frame.from_bits([1] + [0] * 127))
+    encode_frame(pool, tx, FIRST_BIT)
     assert tx.fixed == ALL
     # particle 0 (bit 127) Up, every other particle Down
     assert tx.up == 1 << (PLATE_WIDTH - 1)
@@ -68,17 +72,17 @@ def test_encode_single_one_bit():
 
 def test_double_encode_raises():
     pool, tx, rx = fresh_channel()
-    encode_frame(pool, tx, Frame.zeros())
+    encode_frame(pool, tx, ZEROS)
     with pytest.raises(PlateAlreadyUsed):
-        encode_frame(pool, tx, Frame.zeros())
+        encode_frame(pool, tx, ZEROS)
 
 
 def test_receiver_inverts_raw_bits():
     # sender writes 0 -> receiver observes Up (raw 1) -> decoded back to 0
     pool, tx, rx = fresh_channel()
-    encode_frame(pool, tx, Frame.zeros())
+    encode_frame(pool, tx, ZEROS)
     assert pool.observe_plate(rx) >> (PLATE_WIDTH - 1) == 1  # particle 0 is Up
-    assert decode_frame(pool, rx) == Frame.zeros()
+    assert decode_frame(pool, rx) == ZEROS
 
 
 def test_decode_encode_identity_all_ones():
@@ -107,7 +111,7 @@ def test_decode_of_unencoded_plate_is_seed_deterministic():
 def test_segment_empty_payload_is_header_only():
     frames_out = segment_message(b"")
     assert len(frames_out) == 1
-    assert frames_out[0] == Frame.zeros()
+    assert frames_out[0] == ZEROS
 
 
 def test_segment_sixteen_bytes_needs_no_padding():
@@ -126,25 +130,25 @@ def test_segment_hello_layout():
 
 @given(st.integers(0, 10_000))
 def test_frame_count_formula(n):
-    assert frame_count(n) == len(segment_message(b"\x00" * n))
-    assert frame_count(n) == 1 + (n + 15) // 16
+    assert len(segment_message(bytes(n))) == 1 + (n + 15) // 16
 
 
 @given(st.binary(max_size=4096))
 @settings(max_examples=60)
 def test_segment_reassemble_round_trip(payload):
-    assert reassemble(segment_message(payload)) == payload
+    frames_out = segment_message(payload)
+    assert pushed(frames_out) == [None] * (len(frames_out) - 1) + [payload]
 
 
 def test_header_only_message_completes_immediately():
     buffer = MessageBuffer()
     assert buffer.push(segment_message(b"")[0]) == b""
-    assert buffer.complete
+    with pytest.raises(LengthOverrun):
+        buffer.push(ZEROS)
 
 
 def test_padding_is_discarded():
-    payload = b"xyz"
-    assert reassemble(segment_message(payload)) == payload
+    assert pushed(segment_message(b"xyz")) == [None, b"xyz"]
 
 
 def test_extra_frame_after_completion_overruns():
@@ -152,7 +156,7 @@ def test_extra_frame_after_completion_overruns():
     for frame in segment_message(b"ok"):
         buffer.push(frame)
     with pytest.raises(LengthOverrun):
-        buffer.push(Frame.zeros())
+        buffer.push(ZEROS)
 
 
 def test_incomplete_sequence_is_pending():
@@ -160,7 +164,6 @@ def test_incomplete_sequence_is_pending():
     buffer = MessageBuffer()
     assert buffer.push(frames_out[0]) is None
     assert buffer.push(frames_out[1]) is None
-    assert not buffer.complete
     assert buffer.push(frames_out[2]) is None
     assert buffer.push(frames_out[3]) == b"A" * 40
 
@@ -169,7 +172,7 @@ def test_round_trip_over_reset_channel():
     pool, tx, rx = fresh_channel(seed=5)
     rng = random.Random(9)
     for _ in range(50):
-        frame = random_frame(rng)
+        frame = Frame(rng.randbytes(FRAME_BYTES))
         encode_frame(pool, tx, frame)
         assert decode_frame(pool, rx) == frame
         pool.reset_plate_pair(tx, rx)

@@ -568,25 +568,29 @@ def test_teardown_mid_stream_counts_every_dropped_frame():
     sim.run_until_idle()
     consumed = sum(1 for r in sim.trace
                    if r.type == "DATA" and r.session == sid and r.node == "user-c")
-    # one frame was on the destroyed qbs-1 -> qbs-2 hop; the rest were decoded
-    # on, or still queued for, user-a's home circuit after the session closed
-    assert sim.dropped_frames == Counter(no_inbound_circuit=1, session_closed=34)
+    # every frame not consumed was decoded on its hop (the destroyed qbs-1 ->
+    # qbs-2 one included), or still queued for user-a's home circuit, after
+    # the session closed
+    assert sim.dropped_frames == Counter(session_closed=35)
     assert consumed + sum(sim.dropped_frames.values()) == 39
     check_all(sim)
 
 
-def test_hop_without_circuit_drops_at_submit():
+def test_release_leaves_the_route_of_frames_in_flight_unchanged():
     sim = Simulation(example_scenario("cross-qbs"))
     sim.run_until_idle()
-    sim.users[13].receive_poll()  # drain the workload transfer
     sid = sim.request_session(11, 13)
     sim.run_until_idle()
     rec = sim.sessions[sid]
-    sim.release_session_circuits(rec, "qbs-1")  # still established, no qbs-1 -> qbs-2 hop
-    sim.send_message(sid, b"lost")  # header + one data frame
+    hops = rec.route["fwd"]
+    before = list(hops)
+    sim.send_message(sid, bytes(40))  # 4 frames
+    sim.run_until(sim.now + 1)
+    sim.teardown_session(sid)
+    assert rec.route == {} and hops == before  # frames in flight keep their hops
     sim.run_until_idle()
-    assert sim.dropped_frames == Counter(no_circuit=2)
-    assert sim.users[13].receive_poll() == []
+    assert set(sim.dropped_frames) == {"session_closed"}
+    check_all(sim)
 
 
 def test_multi_frame_message_survives_pipelining():

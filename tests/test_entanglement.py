@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entnet import PLATE_WIDTH, PairPool, Simulation, Spin, example_scenario
+from entnet import PLATE_WIDTH, PairPool, Simulation, Spin, decode_frame, example_scenario
 from entnet.entanglement import ALL, RX, TX
 from entnet.errors import (
     AlreadyFixed,
@@ -123,6 +123,25 @@ def test_engine_run_builds_no_pool_stream(run_example):
         pools.update((cid, circuit.pool) for cid, circuit in sim.circuits.items())
     assert len(pools) > len(sim.circuits)  # the session's circuit was seen and released
     assert not [cid for cid, pool in pools.items() if "rng" in vars(pool)]
+
+
+def _blind_decode(seed, circuit_id=1):
+    """Observe an unwritten Rx plate of a circuit of a fresh cross-QBS Simulation."""
+    circuit = Simulation(example_scenario("cross-qbs"), seed=seed).circuits[circuit_id]
+    return decode_frame(circuit.pool, next(iter(circuit.channels.values())).rx)
+
+
+def test_blind_decode_on_a_circuit_follows_scenario_and_seed():
+    assert _blind_decode(5) == _blind_decode(5)
+    assert _blind_decode(5) != _blind_decode(6)
+    assert _blind_decode(5, circuit_id=1) != _blind_decode(5, circuit_id=2)
+
+
+def test_circuit_stream_is_seeded_from_its_label():
+    circuit = Simulation(example_scenario("cross-qbs"), seed=5).circuits[2]
+    rx = next(iter(circuit.channels.values())).rx
+    expected = random.Random("5/circuit:2").getrandbits(PLATE_WIDTH)
+    assert circuit.pool.observe_plate(rx) == expected
 
 
 def test_make_plate_pair_contract():

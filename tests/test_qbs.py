@@ -19,6 +19,7 @@ from entnet.errors import (
     SelfCall,
     SessionNotEstablished,
     UnknownSession,
+    ValidationError,
 )
 from entnet.invariants import check_all, check_circuit_conservation
 from entnet.qbs import FailureReason, SessionRecord
@@ -28,8 +29,9 @@ from entnet.scenario import (
     Scenario,
     UserSpec,
     WorkloadItem,
+    validate_scenario,
 )
-from entnet.node import RejectAll
+from entnet.node import AcceptAll, RejectAll
 
 
 def two_station_scenario(**kwargs):
@@ -101,6 +103,24 @@ def test_registration_at_a_non_child_rejected(child_id):
     with pytest.raises(ValueError, match="not a Child station"):
         sim.register_user(child_id, 99, "user-y")
     assert registries(sim) == before
+    check_all(sim)
+
+
+@pytest.mark.parametrize("qid, node_id, policy", [
+    (-5, "user-x", None), (True, "user-x", None), ("x", "user-x", None),
+    (2**64, "user-x", None), (99, "", None), (99, 5, None), (99, "user-x", "accept_all"),
+])
+def test_registration_of_a_user_the_scenario_rejects(qid, node_id, policy):
+    sim = Simulation(two_station_scenario())
+    before = registries(sim)
+    with pytest.raises(ValidationError) as err:
+        sim.register_user("qbs-1", qid, node_id, policy)
+    assert registries(sim) == before
+    lone = Scenario(seed=1, planets=(PlanetSpec("m", (ChildSpec("qbs-1", (
+        UserSpec(node_id, qid, policy or AcceptAll()),)),)),))
+    expected = [f.replace("planets[0].children[0].users[0]", "user")
+                for f in validate_scenario(lone)]
+    assert expected and err.value.findings == expected
     check_all(sim)
 
 
@@ -240,7 +260,7 @@ def test_relay_on_closed_session_raises():
     sim.run_until_idle()
     assert sim.sessions[1].state is SessionState.CLOSED
     with pytest.raises(SessionNotEstablished):
-        sim.relay_data(1, Frame.zeros())
+        sim.relay_data(1, Frame(bytes(16)))
 
 
 def test_teardown_unknown_session():
