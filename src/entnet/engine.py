@@ -140,7 +140,8 @@ class Simulation:
         self.released_plate_draws = 0  # blind-decode draws of destroyed circuits
         self.dropped_frames: Counter[str] = Counter()  # frames never delivered, by reason
 
-        self._classical_adj: dict[str, list[tuple[str, float]]] = {}
+        # light-speed graph and its shortest paths, built on the first report
+        self._classical_adj: dict[str, list[tuple[str, float]]] | None = None
         self._dijkstra_cache: dict[str, dict[str, float]] = {}
 
         self._build_topology()
@@ -222,10 +223,6 @@ class Simulation:
     # topology -------------------------------------------------------------
 
     def _build_topology(self) -> None:
-        link_distances: dict[frozenset, float] = {
-            frozenset((link.a, link.b)): link.distance_meters
-            for link in self.scenario.links
-        }
         mothers: list[QbsNode] = []
         for planet in self.scenario.planets:
             mother = QbsNode(planet.mother_id)
@@ -245,16 +242,6 @@ class Simulation:
         for i, mother_a in enumerate(mothers):
             for mother_b in mothers[i + 1:]:
                 self._create_circuit(mother_a.qbs_id, mother_b.qbs_id)
-
-        # classical routing graph: every permanent link, plus any extra
-        # declared links, weighted by declared distance (0 when undeclared)
-        edges: set[frozenset] = {frozenset((c.a, c.b)) for c in self.circuits.values()}
-        edges.update(link_distances)
-        for edge in sorted(edges, key=sorted):
-            a, b = sorted(edge)
-            d = link_distances.get(edge, 0.0)
-            self._classical_adj.setdefault(a, []).append((b, d))
-            self._classical_adj.setdefault(b, []).append((a, d))
 
     @property
     def permanent_circuit_ids(self) -> frozenset[int]:
@@ -295,6 +282,8 @@ class Simulation:
         for peer in mother.peer_mothers.values():
             peer.registry[qid] = RemotePlanet(mother.qbs_id)
         user.home_circuit = self._create_circuit(node_id, child.qbs_id).circuit_id
+        self._classical_adj = None  # the next report sees the new link
+        self._dijkstra_cache = {}
 
     def _schedule_workload(self) -> None:
         for item in self.scenario.workload:
@@ -341,8 +330,8 @@ class Simulation:
         hops = [(a, b, self.circuits[c]) for a, b, c in zip(rec.path, rec.path[1:], rec.circuits)]
         assert len(hops) == len(rec.circuits) and all(
             {c.a, c.b} == {a, b} for a, b, c in hops), (rec.path, rec.circuits)
-        rec.route = {FORWARD: [(a, b, c, c.channels[a, b]) for a, b, c in hops],
-                     REVERSE: [(b, a, c, c.channels[b, a]) for a, b, c in reversed(hops)]}
+        rec.route = {FORWARD: [(a, b, c, c.channel(a, b)) for a, b, c in hops],
+                     REVERSE: [(b, a, c, c.channel(b, a)) for a, b, c in reversed(hops)]}
         rec.transition(SessionState.ESTABLISHED)
         self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, path=list(rec.path))
         if rec.workload_payload is not None:
@@ -427,6 +416,8 @@ class Simulation:
         circuit, channel = p["hops"][p["pos"]][2:]
         if not channel.queue and circuit.pool.plate_fresh(channel.tx):
             self._encode_on_channel(p, frame)
+        elif channel.queue is None:
+            channel.queue = deque([(p, frame)])
         else:
             channel.queue.append((p, frame))
 
@@ -504,8 +495,28 @@ class Simulation:
             classical_baseline_seconds=baseline_meters / SPEED_OF_LIGHT_M_PER_S,
         )
 
+    def _classical_graph(self) -> dict[str, list[tuple[str, float]]]:
+        """Every permanent link, plus any extra declared links, weighted by
+        declared distance (0 when undeclared). Session circuits stay out."""
+        link_distances: dict[frozenset, float] = {
+            frozenset((link.a, link.b)): link.distance_meters
+            for link in self.scenario.links
+        }
+        permanent = (self.circuits[circuit_id] for circuit_id in self._permanent)
+        edges = {frozenset((c.a, c.b)) for c in permanent}
+        edges.update(link_distances)
+        adj: dict[str, list[tuple[str, float]]] = {}
+        for edge in sorted(edges, key=sorted):
+            a, b = sorted(edge)
+            d = link_distances.get(edge, 0.0)
+            adj.setdefault(a, []).append((b, d))
+            adj.setdefault(b, []).append((a, d))
+        return adj
+
     def _classical_distance(self, src: str, dst: str) -> float:
         """Shortest light-path distance over the declared link graph."""
+        if self._classical_adj is None:
+            self._classical_adj = self._classical_graph()
         dist = self._dijkstra_cache.get(src)
         if dist is None:
             dist = {src: 0.0}

@@ -118,16 +118,20 @@ class DirectedChannel:
 
     The queue holds (frame event payload, frame) items waiting for the plate
     pair to be re-provisioned by the decoding side; it drains one per reset.
+    It is made when the first frame has to wait: only home circuits queue.
     """
 
     tx: Plate
     rx: Plate
-    queue: deque = field(default_factory=deque)
+    queue: deque | None = None
 
 
 @dataclass
 class Circuit:
-    """A provisioned plate-pair link between two nodes, one channel per direction."""
+    """A provisioned plate-pair link between two nodes, one channel per direction.
+
+    The channels, and the plates under them, are made the first time a route
+    asks for one: most permanent circuits never carry a frame."""
 
     circuit_id: int
     a: str
@@ -139,12 +143,15 @@ class Circuit:
     @classmethod
     def build(cls, circuit_id: int, a: str, b: str, seed: int | str,
               owner_session: int | None = None) -> "Circuit":
-        pool = PairPool(seed)
-        circuit = cls(circuit_id, a, b, pool, owner_session)
-        for src, dst in ((a, b), (b, a)):
-            tx, rx = pool.make_plate_pair()
-            circuit.channels[(src, dst)] = DirectedChannel(tx, rx)
-        return circuit
+        return cls(circuit_id, a, b, PairPool(seed), owner_session)
+
+    def channel(self, src: str, dst: str) -> DirectedChannel:
+        """The src->dst channel; the first call makes both, a->b then b->a."""
+        channels = self.channels
+        if not channels:
+            for ends in ((self.a, self.b), (self.b, self.a)):
+                channels[ends] = DirectedChannel(*self.pool.make_plate_pair())
+        return channels[src, dst]
 
 
 # base-station node --------------------------------------------------------------

@@ -355,6 +355,26 @@ def test_zero_distance_baseline_is_zero():
     assert report.entangled_channel_ticks == 0
 
 
+def test_latency_report_covers_a_user_registered_mid_run(run_example):
+    sim = run_example("same-qbs")
+    assert sim.latency_report(1).classical_baseline_seconds == 20.0 / SPEED_OF_LIGHT_M_PER_S
+    sim.register_user("qbs-1", 777, "user-x")
+    sid = sim.request_session(11, 777)
+    sim.run_until_idle()
+    # user-a's declared 10 m to qbs-1, then user-x's undeclared (0 m) home circuit
+    assert sim.latency_report(sid).classical_baseline_seconds == 10.0 / SPEED_OF_LIGHT_M_PER_S
+
+
+def test_latency_report_ignores_session_circuits():
+    sim = Simulation(example_scenario("cross-qbs"))
+    sid = sim.request_session(13, 11)
+    sim.run_until_idle()
+    assert [c.owner_session for c in sim.circuits.values()].count(sid) == 1
+    # qbs-2 -> qbs-1 goes through the Mother, not over the session's own 0 m circuit
+    assert sim.latency_report(sid).classical_baseline_seconds == pytest.approx(
+        (10 + 1000 + 1000 + 10) / SPEED_OF_LIGHT_M_PER_S)
+
+
 def test_latency_report_errors():
     sim = Simulation(example_scenario("same-qbs"))
     with pytest.raises(UnknownSession):

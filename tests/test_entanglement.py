@@ -128,7 +128,7 @@ def test_engine_run_builds_no_pool_stream(run_example):
 def _blind_decode(seed, circuit_id=1):
     """Observe an unwritten Rx plate of a circuit of a fresh cross-QBS Simulation."""
     circuit = Simulation(example_scenario("cross-qbs"), seed=seed).circuits[circuit_id]
-    return decode_frame(circuit.pool, next(iter(circuit.channels.values())).rx)
+    return decode_frame(circuit.pool, circuit.channel(circuit.a, circuit.b).rx)
 
 
 def test_blind_decode_on_a_circuit_follows_scenario_and_seed():
@@ -139,7 +139,7 @@ def test_blind_decode_on_a_circuit_follows_scenario_and_seed():
 
 def test_circuit_stream_is_seeded_from_its_label():
     circuit = Simulation(example_scenario("cross-qbs"), seed=5).circuits[2]
-    rx = next(iter(circuit.channels.values())).rx
+    rx = circuit.channel(circuit.a, circuit.b).rx
     expected = random.Random("5/circuit:2").getrandbits(PLATE_WIDTH)
     assert circuit.pool.observe_plate(rx) == expected
 

@@ -11,9 +11,9 @@ from entnet.invariants import (
 
 
 def live_channel(sim):
-    """A permanent circuit and one of its channels, after the run."""
+    """A permanent circuit and its a->b channel, after the run."""
     circuit = sim.circuits[min(sim.permanent_circuit_ids)]
-    return circuit, next(iter(circuit.channels.values()))
+    return circuit, circuit.channel(circuit.a, circuit.b)
 
 
 @pytest.fixture
@@ -43,7 +43,7 @@ def test_mismatched_fixed_masks_are_caught(encoded):
 def test_up_bit_outside_fixed_mask_is_caught(run_example):
     sim = run_example("cross-qbs")
     _, channel = live_channel(sim)
-    assert channel.tx.fixed == 0  # reset after its last frame
+    assert channel.tx.fixed == 0  # nothing encoded on it
     channel.tx.up = channel.rx.up = 1  # equal bits: tx.up ^ rx.up still == fixed
     with pytest.raises(InvariantViolation, match="outside the fixed mask"):
         check_anti_correlation(sim)
@@ -77,7 +77,7 @@ def test_blind_decode_on_released_circuit_is_caught():
     sim.run_until_idle()
     owned = [c for c in sim.circuits.values() if c.owner_session == sid]
     assert len(owned) == 1
-    decode_frame(owned[0].pool, next(iter(owned[0].channels.values())).rx)
+    decode_frame(owned[0].pool, owned[0].channel(owned[0].a, owned[0].b).rx)
     sim.teardown_session(sid)
     sim.run_until_idle()
     assert owned[0].circuit_id not in sim.circuits

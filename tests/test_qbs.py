@@ -1,27 +1,34 @@
+import dataclasses
+
 import pytest
 from conftest import is_subsequence, record_types
 
 from entnet import (
+    PLATE_WIDTH,
     ChildQbs,
+    Circuit,
     Frame,
     LocalUser,
     QbsNode,
     RemotePlanet,
     SessionState,
     Simulation,
+    encode_frame,
     example_scenario,
 )
+from entnet.engine import FORWARD, REVERSE
 from entnet.errors import (
     CallerUnknown,
     DuplicateNode,
     DuplicateQid,
     IllegalTransition,
+    InvariantViolation,
     SelfCall,
     SessionNotEstablished,
     UnknownSession,
     ValidationError,
 )
-from entnet.invariants import check_all, check_circuit_conservation
+from entnet.invariants import check_all, check_anti_correlation, check_circuit_conservation
 from entnet.qbs import FailureReason, SessionRecord
 from entnet.scenario import (
     ChildSpec,
@@ -250,6 +257,66 @@ def test_teardown_removes_provisioned_circuit():
     provisioned = [r.detail["circuit"] for r in sim.trace
                    if r.type == "CIRCUIT_PROVISIONED"]
     assert provisioned and provisioned[0] not in sim.circuits
+
+
+# lazy channels ---------------------------------------------------------------------
+
+
+def established_example(kind):
+    """An example topology with its workload call opened by hand and left established."""
+    scenario = example_scenario(kind)
+    item = scenario.workload[0]
+    sim = Simulation(dataclasses.replace(scenario, workload=()))
+    sid = sim.request_session(item.from_qid, item.to_qid)
+    sim.run_until_idle()
+    rec = sim.sessions[sid]
+    assert rec.state is SessionState.ESTABLISHED
+    return sim, rec
+
+
+def test_first_channel_request_makes_both_in_a_to_b_order():
+    circuit = Circuit.build(1, "x", "y", 0)
+    assert circuit.channels == {} and len(circuit.pool) == 0
+    back = circuit.channel("y", "x")
+    assert list(circuit.channels) == [("x", "y"), ("y", "x")]
+    assert circuit.channel("y", "x") is back and len(circuit.pool) == 2 * PLATE_WIDTH
+
+
+@pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
+def test_fresh_simulation_holds_no_plates(kind):
+    sim = Simulation(example_scenario(kind))
+    assert sim.circuits
+    for circuit in sim.circuits.values():
+        assert circuit.channels == {} and len(circuit.pool) == 0
+
+
+@pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
+def test_established_session_builds_plates_on_its_route_only(kind):
+    sim, rec = established_example(kind)
+    routed = {circuit.circuit_id for _, _, circuit, _ in rec.route[FORWARD]}
+    assert routed == set(rec.circuits)
+    for circuit in sim.circuits.values():
+        if circuit.circuit_id in routed:
+            assert list(circuit.channels) == [(circuit.a, circuit.b), (circuit.b, circuit.a)]
+            assert len(circuit.pool) == 2 * PLATE_WIDTH
+        else:
+            assert circuit.channels == {} and len(circuit.pool) == 0
+    for direction in (FORWARD, REVERSE):
+        for src, dst, circuit, channel in rec.route[direction]:
+            assert channel is circuit.channels[src, dst]
+            assert channel.queue is None  # made when a frame first has to wait
+
+
+def test_flipped_rx_bit_on_a_routed_channel_is_caught():
+    sim, rec = established_example("cross-qbs")
+    src, dst, circuit, channel = rec.route[FORWARD][1]  # the session's own circuit
+    assert circuit.owner_session == rec.session_id
+    encode_frame(circuit.pool, channel.tx, Frame(bytes(range(16))))
+    check_anti_correlation(sim)
+    channel.rx.up ^= 1 << 40
+    with pytest.raises(InvariantViolation,
+                       match=f"circuit {circuit.circuit_id} channel {src}->{dst} .*not opposite"):
+        check_anti_correlation(sim)
 
 
 # data and teardown ----------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Random scenarios: entnet against refsim, the benchmark's frozen copy.
 
 Hypothesis draws whole scenario dicts (planets, Children, users, accept
-policies, a tick-sorted workload with colliding ticks) and, on some
-Children, a negotiation budget. Every case must give refsim's trace and
-stats bytes, pass `check_all`, give the same bytes on a second run and,
-when no budget is overridden, deliver exactly what the policies allow.
+policies, declared links, a tick-sorted workload with colliding ticks) and,
+on some Children, a negotiation budget. Every case must give refsim's trace
+and stats bytes and latency reports, pass `check_all`, give the same bytes
+on a second run and, when no budget is overridden, deliver exactly what the
+policies allow.
 `--hypothesis-profile=long` runs more cases than the default `fast` one.
 """
 
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -58,6 +60,13 @@ def scenarios(draw):
     child_ids = [child["qbs_id"] for planet in planets for child in planet["children"]]
     budgets = draw(st.dictionaries(st.sampled_from(child_ids), st.integers(0, 5)))
     raw = {"seed": draw(st.integers(0, 2**64 - 1)), "planets": planets, "workload": workload}
+    node_ids = [planet["mother_id"] for planet in planets] + child_ids + [
+        f"user-{qid}" for qid in qids]
+    ends = st.lists(st.sampled_from(node_ids), min_size=2, max_size=2, unique=True)
+    distances = st.one_of(st.integers(0, 10**20), st.floats(0, 1e20))
+    links = draw(st.lists(ends, max_size=6, unique_by=frozenset))
+    if links:
+        raw["links"] = [{"a": a, "b": b, "distance_meters": draw(distances)} for a, b in links]
     return raw, budgets
 
 
@@ -74,7 +83,12 @@ def _run(package, raw, budgets):
 def test_random_scenario_matches_refsim(case):
     raw, budgets = case
     sim, trace, stats = _run(entnet, raw, budgets)
-    assert (trace, stats) == _run(refsim, raw, budgets)[1:]
+    ref, *ref_bytes = _run(refsim, raw, budgets)
+    assert [trace, stats] == ref_bytes
+    for session_id, rec in sim.sessions.items():
+        if rec.path:  # established at some point
+            assert (astuple(sim.latency_report(session_id))
+                    == astuple(ref.latency_report(session_id)))
     check_all(sim)
     assert (trace, stats) == _run(entnet, raw, budgets)[1:]
     if not budgets:
