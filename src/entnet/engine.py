@@ -44,7 +44,7 @@ from .qbs import (
     SessionRecord,
     SessionState,
 )
-from .scenario import Scenario, is_u64, validate_scenario, validate_user
+from .scenario import Scenario, is_parsed, is_u64, validate_scenario, validate_user
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -53,6 +53,12 @@ REVERSE = "rev"
 
 # looked up once: the data plane tests it on every hop
 _ESTABLISHED = SessionState.ESTABLISHED
+
+
+# a DATA record's detail keys, in the order its two emit calls pass them
+_DATA_KEYS = ("dir", "frame", "index")
+# the encoder that json.dumps(value, separators=(",", ":")) builds on every call
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class TraceRecord(NamedTuple):
@@ -67,17 +73,27 @@ class TraceRecord(NamedTuple):
         """Same bytes as `json.dumps` of the record as a dict in field order,
         with separators (",", ":") and the default ASCII escaping."""
         tick, seq, node, record_type, session, detail = self
+        if len(detail) == 3 and tuple(detail) == _DATA_KEYS:  # one per frame per hop
+            direction, frame, index = detail.values()
+            if type(direction) is str and type(frame) is str and (
+                    type(index) is int or index is None):
+                return (f'{{"tick":{tick},"seq":{seq},"node":{_json_str(node)},'
+                        f'"type":{_json_str(record_type)},'
+                        f'"session":{"null" if session is None else session},'
+                        f'"detail":{{"dir":{_json_str(direction)},'
+                        f'"frame":{_json_str(frame)},'
+                        f'"index":{"null" if index is None else index}}}}}')
         items = []
         for key, value in detail.items():
             kind = type(value)
-            if kind is int:  # exact, so bool and IntEnum take the json.dumps path
+            if kind is int:  # exact, so bool and IntEnum take the encoder path
                 text = str(value)
             elif kind is str:
                 text = _json_str(value)
             elif value is None:
                 text = "null"
             else:
-                text = json.dumps(value, separators=(",", ":"))
+                text = _compact_json(value)
             items.append(f"{_json_str(key)}:{text}")
         return (f'{{"tick":{tick},"seq":{seq},"node":{_json_str(node)},'
                 f'"type":{_json_str(record_type)},'
@@ -109,7 +125,8 @@ class Simulation:
     """One deterministic run over a scenario."""
 
     def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
-        findings = validate_scenario(scenario)
+        # scenario_from_dict validated its own output, and that cannot change
+        findings = [] if is_parsed(scenario) else validate_scenario(scenario)
         if seed is not None and not is_u64(seed):
             findings.append("seed: must be an unsigned 64-bit integer")
         if findings:
@@ -236,9 +253,10 @@ class Simulation:
         for planet in self.scenario.planets:
             for child_spec in planet.children:
                 self._create_circuit(child_spec.qbs_id, planet.mother_id)
-                for user_spec in child_spec.users:
-                    self.register_user(child_spec.qbs_id, user_spec.qid,
-                                       user_spec.node_id, user_spec.accept_policy)
+                child = self.nodes[child_spec.qbs_id]
+                for user_spec in child_spec.users:  # validated with the scenario
+                    self._attach_user(child, user_spec.qid, user_spec.node_id,
+                                      user_spec.accept_policy)
         for i, mother_a in enumerate(mothers):
             for mother_b in mothers[i + 1:]:
                 self._create_circuit(mother_a.qbs_id, mother_b.qbs_id)
@@ -275,6 +293,14 @@ class Simulation:
                 raise DuplicateQid(f"QID {qid} already registered")
         if node_id in self.nodes:
             raise DuplicateNode(f"node id {node_id!r} already in use")
+        self._attach_user(child, qid, node_id, policy)
+        self._classical_adj = None  # the next report sees the new link
+        self._dijkstra_cache = {}
+
+    def _attach_user(self, child: QbsNode, qid: int, node_id: str,
+                     policy: AcceptPolicy) -> None:
+        """Add a valid, new user: registries updated everywhere, circuit provisioned."""
+        mother = self.nodes[child.mother_id]
         user = self.nodes[node_id] = UserNode(node_id, qid, child.qbs_id, policy)
         self.users[qid] = user
         child.registry[qid] = LocalUser(node_id)
@@ -282,8 +308,6 @@ class Simulation:
         for peer in mother.peer_mothers.values():
             peer.registry[qid] = RemotePlanet(mother.qbs_id)
         user.home_circuit = self._create_circuit(node_id, child.qbs_id).circuit_id
-        self._classical_adj = None  # the next report sees the new link
-        self._dijkstra_cache = {}
 
     def _schedule_workload(self) -> None:
         for item in self.scenario.workload:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import weakref
 from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
@@ -72,6 +73,11 @@ _USER_KEYS = frozenset({"node_id", "qid", "accept_policy"})
 _LINK_KEYS = frozenset({"a", "b", "distance_meters"})
 _ITEM_KEYS = frozenset({"at_tick", "from_qid", "to_qid", "payload"})
 
+# scenarios scenario_from_dict built and validated with nothing passed through
+# as given, by id. Their parts are tuples, frozen specs, frozensets, bytes and
+# scalars, so they stay valid.
+_parsed: weakref.WeakValueDictionary[int, Scenario] = weakref.WeakValueDictionary()
+
 
 def _parse_policy(raw):
     """The policy a JSON value names; any other value passes through."""
@@ -108,12 +114,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError(["$: scenario must be a JSON object"])
     findings = [f"{key}: unknown field" for key in raw if key not in _SCENARIO_KEYS]
+    given = []  # values that pass through as given, which may be mutable containers
 
     def objects(value, path: str, keys: frozenset, make, empty=()):
         """A JSON list with each object checked for unknown keys and mapped by
         `make(obj, path)`; null is `empty`, other values and elements pass through."""
         if type(value) is not list:
-            return empty if value is None else value
+            if value is None:
+                return empty
+            given.append(value)
+            return value
         mapped = []
         for i, obj in enumerate(value):
             if type(obj) is dict:
@@ -121,6 +131,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
                     findings.extend(f"{path}[{i}].{key}: unknown field"
                                     for key in obj if key not in keys)
                 obj = make(obj, f"{path}[{i}]")
+            else:
+                given.append(obj)
             mapped.append(obj)
         return tuple(mapped)
 
@@ -148,7 +160,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
     findings += validate_scenario(scenario)
     if findings:
         raise ValidationError(findings)
+    if not given:
+        _parsed[id(scenario)] = scenario
     return scenario
+
+
+def is_parsed(scenario: Scenario) -> bool:
+    """True for a scenario that scenario_from_dict built and validated, so it
+    needs no second pass. False for any other one, `dataclasses.replace` copies
+    and scenarios holding objects the caller passed in included."""
+    return _parsed.get(id(scenario)) is scenario
 
 
 def load_scenario(path: str) -> Scenario:

@@ -1,12 +1,16 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from itertools import chain, repeat
 
 import pytest
 from conftest import record_types
 from hypothesis import given
 from hypothesis import strategies as st
+from test_golden import GOLDEN, build
 
+import entnet.engine
+import entnet.scenario
 from entnet import (
     Frame,
     RejectAll,
@@ -34,6 +38,9 @@ from entnet.scenario import (
     Scenario,
     UserSpec,
     WorkloadItem,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
 )
 
 
@@ -291,6 +298,78 @@ def test_seed_override_accepts_the_unsigned_64_bit_range(seed):
     check_all(sim)
 
 
+# validation ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Every validate_scenario call, wherever it is looked up, and every
+    validate_user call the engine makes itself."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    scenario_check = counted("scenario", validate_scenario)
+    monkeypatch.setattr(entnet.scenario, "validate_scenario", scenario_check)
+    monkeypatch.setattr(entnet.engine, "validate_scenario", scenario_check)
+    monkeypatch.setattr(entnet.engine, "validate_user",
+                        counted("engine_user", entnet.engine.validate_user))
+    return calls
+
+
+def test_parsed_scenario_is_validated_once(validations):
+    raw = scenario_to_dict(example_scenario("cross-qbs"))
+    sim = Simulation(scenario_from_dict(raw))
+    assert validations == {"scenario": 1}
+    sim.run_until_idle()
+    check_all(sim)
+    sim.register_user("qbs-1", 777, "user-x")  # a user added mid-run is checked
+    assert validations == {"scenario": 1, "engine_user": 1}
+
+
+def test_hand_built_scenario_is_validated_even_when_equal_to_a_parsed_one(validations):
+    parsed = scenario_from_dict(scenario_to_dict(example_scenario("cross-qbs")))
+    Simulation(replace(parsed))
+    assert validations == {"scenario": 2}
+
+
+def test_replaced_parsed_scenario_is_validated_again():
+    parsed = scenario_from_dict(scenario_to_dict(example_scenario("cross-qbs")))
+    with pytest.raises(ValidationError) as err:
+        Simulation(replace(parsed, seed=-1))
+    assert err.value.findings == ["seed: must be an unsigned 64-bit integer"]
+
+
+def test_parsed_scenario_holding_a_given_list_is_validated_again():
+    children = [ChildSpec("q", (UserSpec("a", 1), UserSpec("b", 2)))]
+    parsed = scenario_from_dict({"seed": 1, "planets": [PlanetSpec("m", children)]})
+    children.append(ChildSpec("q2", (UserSpec("c", 1),)))  # valid when parsed, not now
+    with pytest.raises(ValidationError) as err:
+        Simulation(parsed)
+    assert any("duplicate QID 1" in finding for finding in err.value.findings)
+
+
+def test_parsed_scenario_still_takes_the_seed_override_check():
+    parsed = scenario_from_dict(scenario_to_dict(example_scenario("same-qbs")))
+    with pytest.raises(ValidationError) as err:
+        Simulation(parsed, seed=2**64)
+    assert err.value.findings == ["seed: must be an unsigned 64-bit integer"]
+
+
+def test_register_user_mid_run_rejects_a_bad_qid():
+    sim = Simulation(scenario_from_dict(scenario_to_dict(example_scenario("same-qbs"))))
+    sim.run_until_idle()
+    nodes, users = dict(sim.nodes), dict(sim.users)
+    with pytest.raises(ValidationError) as err:
+        sim.register_user("qbs-1", -1, "user-x")
+    assert err.value.findings == ["user.qid: must be an unsigned 64-bit integer"]
+    assert (sim.nodes, sim.users) == (nodes, users)
+
+
 def test_distance_independence_of_traces():
     base = example_scenario("cross-qbs")
     near = Simulation(with_uniform_distances(base, 1.0))
@@ -425,14 +504,60 @@ _scalars = st.one_of(st.none(), st.booleans(), _ints, _texts, st.floats(),
                      st.sampled_from(list(Spin)))
 _values = st.recursive(_scalars, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.dictionaries(_texts, inner, max_size=3)), max_leaves=6)
-_records = st.builds(TraceRecord, tick=_ints, seq=_ints, node=_texts, type=_texts,
+
+
+class _Text(str):
+    pass
+
+
+# DATA's detail: the encoder writes it, keys ("dir", "frame", "index") in that
+# order, str dir and frame and an int or None index, without its per-key loop.
+# The golden runs cover its usual values; these are the awkward ones.
+_data_details = st.tuples(_texts, _texts, st.none() | _ints).map(
+    lambda values: dict(zip(("dir", "frame", "index"), values)))
+_odd_values = st.one_of(_texts.map(_Text), st.booleans(), st.sampled_from(list(Spin)),
+                        st.floats(), _values)
+
+
+@st.composite
+def _near_data_details(draw):
+    """DATA's detail with one thing off: a value of an odd type, the key
+    order, a key missing or a fourth key."""
+    detail = draw(_data_details)
+    keys = list(detail)
+    miss = draw(st.sampled_from(["value", "order", "missing", "fourth"]))
+    if miss == "value":
+        detail[draw(st.sampled_from(keys))] = draw(_odd_values)
+    elif miss == "order":
+        keys = draw(st.permutations(keys))
+    elif miss == "missing":
+        keys.remove(draw(st.sampled_from(keys)))
+    else:
+        key = draw(_texts.filter(lambda key: key not in detail))
+        detail[key] = draw(_values)
+        keys.insert(draw(st.integers(0, len(keys))), key)
+    return {key: detail[key] for key in keys}
+
+
+_records = st.builds(TraceRecord, tick=_ints, seq=_ints, node=_texts,
+                     type=st.one_of(st.just("DATA"), _texts),
                      session=st.none() | _ints,
-                     detail=st.dictionaries(_texts, _values, max_size=4))
+                     detail=st.one_of(_data_details, _near_data_details(),
+                                      st.dictionaries(_texts, _values, max_size=4)))
 
 
 @given(_records)
 def test_json_line_matches_json_dumps(record):
     assert record.to_json_line() == reference_line(record)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trace_lines_equal_json_dumps(name):
+    sim = build(name)
+    lines = list(sim.trace_lines())
+    assert len(lines) == len(sim.trace)
+    for line, record in zip(lines, sim.trace):
+        assert line == reference_line(record)
 
 
 def test_trace_escapes_awkward_node_ids():

@@ -4,8 +4,9 @@ Hypothesis draws whole scenario dicts (planets, Children, users, accept
 policies, declared links, a tick-sorted workload with colliding ticks) and,
 on some Children, a negotiation budget. Every case must give refsim's trace
 and stats bytes and latency reports, pass `check_all`, give the same bytes
-on a second run and, when no budget is overridden, deliver exactly what the
-policies allow.
+on a second run and on a run with another seed (drawing nothing from any
+circuit's stream) and, when no budget is overridden, deliver exactly what
+the policies allow.
 `--hypothesis-profile=long` runs more cases than the default `fast` one.
 """
 
@@ -70,8 +71,8 @@ def scenarios(draw):
     return raw, budgets
 
 
-def _run(package, raw, budgets):
-    sim = package.Simulation(package.scenario_from_dict(raw))
+def _run(package, raw, budgets, seed=None):
+    sim = package.Simulation(package.scenario_from_dict(raw), seed=seed)
     for child_id, ticks in budgets.items():
         sim.nodes[child_id].negotiation_budget = ticks
     sim.run_until_idle()
@@ -91,6 +92,11 @@ def test_random_scenario_matches_refsim(case):
                     == astuple(ref.latency_report(session_id)))
     check_all(sim)
     assert (trace, stats) == _run(entnet, raw, budgets)[1:]
+    # a clean run never draws from a circuit's stream, so no seed can show
+    reseeded, *reseeded_bytes = _run(entnet, raw, budgets, seed=raw["seed"] ^ 1)
+    assert reseeded_bytes == [trace, stats]
+    assert reseeded.released_plate_draws == 0
+    assert all(circuit.pool.plate_draws == 0 for circuit in reseeded.circuits.values())
     if not budgets:
         sessions = checks.sessions_from_trace([json.loads(line) for line in trace])
         deliveries = [(qid, sid, payload) for qid, user in sim.users.items()
