@@ -13,16 +13,7 @@ from .codec import (
 from .engine import SPEED_OF_LIGHT_M_PER_S, LatencyReport, Simulation, TraceRecord
 from .entanglement import PLATE_WIDTH, PairPool, Particle, Plate, Spin
 from .node import AcceptAll, AcceptList, RejectAll, UserNode
-from .qbs import (
-    ChildQbs,
-    Circuit,
-    FailureReason,
-    LocalUser,
-    QbsNode,
-    RemotePlanet,
-    SessionRecord,
-    SessionState,
-)
+from .qbs import Circuit, FailureReason, QbsNode, SessionRecord, SessionState
 from .scenario import (
     Scenario,
     desk_scale_scenario,
@@ -40,14 +31,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AcceptAll",
     "AcceptList",
-    "ChildQbs",
     "Circuit",
     "FRAME_BITS",
     "FRAME_BYTES",
     "FailureReason",
     "Frame",
     "LatencyReport",
-    "LocalUser",
     "MessageBuffer",
     "PLATE_WIDTH",
     "PairPool",
@@ -55,7 +44,6 @@ __all__ = [
     "Plate",
     "QbsNode",
     "RejectAll",
-    "RemotePlanet",
     "SPEED_OF_LIGHT_M_PER_S",
     "Scenario",
     "SessionRecord",

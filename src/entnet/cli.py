@@ -14,25 +14,14 @@ from .scenario import EXAMPLE_KINDS, example_scenario, load_scenario, scenario_t
 
 
 def _cmd_validate(args) -> int:
-    try:
-        load_scenario(args.scenario)
-    except ValidationError as exc:
-        for finding in exc.findings:
-            print(f"invalid: {finding}", file=sys.stderr)
-        return 2
+    load_scenario(args.scenario)
     if not args.quiet:
         print(f"{args.scenario}: ok")
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        sim = Simulation(scenario, seed=args.seed)
-    except ValidationError as exc:
-        for finding in exc.findings:
-            print(f"invalid: {finding}", file=sys.stderr)
-        return 2
+    sim = Simulation(load_scenario(args.scenario), seed=args.seed)
     final_tick = sim.run_until_idle()
     if args.trace:
         sim.write_trace(args.trace)
@@ -87,6 +76,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValidationError as exc:
+        for finding in exc.findings:
+            print(f"invalid: {finding}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -60,8 +60,6 @@ def segment_message(payload: bytes) -> list[Frame]:
 
     The final data frame is zero-padded; an empty payload is just the header.
     """
-    if len(payload) >= 2**64:
-        raise ValueError("payload length must fit an unsigned 64-bit count")
     header = len(payload).to_bytes(_LENGTH_BYTES, "big") + bytes(FRAME_BYTES - _LENGTH_BYTES)
     frames = [_built(header)]
     for off in range(0, len(payload), FRAME_BYTES):

@@ -34,17 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .node import AcceptAll, AcceptPolicy, UserNode
-from .qbs import (
-    ChildQbs,
-    Circuit,
-    FailureReason,
-    LocalUser,
-    QbsNode,
-    RemotePlanet,
-    SessionRecord,
-    SessionState,
-)
-from .scenario import Scenario, is_parsed, is_u64, validate_scenario, validate_user
+from .qbs import Circuit, FailureReason, QbsNode, SessionRecord, SessionState
+from .scenario import Scenario, is_u64, validate_scenario, validate_user
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -126,7 +117,7 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
         # scenario_from_dict validated its own output, and that cannot change
-        findings = [] if is_parsed(scenario) else validate_scenario(scenario)
+        findings = [] if scenario.parsed else validate_scenario(scenario)
         if seed is not None and not is_u64(seed):
             findings.append("seed: must be an unsigned 64-bit integer")
         if findings:
@@ -303,10 +294,10 @@ class Simulation:
         mother = self.nodes[child.mother_id]
         user = self.nodes[node_id] = UserNode(node_id, qid, child.qbs_id, policy)
         self.users[qid] = user
-        child.registry[qid] = LocalUser(node_id)
-        mother.registry[qid] = ChildQbs(child.qbs_id)
+        child.registry[qid] = node_id
+        mother.registry[qid] = child.qbs_id
         for peer in mother.peer_mothers.values():
-            peer.registry[qid] = RemotePlanet(mother.qbs_id)
+            peer.registry[qid] = mother.qbs_id
         user.home_circuit = self._create_circuit(node_id, child.qbs_id).circuit_id
 
     def _schedule_workload(self) -> None:

@@ -16,7 +16,7 @@ from .engine import Simulation, TraceRecord
 from .entanglement import Plate
 from .errors import InvariantViolation
 from .node import UserNode
-from .qbs import ChildQbs, LocalUser, QbsNode, RemotePlanet, SessionState
+from .qbs import QbsNode, SessionState
 
 # replay-only state after a REJECT: the caller's Child's timeout may still log another
 _REFUSED = "refused"
@@ -133,30 +133,35 @@ def check_circuit_conservation(sim: Simulation) -> None:
 
 
 def check_registry_coherence(sim: Simulation) -> None:
-    """Mother -> Child -> LocalUser pointers terminate at the owning node."""
+    """Mother -> Child -> user pointers terminate at the owning node."""
     mothers = [n for n in sim.nodes.values()
                if isinstance(n, QbsNode) and n.mother_id is None]
+
+    def child_of(mother: QbsNode, node_id: str | None) -> QbsNode | None:
+        node = sim.nodes.get(node_id)
+        return node if isinstance(node, QbsNode) and node.mother_id == mother.qbs_id else None
+
     for mother in mothers:
         for qid, entry in mother.registry.items():
-            if isinstance(entry, RemotePlanet):
-                owner = mother.peer_mothers[entry.mother_id]
-                if not isinstance(owner.registry.get(qid), ChildQbs):
+            owner = mother.peer_mothers.get(entry)
+            if owner is not None:  # a delegation
+                if child_of(owner, owner.registry.get(qid)) is None:
                     raise InvariantViolation(
                         f"QID {qid}: delegation from {mother.qbs_id} does not "
-                        f"resolve at {entry.mother_id}")
+                        f"resolve at {entry}")
                 continue
-            if not isinstance(entry, ChildQbs):
+            child = child_of(mother, entry)
+            if child is None:
                 raise InvariantViolation(
                     f"QID {qid}: mother {mother.qbs_id} holds {entry!r}")
-            child = sim.nodes[entry.qbs_id]
-            local = child.registry.get(qid)
-            if not isinstance(local, LocalUser):
+            node_id = child.registry.get(qid)
+            if node_id is None:
                 raise InvariantViolation(
-                    f"QID {qid}: child {entry.qbs_id} does not hold it locally")
-            user = sim.nodes[local.node_id]
+                    f"QID {qid}: child {entry} does not hold it locally")
+            user = sim.nodes.get(node_id)
             if not isinstance(user, UserNode) or user.qid != qid:
                 raise InvariantViolation(
-                    f"QID {qid}: chain ends at {local.node_id} which does not own it")
+                    f"QID {qid}: chain ends at {node_id} which does not own it")
 
 
 def check_active_session_membership(sim: Simulation) -> None:

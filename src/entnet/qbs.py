@@ -1,10 +1,12 @@
 """Child and Mother base stations: registries, sessions, and circuits.
 
-A Child resolves locally attached QIDs and negotiates on behalf of its
-users. A Mother holds every QID of its planet plus a delegation entry for
-every QID owned by a peer planet; it answers lookups and brokers on-demand
-child<->child circuits for cross-station sessions, but never relays user
-data itself. All mutable state here is owned by the simulation event loop.
+A station's registry maps each QID it knows to the id of the node to ask
+next. A Child maps its users' QIDs to their node ids and negotiates on their
+behalf. A Mother maps every QID of its planet to that user's Child, and each
+QID owned by a peer planet to that planet's Mother (a delegation); it answers
+lookups and brokers on-demand child<->child circuits for cross-station
+sessions, but never relays user data itself. All mutable state here is owned
+by the simulation event loop.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .codec import MessageBuffer
 from .entanglement import PairPool, Plate
@@ -20,27 +22,6 @@ from .errors import IllegalTransition
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulation
-
-# registry entry variants -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalUser:
-    node_id: str
-
-
-@dataclass(frozen=True)
-class ChildQbs:
-    qbs_id: str
-
-
-@dataclass(frozen=True)
-class RemotePlanet:
-    mother_id: str
-
-
-Location = Union[LocalUser, ChildQbs, RemotePlanet]
-
 
 # session state machine --------------------------------------------------------
 
@@ -163,16 +144,16 @@ class QbsNode:
     def __init__(self, qbs_id: str, mother_id: str | None = None) -> None:
         self.qbs_id = qbs_id
         self.mother_id = mother_id  # home Mother, set on children only
-        self.registry: dict[int, Location] = {}
+        # QID -> node id: a Child's user, or a Mother's Child or peer Mother
+        self.registry: dict[int, str] = {}
         self.peer_mothers: dict[str, "QbsNode"] = {}
         self.negotiation_budget = 100  # ticks a callee may take to answer
 
     # pure reads ---------------------------------------------------------
 
     def lookup_local(self, qid: int) -> str | None:
-        """Node id of a locally attached user, or None."""
-        entry = self.registry.get(qid)
-        return entry.node_id if isinstance(entry, LocalUser) else None
+        """Node id of a locally attached user, or None (always, at a Mother)."""
+        return None if self.mother_id is None else self.registry.get(qid)
 
     # event handlers -------------------------------------------------------
 
@@ -210,11 +191,11 @@ class QbsNode:
 
     def _on_mother_lookup(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        entry = self.registry.get(rec.callee)
-        if isinstance(entry, RemotePlanet):  # delegated to another planet's Mother
+        owner = self.registry.get(rec.callee)
+        if owner in self.peer_mothers:  # delegated to another planet's Mother
             sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
-                     qid=rec.callee, remote=entry.mother_id)
-            sim.schedule(sim.now + 1, entry.mother_id, "peer_lookup", {"session": rec.session_id})
+                     qid=rec.callee, remote=owner)
+            sim.schedule(sim.now + 1, owner, "peer_lookup", {"session": rec.session_id})
         else:
             self._answer_child(sim, rec, self._resolve_child(sim, rec))
 
@@ -227,12 +208,12 @@ class QbsNode:
         self._answer_child(sim, sim.sessions[p["session"]], p["callee_qbs"])
 
     def _resolve_child(self, sim: "Simulation", rec: SessionRecord) -> str | None:
-        """Log this Mother's lookup; the callee's Child on this planet, or None."""
-        entry = self.registry.get(rec.callee)
-        if isinstance(entry, ChildQbs):
-            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
-                     child=entry.qbs_id, qid=rec.callee)
-            return entry.qbs_id
+        """Log this Mother's lookup; the callee's Child on this planet, or None.
+        Never called on a delegation: the QID's own Mother holds its Child."""
+        child = self.registry.get(rec.callee)
+        if child is not None:
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id, child=child, qid=rec.callee)
+            return child
         sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, qid=rec.callee)
         return None
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-import weakref
 from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
@@ -61,6 +60,10 @@ class Scenario:
     planets: tuple[PlanetSpec, ...] = ()
     links: tuple[LinkSpec, ...] = ()
     workload: tuple[WorkloadItem, ...] = ()
+    # set by scenario_from_dict on a scenario it validated and built from nothing
+    # but tuples, frozen specs, frozensets, bytes and scalars, so it stays valid;
+    # any other scenario, `dataclasses.replace` copies included, starts unset
+    parsed: bool = field(default=False, init=False, repr=False, compare=False)
 
 
 # parsing ----------------------------------------------------------------------
@@ -72,11 +75,6 @@ _CHILD_KEYS = frozenset({"qbs_id", "users"})
 _USER_KEYS = frozenset({"node_id", "qid", "accept_policy"})
 _LINK_KEYS = frozenset({"a", "b", "distance_meters"})
 _ITEM_KEYS = frozenset({"at_tick", "from_qid", "to_qid", "payload"})
-
-# scenarios scenario_from_dict built and validated with nothing passed through
-# as given, by id. Their parts are tuples, frozen specs, frozensets, bytes and
-# scalars, so they stay valid.
-_parsed: weakref.WeakValueDictionary[int, Scenario] = weakref.WeakValueDictionary()
 
 
 def _parse_policy(raw):
@@ -161,15 +159,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if findings:
         raise ValidationError(findings)
     if not given:
-        _parsed[id(scenario)] = scenario
+        object.__setattr__(scenario, "parsed", True)
     return scenario
-
-
-def is_parsed(scenario: Scenario) -> bool:
-    """True for a scenario that scenario_from_dict built and validated, so it
-    needs no second pass. False for any other one, `dataclasses.replace` copies
-    and scenarios holding objects the caller passed in included."""
-    return _parsed.get(id(scenario)) is scenario
 
 
 def load_scenario(path: str) -> Scenario:

@@ -34,6 +34,23 @@ def test_validate_duplicate_qid_names_it(tmp_path, capsys):
     assert "7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_every_finding_is_printed_and_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "seed": 0, "colour": "red",
+        "planets": [{"mother_id": "m", "children": [{"qbs_id": "q", "users": [
+            {"node_id": "a", "qid": 7}, {"node_id": "b", "qid": 7}]}]}],
+    }))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "invalid: colour: unknown field\n"
+        "invalid: planets[0].children[0].users[1].qid: duplicate QID 7 "
+        "(also used at planets[0].children[0].users[0])\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text", ["{", "[" * 100_000 + "]" * 100_000], ids=["cut", "deep"])
 def test_validate_unreadable_json_is_a_finding(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

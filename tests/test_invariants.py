@@ -6,6 +6,7 @@ from entnet.invariants import (
     check_active_session_membership,
     check_all,
     check_anti_correlation,
+    check_registry_coherence,
     check_trace_state_machine,
 )
 
@@ -159,3 +160,38 @@ def test_records_after_a_refusal_are_caught(record_type):
     records.insert(reject + 1, records[reject]._replace(type=record_type))
     with pytest.raises(InvariantViolation, match=f"{record_type} .* state refused"):
         check_trace_state_machine(records)
+
+
+def corrupt_registry(kind, station, qid, source, source_qid):
+    """A finished run whose `station` registry maps `qid` to `source`'s entry for
+    `source_qid`: a copy, or a deletion when `source` is None."""
+    sim = Simulation(example_scenario(kind))
+    sim.run_until_idle()
+    check_registry_coherence(sim)
+    registry = sim.nodes[station].registry
+    if source is None:
+        del registry[qid]
+    else:
+        registry[qid] = sim.nodes[source].registry[source_qid]
+    return sim
+
+
+@pytest.mark.parametrize("kind, station, qid, source, source_qid, message", [
+    # the Mother a delegation names no longer holds the QID
+    ("interplanet", "mars-mother", 13, None, None,
+     "QID 13: delegation from earth-mother does not resolve at mars-mother"),
+    # the Mother routes QID 11 to the Child of QID 13
+    ("cross-qbs", "earth-mother", 11, "earth-mother", 13,
+     "QID 11: child qbs-2 does not hold it locally"),
+    # the Mother holds a Child's entry: the user, not a Child
+    ("cross-qbs", "earth-mother", 11, "qbs-1", 11, "QID 11: mother earth-mother holds"),
+    # the Child routes QID 11 to the user of QID 12
+    ("same-qbs", "qbs-1", 11, "qbs-1", 12,
+     "QID 11: chain ends at user-b which does not own it"),
+], ids=["dangling-delegation", "child-lacks-qid", "mother-holds-user", "chain-ends-at-non-owner"])
+def test_incoherent_registry_is_caught(kind, station, qid, source, source_qid, message):
+    sim = corrupt_registry(kind, station, qid, source, source_qid)
+    with pytest.raises(InvariantViolation, match=message):
+        check_registry_coherence(sim)
+    with pytest.raises(InvariantViolation, match=message):
+        check_all(sim)

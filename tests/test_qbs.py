@@ -5,12 +5,9 @@ from conftest import is_subsequence, record_types
 
 from entnet import (
     PLATE_WIDTH,
-    ChildQbs,
     Circuit,
     Frame,
-    LocalUser,
     QbsNode,
-    RemotePlanet,
     SessionState,
     Simulation,
     encode_frame,
@@ -84,7 +81,7 @@ def test_late_registered_user_fits_the_topology():
 
 def test_register_then_mother_entry():
     sim = Simulation(two_station_scenario())
-    assert sim.nodes["m"].registry[3] == ChildQbs("qbs-2")
+    assert sim.nodes["m"].registry[3] == "qbs-2"
 
 
 def test_duplicate_registration_rejected():
@@ -134,8 +131,8 @@ def test_registration_of_a_user_the_scenario_rejects(qid, node_id, policy):
 def test_registration_takes_the_childs_own_mother():
     sim = Simulation(example_scenario("interplanet"))
     sim.register_user("qbs-2", 99, "user-x")  # a Mars Child
-    assert sim.nodes["mars-mother"].registry[99] == ChildQbs("qbs-2")
-    assert sim.nodes["earth-mother"].registry[99] == RemotePlanet("mars-mother")
+    assert sim.nodes["mars-mother"].registry[99] == "qbs-2"
+    assert sim.nodes["earth-mother"].registry[99] == "mars-mother"
     sid = sim.request_session(11, 99)
     sim.run_until_idle()
     assert sim.sessions[sid].path == ["user-a", "qbs-1", "qbs-2", "user-x"]
@@ -158,8 +155,8 @@ def test_peer_mother_entry_delegates_to_owner_child():
     sim = Simulation(example_scenario("interplanet"))
     earth = sim.nodes["earth-mother"]
     entry = earth.registry[13]
-    assert entry == RemotePlanet("mars-mother")
-    assert earth.peer_mothers[entry.mother_id].registry[13] == ChildQbs("qbs-2")
+    assert entry == "mars-mother"
+    assert earth.peer_mothers[entry].registry[13] == "qbs-2"
     assert earth.lookup_local(13) is None
 
 
@@ -167,8 +164,8 @@ def test_mother_registry_mirrors_children():
     sim = Simulation(two_station_scenario())
     mother = sim.nodes["m"]
     for qid, child_id in ((1, "qbs-1"), (2, "qbs-1"), (3, "qbs-2"), (4, "qbs-2")):
-        assert mother.registry[qid] == ChildQbs(child_id)
-        assert isinstance(sim.nodes[child_id].registry[qid], LocalUser)
+        assert mother.registry[qid] == child_id
+        assert sim.nodes[child_id].registry[qid] == sim.users[qid].node_id
 
 
 # session setup ------------------------------------------------------------------

@@ -234,6 +234,33 @@ def test_binary_payload_round_trips_via_hex():
     assert scenario_from_dict(raw) == scenario
 
 
+# the parsed mark ------------------------------------------------------------------
+
+
+def test_parsed_mark_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        Scenario(seed=1, parsed=True)
+
+
+@pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
+def test_parsed_scenario_equals_its_hand_built_twin(kind):
+    twin = example_scenario(kind)
+    parsed = scenario_from_dict(scenario_to_dict(twin))
+    assert parsed.parsed and not twin.parsed
+    assert parsed == twin
+    assert hash(parsed) == hash(twin)
+    assert repr(parsed) == repr(twin)
+
+
+def test_only_a_scenario_built_from_json_values_is_marked():
+    parsed = scenario_from_dict(minimal_dict())
+    assert parsed.parsed
+    assert not replace(parsed).parsed
+    assert not with_uniform_distances(parsed, 1.0).parsed
+    given = scenario_from_dict(minimal_dict(links=[LinkSpec("a", "q", 5.0)]))
+    assert given == parsed and not given.parsed
+
+
 def test_with_uniform_distances_changes_only_links():
     base = example_scenario("interplanet")
     flat = with_uniform_distances(base, 2.0)
