@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent tree and this tree, written to BENCH_<n>.json.
+
+    python3 scripts/bench_pairs.py --parent ../entnet-parent --pairs 10 \\
+        --seconds 8 --seeds 1 2 3 9001 --out BENCH_15.json
+
+For each perfbench workload, a pair is one `perfbench/run.py --trace 0` run on
+the parent tree and one on this tree, each from its own checkout, one process
+at a time, with the parent first in even pairs and this tree first in odd
+ones. Pair i uses seed `seeds[i % len(seeds)]`. Per workload and end-to-end
+metric the output holds each side's median and quartiles, the pairs this tree
+won (ties count for neither side), and the claim verdict: at least 10 pairs,
+nine tenths of them won, and a median gap, in the better direction, wider
+than the parent's interquartile range. It also records, per tree, the git
+SHA, the `src/entnet` line count, the Python version and `os.cpu_count()`.
+
+The script gates on no time. It exits 1 when a run fails its correctness gate
+or the two trees disagree on a run's trace or stats digest; both are kept in
+the output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("sessions", "bulk", "fanin")
+SIDES = ("parent", "change")
+# a gain is claimed only over at least this many pairs, with this share won
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
+def git(tree: Path, *args: str) -> str | None:
+    try:
+        done = subprocess.run(["git", *args], cwd=tree, capture_output=True,
+                              text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
+def describe(tree: Path) -> dict:
+    """What was measured: the commit, whether the work tree differs from it,
+    and the simulator sources by line count and content digest."""
+    sources = sorted((tree / "src" / "entnet").glob("*.py"))
+    digest = hashlib.sha256()
+    lines = 0
+    for path in sources:
+        data = path.read_bytes()
+        digest.update(path.name.encode() + b"\0" + data)
+        lines += data.count(b"\n")
+    status = git(tree, "status", "--porcelain", "--", "src")
+    return {"git_sha": git(tree, "rev-parse", "HEAD"),
+            "src_dirty": None if status is None else bool(status),
+            "src_lines": lines, "src_sha256": digest.hexdigest()}
+
+
+def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run: its info line, metric values and gate."""
+    done = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False)
+    lines = done.stdout.splitlines()
+    if len(lines) < 2:
+        return {"correct": False, "exit": done.returncode,
+                "error": done.stderr.strip()[-2000:], "metrics": {}}
+    info, body = json.loads(lines[0]), json.loads(lines[1])
+    return {"correct": body["correct"] and done.returncode == 0, "exit": done.returncode,
+            "digests": [info["trace_sha256"], info["stats_sha256"]],
+            "metrics": {name: m["value"] for name, m in body["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(pairs: list[dict], metric: dict) -> dict:
+    """Both sides' spread, the pairs won and the claim verdict for one metric."""
+    name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+    values = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
+              if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+    if not values:
+        return {"unit": metric["unit"], "better": metric["better"], "pairs": 0}
+    parent = quartiles([a for a, _ in values])
+    change = quartiles([b for _, b in values])
+    won = sum(1 for a, b in values if sign * (a - b) > 0)
+    gap = sign * (parent["median"] - change["median"])  # > 0: this tree is better
+    worse_by = -gap / parent["median"] if parent["median"] else 0.0
+    return {
+        "unit": metric["unit"], "better": metric["better"], "pairs": len(values),
+        "parent": parent, "change": change,
+        "relative_change": (change["median"] / parent["median"] - 1
+                            if parent["median"] else None),
+        "pairs_won": won,
+        "claimable": (len(values) >= MIN_PAIRS and won >= WIN_SHARE * len(values)
+                      and gap > parent["iqr"]),
+        "bound": metric["bound"], "within_bound": worse_by <= metric["bound"],
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True,
+                        help="perfbench --seconds for every run")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    workloads = {}
+    failed = False
+    for workload in WORKLOADS:
+        pairs = []
+        for index in range(args.pairs):
+            seed = args.seeds[index % len(args.seeds)]
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = perfbench(trees[side], workload, seed, args.seconds)
+            pair["digests_equal"] = pair["parent"].get("digests") == pair["change"].get("digests")
+            failed |= not (pair["parent"]["correct"] and pair["change"]["correct"]
+                           and pair["digests_equal"])
+            pairs.append(pair)
+            run_s = [pair[side]["metrics"].get("run_s") for side in SIDES]
+            print(f"{workload} pair {index + 1}/{args.pairs} seed {seed}: "
+                  f"run_s parent {run_s[0]} change {run_s[1]}", file=sys.stderr)
+        workloads[workload] = {
+            "metrics": {m["name"]: summarize(pairs, m) for m in metrics},
+            "pairs": pairs,
+        }
+
+    report = {
+        "command": "perfbench/run.py --trace 0",
+        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": args.seeds},
+        "host": {"python": platform.python_version(), "cpu_count": os.cpu_count()},
+        "trees": {side: describe(tree) for side, tree in trees.items()},
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    for workload, result in workloads.items():
+        for name, m in result["metrics"].items():
+            if m["pairs"] and m["relative_change"] is not None:
+                print(f"{workload:9} {name:18} {m['relative_change']:+7.1%}  "
+                      f"won {m['pairs_won']}/{m['pairs']}  "
+                      f"{'claimable' if m['claimable'] else ''}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,7 +52,9 @@ def encode_frame(pool: PairPool, tx: Plate, frame: Frame) -> None:
 
 def decode_frame(pool: PairPool, rx: Plate) -> Frame:
     """Observe the whole Rx plate and invert each raw bit."""
-    return _built((pool.observe_plate(rx) ^ ALL).to_bytes(FRAME_BYTES, "big"))
+    frame = object.__new__(Frame)  # as _built, without the call: one per hop
+    _set_data(frame, (pool.observe_plate(rx) ^ ALL).to_bytes(FRAME_BYTES, "big"))
+    return frame
 
 
 def segment_message(payload: bytes) -> list[Frame]:

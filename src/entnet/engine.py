@@ -174,10 +174,11 @@ class Simulation:
     def cancel(self, key: tuple[int, int]) -> None:
         self._cancelled.add(key)
 
-    def emit(self, node: str, record_type: str, session: int | None = None,
-             **detail) -> None:
-        """Append a trace record. Callers pass detail keys in sorted order,
-        the order the trace line writes them in; emit does not reorder them."""
+    def emit(self, node: str, record_type: str, session: int | None,
+             detail: dict) -> None:
+        """Append a trace record that keeps `detail` itself. Callers pass a new
+        dict with its keys in sorted order, the order the trace line writes
+        them in; emit neither copies nor reorders it."""
         now = self.now
         seq = self._seq_by_tick[now]  # `now` always has an entry
         self._seq_by_tick[now] = seq + 1
@@ -193,40 +194,43 @@ class Simulation:
 
     def _run(self, tick_limit: float) -> int:
         calendar, ticks, cancelled = self._calendar, self._ticks, self._cancelled
-        seq_by_tick, idle = self._seq_by_tick, self._idle_ticks
-        # data-plane verbs the engine handles itself rather than via a node class
-        handlers = {verb: getattr(self, "_on_" + verb)
-                    for verb in ("frame_arrival", "channel_send")}
-        while ticks:
-            tick = ticks[0]
-            if tick > tick_limit:
-                break
-            events = calendar[tick]
-            while events:  # handlers may append to the tick being drained
-                seq, target, verb, payload = events.popleft()
-                if cancelled and (tick, seq) in cancelled:
-                    cancelled.discard((tick, seq))
-                    continue
-                if tick != self.now:  # nothing is scheduled before `tick` any more
-                    del seq_by_tick[self.now]
-                    while idle and idle[0] < tick:
-                        seq_by_tick.pop(heapq.heappop(idle), None)
-                    self.now = tick
-                    self._tick_events = 0
-                self._tick_events += 1
-                if self._tick_events > self.tick_budget:
-                    raise TickBudgetExceeded(
-                        f"more than {self.tick_budget} events at tick {tick}")
-                handler = handlers.get(verb)
-                if handler is not None:
-                    handler(target, payload)
-                else:
-                    self.nodes[target].handle(self, verb, payload)
-            heapq.heappop(ticks)
-            del calendar[tick]
-            if tick != self.now:  # all cancelled: `now` stays, so does the seq
-                heapq.heappush(idle, tick)
-        return self.now
+        seq_by_tick, idle, nodes = self._seq_by_tick, self._idle_ticks, self.nodes
+        # `now` and the events run at it, mirrored here; handlers read self.now
+        now, count, budget = self.now, self._tick_events, self.tick_budget
+        try:
+            while ticks:
+                tick = ticks[0]
+                if tick > tick_limit:
+                    break
+                events = calendar[tick]
+                while events:  # handlers may append to the tick being drained
+                    seq, target, verb, payload = events.popleft()
+                    if cancelled and (tick, seq) in cancelled:
+                        cancelled.discard((tick, seq))
+                        continue
+                    if tick != now:  # nothing is scheduled before `tick` any more
+                        del seq_by_tick[now]
+                        while idle and idle[0] < tick:
+                            seq_by_tick.pop(heapq.heappop(idle), None)
+                        self.now = now = tick
+                        count = 0
+                    count += 1
+                    if count > budget:
+                        raise TickBudgetExceeded(f"more than {budget} events at tick {tick}")
+                    # the data plane's verbs are the engine's own; the rest are nodes'
+                    if verb == "frame_arrival":
+                        self._on_frame_arrival(target, payload)
+                    elif verb == "channel_send":
+                        self._on_channel_send(target, payload)
+                    else:
+                        nodes[target].handle(self, verb, payload)
+                heapq.heappop(ticks)
+                del calendar[tick]
+                if tick != now:  # all cancelled: `now` stays, so does the seq
+                    heapq.heappush(idle, tick)
+        finally:  # the budget counts a tick's events across run_until calls
+            self._tick_events = count
+        return now
 
     # topology -------------------------------------------------------------
 
@@ -321,7 +325,7 @@ class Simulation:
         rec.circuits.append(user.home_circuit)
         self.sessions[session_id] = rec
         self.emit(user.node_id, "SESSION_REQUEST", session_id,
-                  callee=callee_qid, caller=caller_qid)
+                  {"callee": callee_qid, "caller": caller_qid})
         self.schedule(self.now + 1, user.home_qbs, "session_lookup", {"session": session_id})
         return session_id
 
@@ -331,7 +335,7 @@ class Simulation:
         circuit = self._create_circuit(qbs_a, qbs_b, owner_session=session_id)
         self.sessions[session_id].circuits.append(circuit.circuit_id)
         self.emit(mother_id, "CIRCUIT_PROVISIONED", session_id,
-                  a=qbs_a, b=qbs_b, circuit=circuit.circuit_id)
+                  {"a": qbs_a, "b": qbs_b, "circuit": circuit.circuit_id})
         return circuit.circuit_id
 
     def establish_session(self, rec: SessionRecord) -> None:
@@ -348,7 +352,7 @@ class Simulation:
         rec.route = {FORWARD: [(a, b, c, c.channel(a, b)) for a, b, c in hops],
                      REVERSE: [(b, a, c, c.channel(b, a)) for a, b, c in reversed(hops)]}
         rec.transition(SessionState.ESTABLISHED)
-        self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, path=list(rec.path))
+        self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, {"path": list(rec.path)})
         if rec.workload_payload is not None:
             self.schedule(self.now + 1, rec.caller_node, "session_ready",
                           {"session": rec.session_id})
@@ -363,7 +367,7 @@ class Simulation:
             circuit = self.circuits.get(circuit_id)
             owned = circuit is not None and circuit.owner_session == rec.session_id
             self.emit(releasing_node, "CIRCUIT_RELEASED", rec.session_id,
-                      circuit=circuit_id, scope="session" if owned else "permanent")
+                      {"circuit": circuit_id, "scope": "session" if owned else "permanent"})
             if owned:
                 self.released_plate_draws += circuit.pool.plate_draws
                 del self.circuits[circuit_id]
@@ -385,11 +389,11 @@ class Simulation:
         if rec.state is not SessionState.ESTABLISHED:
             raise SessionNotEstablished(
                 f"session {session_id} is {rec.state.value}, not established")
-        self.emit(rec.caller_qbs, "TEARDOWN", session_id)
+        self.emit(rec.caller_qbs, "TEARDOWN", session_id, {})
         rec.transition(SessionState.TEARING_DOWN)
         self.release_session_circuits(rec, rec.caller_qbs)
         rec.transition(SessionState.CLOSED)
-        self.emit(rec.caller_qbs, "CLOSED", session_id)
+        self.emit(rec.caller_qbs, "CLOSED", session_id, {})
 
     # data plane -------------------------------------------------------------
 
@@ -400,7 +404,7 @@ class Simulation:
         frames = segment_message(payload)
         sender_node = rec.route[direction][0][0]
         self.emit(sender_node, "SEND", session_id,
-                  bytes=len(payload), dir=direction, frames=len(frames))
+                  {"bytes": len(payload), "dir": direction, "frames": len(frames)})
         for index, frame in enumerate(frames):
             self._submit_frame(rec, direction, frame, index)
 
@@ -424,26 +428,25 @@ class Simulation:
                       index: int | None) -> None:
         """Start a frame down its route with the one event payload for all its hops:
         `pos` counts the hops it was encoded onto; hops[pos - 1] it arrives over."""
-        self._forward({"session": rec.session_id, "rec": rec, "dir": direction,
-                       "index": index, "pos": 0, "hops": rec.route[direction]}, frame)
+        self._hop({"session": rec.session_id, "rec": rec, "dir": direction,
+                   "index": index, "pos": 0, "hops": rec.route[direction]}, frame)
 
-    def _forward(self, p: dict, frame: Frame) -> None:
-        circuit, channel = p["hops"][p["pos"]][2:]
-        if not channel.queue and circuit.pool.plate_fresh(channel.tx):
-            self._encode_on_channel(p, frame)
-        elif channel.queue is None:
-            channel.queue = deque([(p, frame)])
-        else:
-            channel.queue.append((p, frame))
-
-    def _encode_on_channel(self, p: dict, frame: Frame) -> None:
+    def _hop(self, p: dict, frame: Frame, dequeued: bool = False) -> None:
+        """Encode the frame onto hop `pos` and schedule its arrival at the far end.
+        A frame not just taken off the channel's queue joins the back of it while
+        it holds frames or the plate pair is still in use."""
         pos, hops = p["pos"], p["hops"]
         src, dst, circuit, channel = hops[pos]
+        if not dequeued and (channel.queue or not circuit.pool.plate_fresh(channel.tx)):
+            if channel.queue is None:
+                channel.queue = deque()
+            channel.queue.append((p, frame))
+            return
         encode_frame(circuit.pool, channel.tx, frame)
         if pos == 0:
             # relays already logged this frame at their decode step
-            self.emit(src, "DATA", p["session"], dir=p["dir"],
-                      frame=frame.data.hex(), index=p["index"])
+            self.emit(src, "DATA", p["session"],
+                      {"dir": p["dir"], "frame": frame.data.hex(), "index": p["index"]})
         p["pos"] = pos = pos + 1
         # a relaying station spends a tick; delivery at the route's end is same-tick
         self.schedule(self.now if pos == len(hops) else self.now + 1, dst,
@@ -452,12 +455,12 @@ class Simulation:
     def _on_channel_send(self, target: str, p: dict) -> None:
         # Only home circuits queue (a session's own channel gets one frame a tick,
         # decoded before the next), and they outlive sessions. The arrival that
-        # scheduled this reset the plate, and `_forward` has queued every frame since.
+        # scheduled this reset the plate, and `_hop` has queued every frame since.
         channel = p["channel"]
         while channel.queue:
             item = channel.queue.popleft()
             if item[0]["rec"].state is _ESTABLISHED:
-                self._encode_on_channel(*item)
+                self._hop(*item, dequeued=True)
                 return
             self.dropped_frames["session_closed"] += 1
 
@@ -466,30 +469,34 @@ class Simulation:
         the frame on its next hop, or deliver it at the route's end."""
         pos, hops, rec = p["pos"], p["hops"], p["rec"]
         src, _, inbound, channel = hops[pos - 1]
-        frame = decode_frame(inbound.pool, channel.rx)
-        inbound.pool.reset_plate_pair(channel.tx, channel.rx)
+        pool = inbound.pool
+        frame = decode_frame(pool, channel.rx)
+        pool.reset_plate_pair(channel.tx, channel.rx)
         if channel.queue:
             self.schedule(self.now, src, "channel_send", {"channel": channel})
         if rec.state is not _ESTABLISHED:
             self.dropped_frames["session_closed"] += 1
             return
-        self.emit(target, "DATA", p["session"], dir=p["dir"],
-                  frame=frame.data.hex(), index=p["index"])
+        self.emit(target, "DATA", p["session"],
+                  {"dir": p["dir"], "frame": frame.data.hex(), "index": p["index"]})
         if pos < len(hops):
-            self._forward(p, frame)
+            self._hop(p, frame)
             return
         user = self.nodes[target]
         if p["index"] is None:  # relayed outside any message
             user.raw_frames.append((rec.session_id, frame))
             return
         direction = p["dir"]
-        payload = rec.rx_buffers.setdefault(direction, MessageBuffer()).push(frame)
+        buffer = rec.rx_buffers.get(direction)
+        if buffer is None:  # the message's header frame
+            buffer = rec.rx_buffers[direction] = MessageBuffer()
+        payload = buffer.push(frame)
         if payload is None:
             return
         del rec.rx_buffers[direction]
         user.inbox.append((self.now, rec.session_id, payload))
         self.emit(target, "DELIVER", rec.session_id,
-                  bytes=len(payload), dir=direction)
+                  {"bytes": len(payload), "dir": direction})
         if rec.workload_payload is not None and direction == FORWARD:
             self.schedule(self.now + 1, rec.caller_qbs, "teardown",
                           {"session": rec.session_id})

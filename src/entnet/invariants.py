@@ -133,9 +133,12 @@ def check_circuit_conservation(sim: Simulation) -> None:
 
 
 def check_registry_coherence(sim: Simulation) -> None:
-    """Mother -> Child -> user pointers terminate at the owning node."""
-    mothers = [n for n in sim.nodes.values()
-               if isinstance(n, QbsNode) and n.mother_id is None]
+    """Mother -> Child -> user pointers terminate at the owning node, attached
+    to that Child, and a Child holds only the QIDs its Mother routes to it."""
+    stations = [n for n in sim.nodes.values() if isinstance(n, QbsNode)]
+    mothers = [n for n in stations if n.mother_id is None]
+    children = [n for n in stations if n.mother_id is not None]
+    routed = 0  # Mother entries that name a Child, each found in that Child's registry
 
     def child_of(mother: QbsNode, node_id: str | None) -> QbsNode | None:
         node = sim.nodes.get(node_id)
@@ -159,9 +162,19 @@ def check_registry_coherence(sim: Simulation) -> None:
                 raise InvariantViolation(
                     f"QID {qid}: child {entry} does not hold it locally")
             user = sim.nodes.get(node_id)
-            if not isinstance(user, UserNode) or user.qid != qid:
+            if not isinstance(user, UserNode) or user.qid != qid or user.home_qbs != entry:
                 raise InvariantViolation(
                     f"QID {qid}: chain ends at {node_id} which does not own it")
+            routed += 1
+
+    # so any further Child entry is one its Mother does not route to that Child
+    if routed != sum(len(child.registry) for child in children):
+        child, qid = next((c, q) for c in children for q in c.registry
+                          if sim.nodes[c.mother_id].registry.get(q) != c.qbs_id)
+        mother = sim.nodes[child.mother_id]
+        raise InvariantViolation(
+            f"QID {qid}: child {child.qbs_id} holds it, but mother {mother.qbs_id} "
+            f"routes it to {mother.registry.get(qid)!r}")
 
 
 def check_active_session_membership(sim: Simulation) -> None:

@@ -80,6 +80,6 @@ class UserNode:
             return  # the owner already timed the negotiation out
         accepted = self.decide(rec.caller)
         sim.emit(self.node_id, "ACCEPT" if accepted else "REJECT", rec.session_id,
-                 caller=rec.caller)
+                 {"caller": rec.caller})
         sim.schedule(sim.now + 1, rec.callee_qbs, "negotiation_answer",
                      {"session": rec.session_id, "accepted": accepted})

@@ -1,0 +1,56 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+RUN_S = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.2}
+RATE = {"name": "records_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
+
+
+def pairs_of(metric, parent, change):
+    return [{"parent": {"metrics": {metric["name"]: a}},
+             "change": {"metrics": {metric["name"]: b}}} for a, b in zip(parent, change)]
+
+
+PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
+
+
+def test_nine_of_ten_pairs_and_a_gap_past_the_parent_iqr_is_claimable():
+    change = [9.0] * 9 + [11.0]
+    result = bench_pairs.summarize(pairs_of(RUN_S, PARENT, change), RUN_S)
+    assert result["pairs_won"] == 9 and result["claimable"]
+    assert result["parent"]["median"] == pytest.approx(10.0)
+    assert result["change"]["median"] == 9.0
+    assert result["relative_change"] == pytest.approx(-0.1)
+    assert result["within_bound"]
+
+
+@pytest.mark.parametrize("change, why", [
+    ([9.0] * 8 + [11.0] * 2, "8 of 10 pairs won"),
+    ([p - 0.1 for p in PARENT], "gap inside the parent's IQR"),
+])
+def test_a_gain_short_of_the_rule_is_not_claimable(change, why):
+    assert not bench_pairs.summarize(pairs_of(RUN_S, PARENT, change), RUN_S)["claimable"], why
+
+
+def test_fewer_than_ten_pairs_claim_nothing():
+    result = bench_pairs.summarize(pairs_of(RUN_S, [10.0], [5.0]), RUN_S)
+    assert result["pairs_won"] == 1 and not result["claimable"]
+    assert result["parent"]["iqr"] == 0
+
+
+def test_higher_is_better_metrics_win_upwards_and_bounds_apply_downwards():
+    up = bench_pairs.summarize(pairs_of(RATE, PARENT, [11.0] * 10), RATE)
+    assert up["pairs_won"] == 10 and up["claimable"] and up["within_bound"]
+    down = bench_pairs.summarize(pairs_of(RATE, PARENT, [7.5] * 10), RATE)
+    assert down["pairs_won"] == 0 and not down["within_bound"]
+
+
+def test_ties_count_for_neither_side():
+    result = bench_pairs.summarize(pairs_of(RUN_S, PARENT, PARENT), RUN_S)
+    assert result["pairs_won"] == 0 and result["relative_change"] == 0

@@ -104,6 +104,19 @@ def test_per_tick_budget_catches_same_tick_storms():
         sim.run_until_idle()
 
 
+def test_per_tick_budget_counts_across_run_until_calls():
+    sim = Simulation(empty_scenario())
+    sim.tick_budget = 3
+    sim.nodes["idle"] = _Idle()
+    sim.schedule(4, "idle", "poke", {})
+    sim.schedule(4, "idle", "poke", {})
+    assert sim.run_until(4) == 4
+    sim.schedule(sim.now, "idle", "poke", {})
+    sim.schedule(sim.now, "idle", "poke", {})
+    with pytest.raises(TickBudgetExceeded):
+        sim.run_until(4)
+
+
 def test_seq_entries_of_past_ticks_are_pruned():
     sim = Simulation(desk_scale_scenario(seed=7, sessions=500))
     limit = 0

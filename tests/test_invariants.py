@@ -188,10 +188,29 @@ def corrupt_registry(kind, station, qid, source, source_qid):
     # the Child routes QID 11 to the user of QID 12
     ("same-qbs", "qbs-1", 11, "qbs-1", 12,
      "QID 11: chain ends at user-b which does not own it"),
-], ids=["dangling-delegation", "child-lacks-qid", "mother-holds-user", "chain-ends-at-non-owner"])
+    # a Child entry for a QID its Mother does not know, naming the user of QID 12
+    ("same-qbs", "qbs-1", 99, "qbs-1", 12,
+     "QID 99: child qbs-1 holds it, but mother earth-mother routes it to None"),
+    # a stray Child entry: qbs-2 also claims user-a, who sits on qbs-1
+    ("cross-qbs", "qbs-2", 11, "qbs-1", 11,
+     "QID 11: child qbs-2 holds it, but mother earth-mother routes it to 'qbs-1'"),
+    # the Mother forgets a QID its Child still holds
+    ("cross-qbs", "earth-mother", 11, None, None,
+     "QID 11: child qbs-1 holds it, but mother earth-mother routes it to None"),
+], ids=["dangling-delegation", "child-lacks-qid", "mother-holds-user", "chain-ends-at-non-owner",
+        "child-holds-unrouted-qid", "stray-child-entry", "mother-lacks-child-qid"])
 def test_incoherent_registry_is_caught(kind, station, qid, source, source_qid, message):
     sim = corrupt_registry(kind, station, qid, source, source_qid)
     with pytest.raises(InvariantViolation, match=message):
         check_registry_coherence(sim)
     with pytest.raises(InvariantViolation, match=message):
         check_all(sim)
+
+
+def test_a_qid_moved_to_another_child_with_its_user_is_caught():
+    # every entry resolves and no Child holds a QID its Mother does not route
+    # to it, but the chain for QID 11 ends at user-a, attached to qbs-1
+    sim = corrupt_registry("cross-qbs", "earth-mother", 11, "earth-mother", 13)
+    sim.nodes["qbs-2"].registry[11] = sim.nodes["qbs-1"].registry.pop(11)
+    with pytest.raises(InvariantViolation, match="QID 11: chain ends at user-a"):
+        check_registry_coherence(sim)
