@@ -14,9 +14,15 @@ nine tenths of them won, and a median gap, in the better direction, wider
 than the parent's interquartile range. It also records, per tree, the git
 SHA, the `src/entnet` line count, the Python version and `os.cpu_count()`.
 
-The script gates on no time. It exits 1 when a run fails its correctness gate
-or the two trees disagree on a run's trace or stats digest; both are kept in
-the output.
+Per workload it also runs `perfbench/run.py --trace 1` once on each tree,
+with the first seed, and writes the count diff under "counts": the wrapped
+targets either tree found absent, both trees' trace and stats sha256, and
+every count metric with its delta. Counts are deterministic for a tree, so
+a delta is never noise.
+
+The script gates on no time. It exits 1 when a run fails its correctness gate,
+the two trees disagree on a run's trace or stats digest, or a traced run finds
+a wrapped target absent; all of these are kept in the output.
 """
 
 from __future__ import annotations
@@ -64,20 +70,48 @@ def describe(tree: Path) -> dict:
             "src_lines": lines, "src_sha256": digest.hexdigest()}
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its info line, metric values and gate."""
+def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run: its gate, digests and metric values. A traced run
+    gives the wrapped targets it found absent and its count metrics instead."""
     done = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=False)
     lines = done.stdout.splitlines()
     if len(lines) < 2:
         return {"correct": False, "exit": done.returncode,
                 "error": done.stderr.strip()[-2000:], "metrics": {}}
     info, body = json.loads(lines[0]), json.loads(lines[1])
-    return {"correct": body["correct"] and done.returncode == 0, "exit": done.returncode,
-            "digests": [info["trace_sha256"], info["stats_sha256"]],
-            "metrics": {name: m["value"] for name, m in body["metrics"].items()}}
+    result = {"correct": body["correct"] and done.returncode == 0, "exit": done.returncode,
+              "digests": [info["trace_sha256"], info["stats_sha256"]]}
+    if trace:
+        result["absent"] = info["absent"]
+        result["counts"] = {name: m["value"] for name, m in body["metrics"].items()
+                            if m["unit"] == "count"}
+    else:
+        result["metrics"] = {name: m["value"] for name, m in body["metrics"].items()}
+    return result
+
+
+def count_diff(parent: dict, change: dict) -> dict:
+    """Two traced runs of one workload, parent's and this tree's: the targets
+    either found absent, both digests, and every count with its delta."""
+    runs = {"parent": parent, "change": change}
+    digests = {side: run.get("digests", [None, None]) for side, run in runs.items()}
+    names = sorted(set(parent.get("counts", {})) | set(change.get("counts", {})))
+    counts = {}
+    for name in names:
+        a, b = (run.get("counts", {}).get(name) for run in (parent, change))
+        counts[name] = {"parent": a, "change": b,
+                        "delta": None if a is None or b is None else b - a}
+    return {
+        "correct": {side: run["correct"] for side, run in runs.items()},
+        "absent": sorted(set(parent.get("absent", ())) | set(change.get("absent", ()))),
+        "trace_sha256": {side: d[0] for side, d in digests.items()},
+        "stats_sha256": {side: d[1] for side, d in digests.items()},
+        "digests_equal": digests["parent"] == digests["change"],
+        "counts": counts,
+    }
 
 
 def quartiles(values: list[float]) -> dict:
@@ -124,8 +158,13 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     workloads = {}
+    count_diffs = {}
     failed = False
     for workload in WORKLOADS:
+        traced = [perfbench(trees[side], workload, args.seeds[0], 0, trace=1) for side in SIDES]
+        diff = count_diffs[workload] = {"seed": args.seeds[0], **count_diff(*traced)}
+        failed |= (bool(diff["absent"]) or not diff["digests_equal"]
+                   or not all(diff["correct"].values()))
         pairs = []
         for index in range(args.pairs):
             seed = args.seeds[index % len(args.seeds)]
@@ -151,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"python": platform.python_version(), "cpu_count": os.cpu_count()},
         "trees": {side: describe(tree) for side, tree in trees.items()},
         "workloads": workloads,
+        "counts": count_diffs,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for workload, result in workloads.items():
@@ -159,6 +199,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload:9} {name:18} {m['relative_change']:+7.1%}  "
                       f"won {m['pairs_won']}/{m['pairs']}  "
                       f"{'claimable' if m['claimable'] else ''}")
+    for workload, diff in count_diffs.items():
+        moved = {name: c["delta"] for name, c in diff["counts"].items() if c["delta"] != 0}
+        print(f"{workload:9} counts: absent {diff['absent']}, digests "
+              f"{'equal' if diff['digests_equal'] else 'DIFFER'}, changed {moved}")
     return 1 if failed else 0
 
 

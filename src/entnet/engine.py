@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .node import AcceptAll, AcceptPolicy, UserNode
-from .qbs import Circuit, FailureReason, QbsNode, SessionRecord, SessionState
+from .qbs import Circuit, CircuitTable, FailureReason, QbsNode, SessionRecord, SessionState
 from .scenario import Scenario, is_u64, validate_scenario, validate_user
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
@@ -141,7 +141,7 @@ class Simulation:
         self.nodes: dict[str, QbsNode | UserNode] = {}
         self.users: dict[int, UserNode] = {}
         self.sessions: dict[int, SessionRecord] = {}
-        self.circuits: dict[int, Circuit] = {}
+        self.circuits = CircuitTable(self.seed)
         self._permanent: set[int] = set()
         self._next_circuit = itertools.count(1)
         self._next_session = itertools.count(1)
@@ -302,7 +302,10 @@ class Simulation:
         mother.registry[qid] = child.qbs_id
         for peer in mother.peer_mothers.values():
             peer.registry[qid] = mother.qbs_id
-        user.home_circuit = self._create_circuit(node_id, child.qbs_id).circuit_id
+        # the id now, in attach order; the circuit when a session first routes over it
+        user.home_circuit = circuit_id = next(self._next_circuit)
+        self.circuits.reserve(circuit_id, user)
+        self._permanent.add(circuit_id)
 
     def _schedule_workload(self) -> None:
         for item in self.scenario.workload:
@@ -364,7 +367,7 @@ class Simulation:
         A frame still in flight keeps its own hop list: it is decoded, its
         plate reset and its channel drained, then dropped as session_closed."""
         for circuit_id in rec.circuits:
-            circuit = self.circuits.get(circuit_id)
+            circuit = self.circuits.peek(circuit_id)  # an unbuilt one is a home circuit
             owned = circuit is not None and circuit.owner_session == rec.session_id
             self.emit(releasing_node, "CIRCUIT_RELEASED", rec.session_id,
                       {"circuit": circuit_id, "scope": "session" if owned else "permanent"})
@@ -457,8 +460,11 @@ class Simulation:
         # decoded before the next), and they outlive sessions. The arrival that
         # scheduled this reset the plate, and `_hop` has queued every frame since.
         channel = p["channel"]
-        while channel.queue:
-            item = channel.queue.popleft()
+        queue = channel.queue
+        while queue:
+            item = queue.popleft()
+            if not queue:  # drained: the next frame that has to wait makes another
+                channel.queue = None
             if item[0]["rec"].state is _ESTABLISHED:
                 self._hop(*item, dequeued=True)
                 return
@@ -524,8 +530,7 @@ class Simulation:
             frozenset((link.a, link.b)): link.distance_meters
             for link in self.scenario.links
         }
-        permanent = (self.circuits[circuit_id] for circuit_id in self._permanent)
-        edges = {frozenset((c.a, c.b)) for c in permanent}
+        edges = {frozenset(self.circuits.ends(circuit_id)) for circuit_id in self._permanent}
         edges.update(link_distances)
         adj: dict[str, list[tuple[str, float]]] = {}
         for edge in sorted(edges, key=sorted):

@@ -95,8 +95,9 @@ def _plate_name(circuit, tx: Plate) -> str:
 
 
 def check_anti_correlation(sim: Simulation) -> None:
-    """Every plate pair of every live circuit, channel or pool-held, carries opposite spins."""
-    circuits = sim.circuits.values()
+    """Every plate pair of every live circuit, channel or pool-held, carries opposite spins.
+    A circuit not built yet holds no plates."""
+    circuits = sim.circuits.built()
     plate_pairs = [(c, ch.tx, ch.rx) for c in circuits for ch in c.channels.values()]
     plate_pairs += [(c, tx, rx) for c in circuits for tx, rx in c.pool.pair_plates]
     for circuit, tx, rx in plate_pairs:
@@ -109,7 +110,7 @@ def check_anti_correlation(sim: Simulation) -> None:
 
 def check_no_blind_decodes(sim: Simulation) -> None:
     """No plate of any circuit, live or released, was decoded before it was encoded."""
-    for circuit in sim.circuits.values():
+    for circuit in sim.circuits.built():
         if circuit.pool.plate_draws:
             raise InvariantViolation(
                 f"circuit {circuit.circuit_id}: {circuit.pool.plate_draws} blind decode(s)")

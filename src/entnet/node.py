@@ -37,17 +37,32 @@ AcceptPolicy = Union[AcceptAll, RejectAll, AcceptList]
 
 @dataclass
 class UserNode:
-    """One end device, attached to exactly one Child base station."""
+    """One end device, attached to exactly one Child base station.
+
+    Its `inbox` and `raw_frames` lists are made on first use: most users of
+    a large network never receive anything."""
 
     node_id: str
     qid: int
     home_qbs: str
     policy: AcceptPolicy = field(default_factory=AcceptAll)
     home_circuit: int | None = None
-    # completed messages: (arrival_tick, session_id, payload)
-    inbox: list[tuple[int, int, bytes]] = field(default_factory=list)
-    # frames relayed outside any message, by session
-    raw_frames: list[tuple[int, Frame]] = field(default_factory=list)
+    _inbox: list | None = field(default=None, init=False, repr=False)
+    _raw_frames: list | None = field(default=None, init=False, repr=False)
+
+    @property
+    def inbox(self) -> list[tuple[int, int, bytes]]:
+        """Completed messages: (arrival_tick, session_id, payload)."""
+        if self._inbox is None:
+            self._inbox = []
+        return self._inbox
+
+    @property
+    def raw_frames(self) -> list[tuple[int, Frame]]:
+        """Frames relayed outside any message: (session_id, frame)."""
+        if self._raw_frames is None:
+            self._raw_frames = []
+        return self._raw_frames
 
     def decide(self, caller: int) -> bool:
         """Accept or reject a session ask; a pure function of the policy."""
@@ -55,8 +70,10 @@ class UserNode:
 
     def receive_poll(self) -> list[tuple[int, bytes]]:
         """Drain completed messages, ordered by arrival tick then session id."""
-        entries = sorted(self.inbox, key=lambda e: (e[0], e[1]))
-        self.inbox.clear()
+        if not self._inbox:
+            return []
+        entries = sorted(self._inbox, key=lambda e: (e[0], e[1]))
+        self._inbox.clear()
         return [(session_id, payload) for _, session_id, payload in entries]
 
     # event handlers -------------------------------------------------------

@@ -90,16 +90,18 @@ def _parse_policy(raw):
     return raw
 
 
-def _parse_payload(raw, path: str, findings: list[str]) -> bytes:
+def _parse_payload(raw, i: int, findings: list[str]) -> bytes:
+    """Workload item i's payload bytes; b"" and a finding when it has none."""
     try:
         if isinstance(raw, str):
             return raw.encode("utf-8")
         if isinstance(raw, dict) and raw.keys() == {"hex"} and isinstance(raw["hex"], str):
             return bytes.fromhex(raw["hex"])
-        findings.append(f"{path}.payload: payload must be a UTF-8 string or {{'hex': '..'}}")
+        findings.append(f"workload[{i}].payload: payload must be a UTF-8 string "
+                        "or {'hex': '..'}")
     except ValueError:  # a bad hex digit, or a lone surrogate that UTF-8 cannot encode
-        findings.append(f"{path}.payload: not valid UTF-8" if isinstance(raw, str)
-                        else f"{path}.payload.hex: not valid hex")
+        findings.append(f"workload[{i}].payload: not valid UTF-8" if isinstance(raw, str)
+                        else f"workload[{i}].payload.hex: not valid hex")
     return b""
 
 
@@ -114,9 +116,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     findings = [f"{key}: unknown field" for key in raw if key not in _SCENARIO_KEYS]
     given = []  # values that pass through as given, which may be mutable containers
 
-    def objects(value, path: str, keys: frozenset, make, empty=()):
+    def objects(value, path: str, keys: frozenset, make, *at: int, empty=()):
         """A JSON list with each object checked for unknown keys and mapped by
-        `make(obj, path)`; null is `empty`, other values and elements pass through."""
+        `make(obj, *at, i)`; null is `empty`, other values and elements pass
+        through. `path` is the list's, with a `{}` for each index in `at`."""
         if type(value) is not list:
             if value is None:
                 return empty
@@ -126,28 +129,29 @@ def scenario_from_dict(raw: dict) -> Scenario:
         for i, obj in enumerate(value):
             if type(obj) is dict:
                 if not obj.keys() <= keys:
-                    findings.extend(f"{path}[{i}].{key}: unknown field"
+                    where = (path + "[{}]").format(*at, i)
+                    findings.extend(f"{where}.{key}: unknown field"
                                     for key in obj if key not in keys)
-                obj = make(obj, f"{path}[{i}]")
+                obj = make(obj, *at, i)
             else:
                 given.append(obj)
             mapped.append(obj)
         return tuple(mapped)
 
-    def planet(p: dict, path: str) -> PlanetSpec:
-        return PlanetSpec(p.get("mother_id"),
-                          objects(p.get("children"), f"{path}.children", _CHILD_KEYS, child))
+    def planet(p: dict, i: int) -> PlanetSpec:
+        return PlanetSpec(p.get("mother_id"), objects(
+            p.get("children"), "planets[{}].children", _CHILD_KEYS, child, i))
 
-    def child(c: dict, path: str) -> ChildSpec:
-        return ChildSpec(c.get("qbs_id"),
-                         objects(c.get("users"), f"{path}.users", _USER_KEYS, user))
+    def child(c: dict, i: int, j: int) -> ChildSpec:
+        return ChildSpec(c.get("qbs_id"), objects(
+            c.get("users"), "planets[{}].children[{}].users", _USER_KEYS, user, i, j))
 
-    def user(u: dict, path: str) -> UserSpec:
+    def user(u: dict, *at: int) -> UserSpec:
         return UserSpec(u.get("node_id"), u.get("qid"), _parse_policy(u.get("accept_policy")))
 
-    def item(w: dict, path: str) -> WorkloadItem:
+    def item(w: dict, i: int) -> WorkloadItem:
         return WorkloadItem(w.get("at_tick"), w.get("from_qid"), w.get("to_qid"),
-                            _parse_payload(w.get("payload", ""), path, findings))
+                            _parse_payload(w.get("payload", ""), i, findings))
 
     scenario = Scenario(
         raw.get("seed"),
@@ -182,101 +186,116 @@ def is_u64(value) -> bool:
     return type(value) is int and 0 <= value < _U64
 
 
-def validate_user(node_id, qid, policy, path: str = "user") -> list[str]:
-    """The rules one user meets wherever it attaches: node id, QID and accept policy."""
-    findings = []
+def _user_faults(node_id, qid, policy) -> list[str]:
+    """validate_user's findings without their path."""
+    faults = []
     if not isinstance(node_id, str) or not node_id:
-        findings.append(f"{path}.node_id: must be a non-empty string")
+        faults.append("node_id: must be a non-empty string")
     if not (isinstance(policy, (AcceptAll, RejectAll)) or
             isinstance(policy, AcceptList) and type(policy.qids) is frozenset
             and all(map(is_u64, policy.qids))):
-        findings.append(f"{path}.accept_policy: must be 'accept_all', "
-                        "'reject_all' or {'accept_list': [unsigned 64-bit QIDs]}")
+        faults.append("accept_policy: must be 'accept_all', "
+                      "'reject_all' or {'accept_list': [unsigned 64-bit QIDs]}")
     if not is_u64(qid):
-        findings.append(f"{path}.qid: must be an unsigned 64-bit integer")
-    return findings
+        faults.append("qid: must be an unsigned 64-bit integer")
+    return faults
+
+
+def validate_user(node_id, qid, policy, path: str = "user") -> list[str]:
+    """The rules one user meets wherever it attaches: node id, QID and accept policy."""
+    return [f"{path}.{fault}" for fault in _user_faults(node_id, qid, policy)]
+
+
+# a node id's path, by the number of list indices that place it; then a user's
+_ID_PATHS = {1: "planets[{}].mother_id", 2: "planets[{}].children[{}].qbs_id",
+             3: "planets[{}].children[{}].users[{}].node_id"}
+_USER_PATH = "planets[{}].children[{}].users[{}]"
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """All problems with a structured scenario: shapes, types, ranges and references."""
+    """All problems with a structured scenario: shapes, types, ranges and references.
+    Paths are kept as list indices and formatted only for a finding."""
     findings: list[str] = []
-    node_ids: dict[str, str] = {}
-    qids: dict[int, str] = {}
+    node_ids: dict[str, tuple[int, ...]] = {}  # id -> where it was first claimed
+    qids: dict[int, tuple[int, int, int]] = {}
 
     if not is_u64(scenario.seed):
         findings.append("seed: must be an unsigned 64-bit integer")
 
-    def claim_node(node_id: str, path: str) -> None:
+    def claim_node(node_id: str, at: tuple[int, ...]) -> None:
         if not isinstance(node_id, str) or not node_id:
-            findings.append(f"{path}: must be a non-empty string")
+            findings.append(f"{_ID_PATHS[len(at)].format(*at)}: must be a non-empty string")
         elif node_id in node_ids:
-            findings.append(f"{path}: duplicate id '{node_id}' "
-                            f"(also used at {node_ids[node_id]})")
+            first = node_ids[node_id]
+            findings.append(f"{_ID_PATHS[len(at)].format(*at)}: duplicate id '{node_id}' "
+                            f"(also used at {_ID_PATHS[len(first)].format(*first)})")
         else:
-            node_ids[node_id] = path
+            node_ids[node_id] = at
 
-    def each(items, cls: type, path: str):
-        """(index, item) for each `cls` element of a tuple or list; the rest are findings."""
+    def each(items, cls: type, path: str, *at: int):
+        """(index, item) for each `cls` element of a tuple or list; the rest are
+        findings. `path` is the list's, with a `{}` for each index in `at`."""
         if not isinstance(items, (tuple, list)):
-            findings.append(f"{path}: must be a list")
+            findings.append(f"{path.format(*at)}: must be a list")
             return
         for i, item in enumerate(items):
             if isinstance(item, cls):
                 yield i, item
             else:
-                findings.append(f"{path}[{i}]: must be an object")
+                findings.append(f"{path.format(*at)}[{i}]: must be an object")
 
     for i, planet in each(scenario.planets, PlanetSpec, "planets"):
-        claim_node(planet.mother_id, f"planets[{i}].mother_id")
-        for j, child in each(planet.children, ChildSpec, f"planets[{i}].children"):
-            claim_node(child.qbs_id, f"planets[{i}].children[{j}].qbs_id")
-            for k, user in each(child.users, UserSpec, f"planets[{i}].children[{j}].users"):
-                path = f"planets[{i}].children[{j}].users[{k}]"
-                findings += validate_user(user.node_id, user.qid, user.accept_policy, path)
+        claim_node(planet.mother_id, (i,))
+        for j, child in each(planet.children, ChildSpec, "planets[{}].children", i):
+            claim_node(child.qbs_id, (i, j))
+            for k, user in each(child.users, UserSpec, "planets[{}].children[{}].users", i, j):
+                at = (i, j, k)
+                faults = _user_faults(user.node_id, user.qid, user.accept_policy)
+                if faults:
+                    path = _USER_PATH.format(*at)
+                    findings += [f"{path}.{fault}" for fault in faults]
                 if isinstance(user.node_id, str) and user.node_id:  # else already a finding
-                    claim_node(user.node_id, f"{path}.node_id")
+                    claim_node(user.node_id, at)
                 if not is_u64(user.qid):
                     continue
                 if user.qid in qids:
-                    findings.append(f"{path}.qid: duplicate QID {user.qid} "
-                                    f"(also used at {qids[user.qid]})")
+                    findings.append(f"{_USER_PATH.format(*at)}.qid: duplicate QID {user.qid} "
+                                    f"(also used at {_USER_PATH.format(*qids[user.qid])})")
                 else:
-                    qids[user.qid] = path
+                    qids[user.qid] = at
 
     seen_pairs: set[frozenset] = set()
     for i, link in each(scenario.links, LinkSpec, "links"):
-        path = f"links[{i}]"
         ends = (link.a, link.b)
         for end, node_id in zip("ab", ends):
             if not isinstance(node_id, str) or node_id not in node_ids:
-                findings.append(f"{path}.{end}: unknown node id {node_id!r}")
+                findings.append(f"links[{i}].{end}: unknown node id {node_id!r}")
         if link.a == link.b:
-            findings.append(f"{path}: link endpoints must differ")
+            findings.append(f"links[{i}]: link endpoints must differ")
         distance = link.distance_meters
         if type(distance) not in (int, float) or not 0 <= distance <= sys.float_info.max:
-            findings.append(f"{path}.distance_meters: must be a number, finite and >= 0")
+            findings.append(f"links[{i}].distance_meters: must be a number, finite and >= 0")
         if not all(isinstance(node_id, str) for node_id in ends):
             continue
         pair = frozenset(ends)
         if pair in seen_pairs and link.a != link.b:
-            findings.append(f"{path}: duplicate link between "
+            findings.append(f"links[{i}]: duplicate link between "
                             f"'{link.a}' and '{link.b}'")
         seen_pairs.add(pair)
 
     for i, item in each(scenario.workload, WorkloadItem, "workload"):
-        path = f"workload[{i}]"
         if type(item.at_tick) is not int or item.at_tick < 0:
-            findings.append(f"{path}.at_tick: must be an integer >= 0")
+            findings.append(f"workload[{i}].at_tick: must be an integer >= 0")
         for end in ("from_qid", "to_qid"):
             qid = getattr(item, end)
             if type(qid) is not int or qid not in qids:
-                findings.append(f"{path}.{end}: unknown QID {qid!r}")
+                findings.append(f"workload[{i}].{end}: unknown QID {qid!r}")
         if item.from_qid == item.to_qid:
-            findings.append(f"{path}: from_qid and to_qid must differ")
+            findings.append(f"workload[{i}]: from_qid and to_qid must differ")
         if not isinstance(item.payload, bytes):
-            findings.append(f"{path}.payload: must be bytes")
+            findings.append(f"workload[{i}].payload: must be bytes")
         elif len(item.payload) > PAYLOAD_CAP:
-            findings.append(f"{path}.payload: {len(item.payload)} bytes exceeds "
+            findings.append(f"workload[{i}].payload: {len(item.payload)} bytes exceeds "
                             f"the {PAYLOAD_CAP}-byte cap")
 
     return findings

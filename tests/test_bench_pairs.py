@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,53 @@ def test_higher_is_better_metrics_win_upwards_and_bounds_apply_downwards():
 def test_ties_count_for_neither_side():
     result = bench_pairs.summarize(pairs_of(RUN_S, PARENT, PARENT), RUN_S)
     assert result["pairs_won"] == 0 and result["relative_change"] == 0
+
+
+def traced(counts, absent=(), digests=("t", "s")):
+    return {"correct": True, "exit": 0, "digests": list(digests), "absent": list(absent),
+            "counts": counts}
+
+
+def test_count_diff_gives_each_count_its_delta():
+    diff = bench_pairs.count_diff(traced({"a.calls": 5, "b.calls": 2}),
+                                  traced({"a.calls": 3, "b.calls": 2, "c.calls": 1}))
+    assert diff["counts"] == {
+        "a.calls": {"parent": 5, "change": 3, "delta": -2},
+        "b.calls": {"parent": 2, "change": 2, "delta": 0},
+        "c.calls": {"parent": None, "change": 1, "delta": None},
+    }
+    assert diff["absent"] == [] and diff["digests_equal"]
+    assert diff["trace_sha256"] == {"parent": "t", "change": "t"}
+    assert diff["stats_sha256"] == {"parent": "s", "change": "s"}
+
+
+def test_count_diff_of_a_run_that_printed_nothing():
+    failed = {"correct": False, "exit": 2, "error": "boom", "metrics": {}}
+    diff = bench_pairs.count_diff(traced({"a.calls": 1}), failed)
+    assert diff["correct"] == {"parent": True, "change": False}
+    assert not diff["digests_equal"] and diff["trace_sha256"]["change"] is None
+    assert diff["counts"]["a.calls"]["delta"] is None
+
+
+@pytest.mark.parametrize("absent, digests, status", [
+    ((), ("t", "s"), 0),
+    (("qbs.circuit_build",), ("t", "s"), 1),
+    ((), ("other", "s"), 1),
+])
+def test_the_runner_fails_on_an_absent_target_or_a_digest_mismatch(
+        monkeypatch, tmp_path, absent, digests, status):
+    def fake(tree, workload, seed, seconds, trace=0):
+        if trace:
+            change = tree == bench_pairs.ROOT
+            return traced({"engine.events": 7}, absent if change else (),
+                          digests if change else ("t", "s"))
+        return {"correct": True, "exit": 0, "digests": ["t", "s"],
+                "metrics": {"run_s": 1.0}}
+    monkeypatch.setattr(bench_pairs, "perfbench", fake)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--pairs", "1", "--seconds", "0",
+                             "--seeds", "4", "--out", str(out)]) == status
+    counts = json.loads(out.read_text())["counts"]
+    assert set(counts) == set(bench_pairs.WORKLOADS)
+    assert counts["bulk"]["seed"] == 4 and counts["bulk"]["absent"] == list(absent)
+    assert counts["bulk"]["counts"]["engine.events"] == {"parent": 7, "change": 7, "delta": 0}
