@@ -23,6 +23,13 @@ a delta is never noise.
 The script gates on no time. It exits 1 when a run fails its correctness gate,
 the two trees disagree on a run's trace or stats digest, or a traced run finds
 a wrapped target absent; all of these are kept in the output.
+
+    python3 scripts/bench_pairs.py --compare BENCH_15.json BENCH_16.json
+
+reads two such reports instead and prints, per workload and end-to-end
+metric, the median of each report's `change` side and their delta. A delta
+is flagged only when it falls outside both reports' interquartile ranges.
+It runs nothing and exits 0 whatever the times.
 """
 
 from __future__ import annotations
@@ -144,16 +151,44 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
     }
 
 
+def compare(a: dict, b: dict) -> list[dict]:
+    """Per workload and metric both reports measured: the `change` medians,
+    their delta, and whether it falls outside both reports' IQRs."""
+    rows = []
+    for workload, result in a["workloads"].items():
+        other = b["workloads"].get(workload, {}).get("metrics", {})
+        for name, ma in result["metrics"].items():
+            mb = other.get(name)
+            if not ma["pairs"] or not mb or not mb["pairs"]:
+                continue
+            sa, sb = ma["change"], mb["change"]
+            delta = sb["median"] - sa["median"]
+            rows.append({"workload": workload, "metric": name, "a": sa["median"],
+                         "b": sb["median"], "delta": delta,
+                         "flagged": abs(delta) > sa["iqr"] and abs(delta) > sb["iqr"]})
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True,
-                        help="checkout of the parent commit")
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True,
-                        help="perfbench --seconds for every run")
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="print the deltas between two reports and run nothing")
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--seconds", type=float, help="perfbench --seconds for every run")
+    parser.add_argument("--seeds", type=int, nargs="+")
+    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(path.read_text()) for path in args.compare)
+        for row in compare(a, b):
+            print(f"{row['workload']:9} {row['metric']:18} {row['a']:.6g} -> {row['b']:.6g}  "
+                  f"delta {row['delta']:+.6g}  {'OUTSIDE BOTH IQRS' if row['flagged'] else ''}")
+        return 0
+    missing = [f"--{name}" for name in ("parent", "pairs", "seconds", "seeds", "out")
+               if getattr(args, name) is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 

@@ -11,7 +11,7 @@ from .codec import (
     segment_message,
 )
 from .engine import SPEED_OF_LIGHT_M_PER_S, LatencyReport, Simulation, TraceRecord
-from .entanglement import PLATE_WIDTH, PairPool, Particle, Plate, Spin
+from .entanglement import PLATE_WIDTH, PairPool, Plate
 from .node import AcceptAll, AcceptList, RejectAll, UserNode
 from .qbs import Circuit, FailureReason, QbsNode, SessionRecord, SessionState
 from .scenario import (
@@ -40,7 +40,6 @@ __all__ = [
     "MessageBuffer",
     "PLATE_WIDTH",
     "PairPool",
-    "Particle",
     "Plate",
     "QbsNode",
     "RejectAll",
@@ -49,7 +48,6 @@ __all__ = [
     "SessionRecord",
     "SessionState",
     "Simulation",
-    "Spin",
     "TraceRecord",
     "UserNode",
     "decode_frame",

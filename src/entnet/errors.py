@@ -6,19 +6,11 @@ class SimError(Exception):
 
 
 # entangled-pair layer
-class UnknownParticle(SimError):
-    """Particle id does not resolve to a live pair in this pool."""
-
-
 class TriggerOnNonIonized(SimError):
     """Only ionized particles accept a spin trigger."""
 
 
-class AlreadyFixed(SimError):
-    """The spin of this pair has already been fixed."""
-
-
-class PlateAlreadyUsed(AlreadyFixed):
+class PlateAlreadyUsed(SimError):
     """Tx plate already carries data for this generation."""
 
 

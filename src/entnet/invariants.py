@@ -87,25 +87,16 @@ def _plate_fault(tx: Plate, rx: Plate) -> str | None:
     return None
 
 
-def _plate_name(circuit, tx: Plate) -> str:
-    for (src, dst), channel in circuit.channels.items():
-        if channel.tx is tx:
-            return f"channel {src}->{dst}"
-    return f"pair plate {[plate for plate, _ in circuit.pool.pair_plates].index(tx)}"
-
-
 def check_anti_correlation(sim: Simulation) -> None:
-    """Every plate pair of every live circuit, channel or pool-held, carries opposite spins.
+    """Every channel plate pair of every live circuit carries opposite spins.
     A circuit not built yet holds no plates."""
-    circuits = sim.circuits.built()
-    plate_pairs = [(c, ch.tx, ch.rx) for c in circuits for ch in c.channels.values()]
-    plate_pairs += [(c, tx, rx) for c in circuits for tx, rx in c.pool.pair_plates]
-    for circuit, tx, rx in plate_pairs:
-        fault = _plate_fault(tx, rx)
-        if fault:
-            raise InvariantViolation(
-                f"circuit {circuit.circuit_id} {_plate_name(circuit, tx)} generation "
-                f"{tx.generation}: {fault}")
+    for circuit in sim.circuits.built():
+        for (src, dst), channel in circuit.channels.items():
+            fault = _plate_fault(channel.tx, channel.rx)
+            if fault:
+                raise InvariantViolation(
+                    f"circuit {circuit.circuit_id} channel {src}->{dst} generation "
+                    f"{channel.tx.generation}: {fault}")
 
 
 def check_no_blind_decodes(sim: Simulation) -> None:

@@ -11,12 +11,12 @@ from conftest import is_subsequence
 
 from entnet import (
     FRAME_BYTES,
+    PLATE_WIDTH,
     Frame,
     MessageBuffer,
     PairPool,
     SessionState,
     Simulation,
-    Spin,
     decode_frame,
     desk_scale_scenario,
     encode_frame,
@@ -24,6 +24,7 @@ from entnet import (
     segment_message,
     with_uniform_distances,
 )
+from entnet.entanglement import ALL
 from entnet.invariants import check_all, check_circuit_conservation
 from entnet.qbs import FailureReason
 from entnet.node import RejectAll
@@ -54,21 +55,20 @@ def test_criterion_1_codec_identity():
 
 
 def test_criterion_2_anti_correlation_and_uniformity():
-    pool = PairPool(0xC0FFEE)
-    n = 100_000
+    # freq(Up) has a standard deviation of 0.0016 here: the 0.005 tolerance is
+    # 3.2 of them, so about one seed in 600 fails it by chance
+    pool = PairPool(20240307)
+    plates = -(-100_000 // PLATE_WIDTH)  # 782 fresh plate pairs: 100,096 particles
+    n = plates * PLATE_WIDTH
     ups = 0
-    pairs = []
-    for _ in range(n):
-        a, b = pool.create_pair()
-        if pool.observe(a) is Spin.UP:
-            ups += 1
-        pool.observe(b)
-        pairs.append((a, b))
-    opposite = sum(
-        1 for a, b in pairs
-        if pool.particle(a).spin.opposite() is pool.particle(b).spin
-    )
-    assert opposite == n, f"only {opposite}/{n} pairs anti-correlated"
+    opposite = 0
+    for index in range(plates):
+        tx, rx = pool.make_plate_pair()
+        ups += pool.observe_plate(rx if index % 2 else tx).bit_count()  # a blind draw
+        pool.observe_plate(tx if index % 2 else rx)
+        opposite += tx.fixed == rx.fixed == ALL and tx.up ^ rx.up == ALL
+    assert opposite == plates, f"only {opposite}/{plates} plate pairs anti-correlated"
+    assert pool.plate_draws == plates
     frequency = ups / n
     assert abs(frequency - 0.5) < 0.005, f"freq(Up) = {frequency}"
     _passed(2, "anti-correlation")

@@ -105,3 +105,28 @@ def test_the_runner_fails_on_an_absent_target_or_a_digest_mismatch(
     assert set(counts) == set(bench_pairs.WORKLOADS)
     assert counts["bulk"]["seed"] == 4 and counts["bulk"]["absent"] == list(absent)
     assert counts["bulk"]["counts"]["engine.events"] == {"parent": 7, "change": 7, "delta": 0}
+
+
+def report(**medians_and_iqrs):
+    """A hand-written report: per workload, run_s's change-side median and IQR."""
+    def run_s(median, iqr):
+        return {"pairs": 10, "change": {"median": median, "q1": median - iqr / 2,
+                                        "q3": median + iqr / 2, "iqr": iqr}}
+    return {"workloads": {workload: {"metrics": {"run_s": run_s(*spread)}}
+                          for workload, spread in medians_and_iqrs.items()}}
+
+
+def test_compare_flags_only_a_delta_outside_both_iqrs(tmp_path, capsys):
+    a = report(sessions=(0.020, 0.002), bulk=(0.010, 0.0005))
+    b = report(sessions=(0.021, 0.0005), bulk=(0.012, 0.001))
+    rows = {row["workload"]: row for row in bench_pairs.compare(a, b)}
+    assert rows["sessions"]["delta"] == pytest.approx(0.001)
+    assert not rows["sessions"]["flagged"]  # inside a's IQR, though outside b's
+    assert rows["bulk"]["delta"] == pytest.approx(0.002) and rows["bulk"]["flagged"]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, data in zip(paths, (a, b)):
+        path.write_text(json.dumps(data))
+    assert bench_pairs.main(["--compare", *map(str, paths)]) == 0  # never fails on a time
+    printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert "OUTSIDE BOTH IQRS" in printed["bulk"]
+    assert "OUTSIDE BOTH IQRS" not in printed["sessions"]

@@ -1,117 +1,145 @@
+"""Pair state lives on plates: one generation of PLATE_WIDTH pairs as a Tx
+plate and its partner Rx plate. These tests pin the pair properties of the
+model on that representation: anti-correlation, uniform and seed-determined
+blind draws, triggers only on the ionized (Tx) side, fixed spins that never
+change until a reset, and a far side readable in the same call."""
+
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entnet import PLATE_WIDTH, PairPool, Simulation, Spin, decode_frame, example_scenario
+from entnet import PLATE_WIDTH, PairPool, Simulation, decode_frame, example_scenario
 from entnet.entanglement import ALL, RX, TX
-from entnet.errors import (
-    AlreadyFixed,
-    MismatchedPlates,
-    TriggerOnNonIonized,
-    UnknownParticle,
-)
+from entnet.errors import MismatchedPlates, PlateAlreadyUsed, TriggerOnNonIonized
 
 
-def test_create_pair_contract():
-    pool = PairPool(0)
-    p1, p2 = pool.create_pair()
-    assert pool.particle(p1).ionized
-    assert not pool.particle(p2).ionized
-    assert pool.particle(p1).spin is Spin.UNOBSERVED
-    assert pool.particle(p2).spin is Spin.UNOBSERVED
+def test_create_pair_contract(monkeypatch):
+    """`create_pair` is only a name for `make_plate_pair`, and no run calls it."""
+    assert PairPool.create_pair is PairPool.make_plate_pair
+
+    def called(self):
+        raise AssertionError("a run called PairPool.create_pair")
+
+    monkeypatch.setattr(PairPool, "create_pair", called)
+    for kind in ("same-qbs", "cross-qbs", "interplanet"):
+        Simulation(example_scenario(kind)).run_until_idle()
 
 
 def test_partner_relation_symmetric_irreflexive():
-    pool = PairPool(0)
-    p1, p2 = pool.create_pair()
-    assert pool.partner(p1) == p2
-    assert pool.partner(p2) == p1
-    assert pool.partner(p1) != p1
+    tx, rx = PairPool(0).make_plate_pair()
+    assert tx.partner is rx and rx.partner is tx
+    assert tx is not rx and tx.partner is not tx
 
 
 def test_successive_pairs_have_distinct_ids():
     pool = PairPool(0)
-    ids = [*pool.create_pair(), *pool.create_pair()]
-    assert len(set(ids)) == 4
+    (tx1, rx1), (tx2, rx2) = pool.make_plate_pair(), pool.make_plate_pair()
+    assert len({id(tx1), id(rx1), id(tx2), id(rx2)}) == 4
+    assert tx1.partner is rx1 and tx2.partner is rx2
+    assert len(pool) == 2 * PLATE_WIDTH
 
 
 def test_trigger_up_fixes_partner_down():
     pool = PairPool(0)
-    p1, p2 = pool.create_pair()
-    pool.trigger_spin(p1, Spin.UP)
-    assert pool.particle(p1).spin is Spin.UP
-    assert pool.particle(p2).spin is Spin.DOWN
+    tx, rx = pool.make_plate_pair()
+    pool.trigger_plate(tx, ALL)
+    assert tx.fixed == rx.fixed == ALL
+    assert (tx.up, rx.up) == (ALL, 0)
 
 
 def test_trigger_down_fixes_partner_up():
     pool = PairPool(0)
-    p1, p2 = pool.create_pair()
-    pool.trigger_spin(p1, Spin.DOWN)
-    assert pool.particle(p1).spin is Spin.DOWN
-    assert pool.particle(p2).spin is Spin.UP
+    tx, rx = pool.make_plate_pair()
+    pool.trigger_plate(tx, 0)
+    assert tx.fixed == rx.fixed == ALL
+    assert (tx.up, rx.up) == (0, ALL)
 
 
 def test_trigger_requires_ionized():
     pool = PairPool(0)
-    _, p2 = pool.create_pair()
+    tx, rx = pool.make_plate_pair()
+    for bits in (0, ALL):
+        with pytest.raises(TriggerOnNonIonized):
+            pool.trigger_plate(rx, bits)
+    assert tx.fixed == rx.fixed == tx.up == rx.up == 0  # the refused trigger fixed nothing
+    pool.trigger_plate(tx, ALL)
+    pool.reset_plate_pair(tx, rx)
     with pytest.raises(TriggerOnNonIonized):
-        pool.trigger_spin(p2, Spin.UP)
+        pool.trigger_plate(rx, 0)  # not after a reset either
 
 
 def test_trigger_requires_unobserved():
     pool = PairPool(0)
-    p1, _ = pool.create_pair()
-    pool.trigger_spin(p1, Spin.UP)
-    with pytest.raises(AlreadyFixed):
-        pool.trigger_spin(p1, Spin.DOWN)
+    tx, rx = pool.make_plate_pair()
+    up = pool.observe_plate(rx)  # a blind observation fixes the Tx plate too
+    with pytest.raises(PlateAlreadyUsed):
+        pool.trigger_plate(tx, 0)
+    assert (tx.up, rx.up) == (up ^ ALL, up)
+    pool.reset_plate_pair(tx, rx)
+    pool.trigger_plate(tx, 0)  # a reset makes it triggerable again
 
 
 def test_observe_after_trigger_is_opposite():
-    pool = PairPool(0)
-    p1, p2 = pool.create_pair()
-    pool.trigger_spin(p1, Spin.UP)
-    assert pool.observe(p2) is Spin.DOWN
+    """The far plate is readable, opposite, in the same call as the trigger."""
+    for bits in (1, 0x1234, 1 << (PLATE_WIDTH - 1), ALL ^ 0x5A):
+        pool = PairPool(0)
+        tx, rx = pool.make_plate_pair()
+        pool.trigger_plate(tx, bits)
+        assert rx.fixed == ALL and rx.up == bits ^ ALL
+        assert pool.observe_plate(rx) == bits ^ ALL and pool.plate_draws == 0
 
 
 def test_observe_is_idempotent():
     pool = PairPool(3)
-    p1, _ = pool.create_pair()
-    first = pool.observe(p1)
-    assert pool.observe(p1) is first
-    assert pool.observe(p1) is first
+    tx, rx = pool.make_plate_pair()
+    first = pool.observe_plate(rx)
+    for _ in range(3):
+        assert pool.observe_plate(rx) == first
+        assert pool.observe_plate(tx) == first ^ ALL
+    assert pool.plate_draws == 1
 
 
 def test_observe_fixes_partner_opposite():
     pool = PairPool(5)
-    p1, p2 = pool.create_pair()
-    assert pool.observe(p1).opposite() is pool.observe(p2)
+    for observed in (TX, RX):
+        tx, rx = pool.make_plate_pair()
+        up = pool.observe_plate(tx if observed == TX else rx)
+        assert tx.fixed == rx.fixed == ALL and tx.up ^ rx.up == ALL
+        assert up == (tx.up if observed == TX else rx.up)
 
 
-def test_observe_unknown_particle():
-    pool = PairPool(0)
-    with pytest.raises(UnknownParticle):
-        pool.observe(123)
+def _blind_draws(seed, plates=64, side=RX):
+    """Blind observations of fresh plate pairs, one per pair, from one pool."""
+    pool = PairPool(seed)
+    return [pool.observe_plate(pool.make_plate_pair()[side == RX]) for _ in range(plates)]
 
 
 def test_observe_sequence_is_seed_deterministic():
-    def draws(seed):
-        pool = PairPool(seed)
-        return [pool.observe(pool.create_pair()[0]) for _ in range(64)]
+    assert _blind_draws(11) == _blind_draws(11)
+    assert _blind_draws(11) != _blind_draws(12)  # astronomically unlikely to collide
 
-    assert draws(11) == draws(11)
-    assert draws(11) != draws(12)  # astronomically unlikely to collide
+
+def test_blind_draws_are_uniform():
+    # 64 plates of 128 particles per side; freq(Up) has a standard deviation of 0.0055
+    for side in (TX, RX):
+        draws = _blind_draws(0x5EED, side=side)
+        ups = sum(up.bit_count() for up in draws)
+        assert abs(ups / (len(draws) * PLATE_WIDTH) - 0.5) < 0.03, side
+        # and no particle position is stuck: every bit is seen both Up and Down
+        assert reduce(or_, draws) == reduce(or_, (up ^ ALL for up in draws)) == ALL
 
 
 def test_lazy_stream_draws_like_an_eager_one():
     pool = PairPool(77)
-    _, rx = pool.make_plate_pair()
-    p1, _ = pool.create_pair()
+    (_, rx1), (tx2, _) = pool.make_plate_pair(), pool.make_plate_pair()
     assert "rng" not in vars(pool)  # nothing built before the first draw
     eager = random.Random(77)
-    assert pool.observe_plate(rx) == eager.getrandbits(PLATE_WIDTH)
-    assert pool.observe(p1) is (Spin.UP if eager.getrandbits(1) else Spin.DOWN)
+    assert pool.observe_plate(rx1) == eager.getrandbits(PLATE_WIDTH)
+    assert pool.observe_plate(tx2) == eager.getrandbits(PLATE_WIDTH)
 
 
 def test_engine_run_builds_no_pool_stream(run_example):
@@ -200,10 +228,11 @@ def test_reset_rejects_mismatched_plates():
 
 def test_trigger_plate_requires_a_fresh_plate():
     pool = PairPool(1)
-    tx, _ = pool.make_plate_pair()
+    tx, rx = pool.make_plate_pair()
     pool.trigger_plate(tx, 5)
-    with pytest.raises(AlreadyFixed):
+    with pytest.raises(PlateAlreadyUsed):
         pool.trigger_plate(tx, 5)
+    assert (tx.up, rx.up) == (5, 5 ^ ALL)  # the refused trigger changed nothing
 
 
 def test_trigger_plate_rejects_bits_wider_than_the_plate():
@@ -233,110 +262,71 @@ def test_encoded_plate_decodes_without_drawing():
     assert pool.plate_draws == 0
 
 
-@given(st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=40),
-       st.integers(0, 2**32))
-@settings(max_examples=60)
-def test_fixed_spins_never_change(ops, seed):
-    """Whatever the operation sequence, the first fixed value persists."""
+# random plate operations -----------------------------------------------------
+
+_OPS = ("observe_tx", "observe_rx", "trigger", "reset")
+_plate_ops = st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 3),
+                                st.integers(0, ALL)), max_size=60)
+# each plate pair starts in a legal, partly fixed state: (fixed mask, its Up bits on Tx)
+_starts = st.lists(st.tuples(st.integers(0, ALL), st.integers(0, ALL)),
+                   min_size=4, max_size=4)
+
+
+def _run_plate_ops(ops, starts, seed):
+    """Apply `ops` to four plate pairs of one pool, ignoring refused triggers.
+    Yields, per op, the op, its plate pair, and every plate's state before it."""
     pool = PairPool(seed)
-    p1, p2 = pool.create_pair()
-    fixed: dict[int, Spin] = {}
+    pairs = [pool.make_plate_pair() for _ in starts]
+    for (tx, rx), (mask, up) in zip(pairs, starts):
+        tx.fixed = rx.fixed = mask
+        tx.up, rx.up = up & mask, (up ^ mask) & mask
+    for kind, which, bits in ops:
+        tx, rx = pairs[which]
+        before = [(p.fixed, p.up, p.generation) for pair in pairs for p in pair]
+        if kind == "reset":
+            pool.reset_plate_pair(tx, rx)
+        elif kind == "trigger":
+            try:
+                pool.trigger_plate(tx, bits)
+            except PlateAlreadyUsed:
+                assert before[2 * which][0]  # refused only when something is fixed
+        else:
+            plate = tx if kind == "observe_tx" else rx
+            assert pool.observe_plate(plate) == plate.up and plate.fixed == ALL
+        yield kind, which, pairs, before
 
-    def snap():
-        for pid in (p1, p2):
-            spin = pool.particle(pid).spin
-            if spin is not Spin.UNOBSERVED:
-                assert fixed.setdefault(pid, spin) is spin
 
-    for kind, first in ops:
-        pid = p1 if first else p2
-        try:
-            if kind == 0:
-                pool.observe(pid)
-            elif kind == 1:
-                pool.trigger_spin(pid, Spin.UP)
+@given(_plate_ops, _starts, st.integers(0, 2**32))
+@settings(max_examples=100)
+def test_anti_correlation_holds_after_any_sequence(ops, starts, seed):
+    """Observes of either side, triggers and resets keep every plate pair
+    anti-correlated: one fixed mask, and opposite spins inside it only."""
+    for _, _, pairs, _ in _run_plate_ops(ops, starts, seed):
+        for tx, rx in pairs:
+            assert tx.fixed == rx.fixed
+            assert tx.up ^ rx.up == tx.fixed
+            assert not (tx.up | rx.up) & ~tx.fixed
+
+
+@given(_plate_ops, _starts, st.integers(0, 2**32))
+@settings(max_examples=100)
+def test_fixed_spins_never_change(ops, starts, seed):
+    """A fixed particle keeps its spin until its plate pair is reset, which
+    frees every particle and starts the next generation."""
+    for kind, which, pairs, before in _run_plate_ops(ops, starts, seed):
+        for plate, (fixed, up, generation) in zip(pairs[which], before[2 * which:]):
+            if kind == "reset":
+                assert (plate.fixed, plate.up, plate.generation) == (0, 0, generation + 1)
             else:
-                pool.trigger_spin(pid, Spin.DOWN)
-        except (AlreadyFixed, TriggerOnNonIonized):
-            pass
-        snap()
+                assert plate.fixed & fixed == fixed and plate.up & fixed == up
+                assert plate.generation == generation
 
 
-def _apply_pair_ops(pool, pairs, ops):
-    """Observe either half or trigger the Tx half, ignoring refused triggers."""
-    for kind, which in ops:
-        p1, p2 = pairs[which]
-        try:
-            if kind == 0:
-                pool.observe(p1)
-            elif kind == 1:
-                pool.observe(p2)
-            elif kind == 2:
-                pool.trigger_spin(p1, Spin.UP)
-            else:
-                pool.trigger_spin(p1, Spin.DOWN)
-        except (AlreadyFixed, TriggerOnNonIonized):
-            pass
-
-
-def _assert_anti_correlated(pool, pairs):
-    for p1, p2 in pairs:
-        first, second = pool.particle(p1).spin, pool.particle(p2).spin
-        assert (first is Spin.UNOBSERVED) == (second is Spin.UNOBSERVED)
-        if first is not Spin.UNOBSERVED:
-            assert first.opposite() is second
-
-
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=60),
-       st.integers(0, 2**32))
-@settings(max_examples=60)
-def test_anti_correlation_holds_after_any_sequence(ops, seed):
-    """Exhaustive pool scan: doubly-fixed pairs are always opposite."""
-    pool = PairPool(seed)
-    pairs = [pool.create_pair() for _ in range(8)]
-    _apply_pair_ops(pool, pairs, ops)
-    _assert_anti_correlated(pool, pairs)
-
-
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 129)), max_size=80),
-       st.integers(0, 2**32))
-@settings(max_examples=60)
-def test_anti_correlation_holds_across_a_plate_boundary(ops, seed):
-    """130 pairs span two pair plates; every pair stays opposite and plate-coherent."""
-    pool = PairPool(seed)
-    pairs = [pool.create_pair() for _ in range(130)]
-    assert len(pool.pair_plates) == 2
-    _apply_pair_ops(pool, pairs, ops)
-    _assert_anti_correlated(pool, pairs)
-    for tx, rx in pool.pair_plates:
-        assert tx.fixed == rx.fixed and tx.up ^ rx.up == tx.fixed
-
-
-def test_pairs_on_either_side_of_a_plate_boundary():
-    pool = PairPool(9)
-    pairs = [pool.create_pair() for _ in range(129)]
-    (a127, b127), (a128, b128) = pairs[127], pairs[128]
-    (tx0, rx0), (tx1, rx1) = pool.pair_plates
-    assert len(pool) == 2 * PLATE_WIDTH
-    pool.trigger_spin(a127, Spin.UP)
-    assert (tx0.fixed, tx0.up, rx0.up) == (1, 1, 0)  # pair 127 is the last bit of plate 0
-    assert pool.particle(b127).spin is Spin.DOWN
-    assert pool.particle(a128).spin is Spin.UNOBSERVED and tx1.fixed == 0
-    assert pool.observe(b128).opposite() is pool.observe(a128)
-    assert rx1.fixed == tx1.fixed == 1 << (PLATE_WIDTH - 1)  # pair 128 is bit 127 of plate 1
-    assert pool.particle(a128).ionized and not pool.particle(b128).ionized
-    with pytest.raises(TriggerOnNonIonized):
-        pool.trigger_spin(b127, Spin.UP)
-
-
-@pytest.mark.parametrize("created", [0, 1, 130])
-def test_unknown_particle_outside_the_handed_out_ids(created):
-    pool = PairPool(0)
-    for _ in range(created):
-        pool.create_pair()
-    for bad in (-1, 2 * created):
-        for op in (pool.particle, pool.partner, pool.observe):
-            with pytest.raises(UnknownParticle):
-                op(bad)
-        with pytest.raises(UnknownParticle):
-            pool.trigger_spin(bad, Spin.UP)
+@given(_plate_ops, _starts, st.integers(0, 2**32))
+@settings(max_examples=100)
+def test_anti_correlation_holds_across_a_plate_boundary(ops, starts, seed):
+    """An operation on one plate pair leaves every other plate pair of the pool as it was."""
+    for _, which, pairs, before in _run_plate_ops(ops, starts, seed):
+        after = [(p.fixed, p.up, p.generation) for pair in pairs for p in pair]
+        del after[2 * which:2 * which + 2], before[2 * which:2 * which + 2]
+        assert after == before

@@ -50,18 +50,6 @@ def test_up_bit_outside_fixed_mask_is_caught(run_example):
         check_anti_correlation(sim)
 
 
-def test_per_pair_records_are_still_scanned(run_example):
-    sim = run_example("cross-qbs")
-    circuit, _ = live_channel(sim)
-    a, _ = circuit.pool.create_pair()
-    circuit.pool.observe(a)
-    check_anti_correlation(sim)
-    tx, rx = circuit.pool.pair_plates[0]
-    rx.up ^= tx.fixed  # the observed pair's Rx half now shows the Tx half's spin
-    with pytest.raises(InvariantViolation, match="pair plate 0 .*not opposite"):
-        check_anti_correlation(sim)
-
-
 def test_blind_decode_on_live_circuit_is_caught(run_example):
     sim = run_example("cross-qbs")
     check_all(sim)
