@@ -22,7 +22,9 @@ a delta is never noise.
 
 The script gates on no time. It exits 1 when a run fails its correctness gate,
 the two trees disagree on a run's trace or stats digest, or a traced run finds
-a wrapped target absent; all of these are kept in the output.
+a wrapped target absent; all of these are kept in the output. It warns on
+stderr about a tree whose commit `git rev-parse` cannot read, such as one
+made with `git archive`: the report can then name it only by `src_sha256`.
 
     python3 scripts/bench_pairs.py --compare BENCH_15.json BENCH_16.json
 
@@ -190,6 +192,13 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         parser.error(f"the following arguments are required: {', '.join(missing)}")
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    described = {side: describe(tree) for side, tree in trees.items()}
+    for side, info in described.items():
+        if info["git_sha"] is None:
+            print(f"bench_pairs: warning: git rev-parse cannot read the commit of the "
+                  f"{side} tree {trees[side]}, so the report names it only by "
+                  f"src_sha256; make a tree with git clone and git checkout <sha>",
+                  file=sys.stderr)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     workloads = {}
@@ -223,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": "perfbench/run.py --trace 0",
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": args.seeds},
         "host": {"python": platform.python_version(), "cpu_count": os.cpu_count()},
-        "trees": {side: describe(tree) for side, tree in trees.items()},
+        "trees": described,
         "workloads": workloads,
         "counts": count_diffs,
     }

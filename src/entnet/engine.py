@@ -19,6 +19,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_message
@@ -46,8 +47,6 @@ REVERSE = "rev"
 _ESTABLISHED = SessionState.ESTABLISHED
 
 
-# a DATA record's detail keys, in the order its two emit calls pass them
-_DATA_KEYS = ("dir", "frame", "index")
 # the encoder that json.dumps(value, separators=(",", ":")) builds on every call
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -64,16 +63,6 @@ class TraceRecord(NamedTuple):
         """Same bytes as `json.dumps` of the record as a dict in field order,
         with separators (",", ":") and the default ASCII escaping."""
         tick, seq, node, record_type, session, detail = self
-        if len(detail) == 3 and tuple(detail) == _DATA_KEYS:  # one per frame per hop
-            direction, frame, index = detail.values()
-            if type(direction) is str and type(frame) is str and (
-                    type(index) is int or index is None):
-                return (f'{{"tick":{tick},"seq":{seq},"node":{_json_str(node)},'
-                        f'"type":{_json_str(record_type)},'
-                        f'"session":{"null" if session is None else session},'
-                        f'"detail":{{"dir":{_json_str(direction)},'
-                        f'"frame":{_json_str(frame)},'
-                        f'"index":{"null" if index is None else index}}}}}')
         items = []
         for key, value in detail.items():
             kind = type(value)
@@ -92,8 +81,51 @@ class TraceRecord(NamedTuple):
                 f'"detail":{{{",".join(items)}}}}}')
 
 
-# TraceRecord from a 6-tuple without the Python-level NamedTuple.__new__
+def _data_line_middle(node: str, record_type: str, session: int | None,
+                      direction: str) -> str:
+    """A DATA line from `,"node":` up to the opening quote of the frame hex:
+    the same for every frame a hop carries in one direction of a session."""
+    return (f',"node":{_json_str(node)},"type":{_json_str(record_type)},'
+            f'"session":{"null" if session is None else session},'
+            f'"detail":{{"dir":{_json_str(direction)},"frame":"')
+
+
+def _data_line(tick: int, seq: int, middle: str, data: bytes, index: int | None) -> str:
+    """A DATA line: its hop's middle text between tick, seq, frame hex and index."""
+    return (f'{{"tick":{tick},"seq":{seq}{middle}{data.hex()}",'
+            f'"index":{"null" if index is None else index}}}}}')
+
+
+class DataRecord(TraceRecord):
+    """A data-plane DATA record that keeps `(dir, frame bytes, index)` as its
+    last field. `detail` builds the trace's {"dir", "frame": hex, "index"} dict
+    each time it is read; `_asdict`, `repr` and the line show that dict."""
+
+    __slots__ = ()
+
+    @property
+    def detail(self) -> dict:
+        direction, data, index = tuple.__getitem__(self, 5)
+        return {"dir": direction, "frame": data.hex(), "index": index}
+
+    def _with_dict(self) -> TraceRecord:
+        return _new_record((*self[:5], self.detail))
+
+    def _asdict(self) -> dict:
+        return self._with_dict()._asdict()
+
+    def __repr__(self) -> str:
+        return repr(self._with_dict())
+
+    def to_json_line(self) -> str:
+        tick, seq, node, record_type, session, (direction, data, index) = self
+        return _data_line(tick, seq, _data_line_middle(node, record_type, session, direction),
+                          data, index)
+
+
+# records from a 6-tuple without the Python-level NamedTuple.__new__
 _new_record = functools.partial(tuple.__new__, TraceRecord)
+_new_data_record = functools.partial(tuple.__new__, DataRecord)
 
 
 @dataclass(frozen=True)
@@ -175,14 +207,17 @@ class Simulation:
         self._cancelled.add(key)
 
     def emit(self, node: str, record_type: str, session: int | None,
-             detail: dict) -> None:
+             detail: dict | tuple) -> None:
         """Append a trace record that keeps `detail` itself. Callers pass a new
         dict with its keys in sorted order, the order the trace line writes
-        them in; emit neither copies nor reorders it."""
+        them in; emit neither copies nor reorders it. The data plane passes
+        DATA's `(dir, frame bytes, index)` instead, kept in a DataRecord."""
         now = self.now
         seq = self._seq_by_tick[now]  # `now` always has an entry
         self._seq_by_tick[now] = seq + 1
-        self.trace.append(_new_record((now, seq, node, record_type, session, detail)))
+        record = (now, seq, node, record_type, session, detail)
+        self.trace.append(_new_data_record(record) if type(detail) is tuple
+                          else _new_record(record))
 
     def run_until_idle(self) -> int:
         """Process every queued event; returns the tick of the last one run."""
@@ -449,7 +484,7 @@ class Simulation:
         if pos == 0:
             # relays already logged this frame at their decode step
             self.emit(src, "DATA", p["session"],
-                      {"dir": p["dir"], "frame": frame.data.hex(), "index": p["index"]})
+                      (p["dir"], frame.data, p["index"]))
         p["pos"] = pos = pos + 1
         # a relaying station spends a tick; delivery at the route's end is same-tick
         self.schedule(self.now if pos == len(hops) else self.now + 1, dst,
@@ -484,7 +519,7 @@ class Simulation:
             self.dropped_frames["session_closed"] += 1
             return
         self.emit(target, "DATA", p["session"],
-                  {"dir": p["dir"], "frame": frame.data.hex(), "index": p["index"]})
+                  (p["dir"], frame.data, p["index"]))
         if pos < len(hops):
             self._hop(p, frame)
             return
@@ -567,7 +602,7 @@ class Simulation:
         established = sum(1 for rec in self.sessions.values() if rec.path)
         return {
             "final_tick": self.now,
-            "record_counts": dict(sorted(Counter(r.type for r in self.trace).items())),
+            "record_counts": dict(sorted(Counter(map(itemgetter(3), self.trace)).items())),
             "sessions": {
                 "total": len(self.sessions),
                 "established": established,
@@ -579,7 +614,19 @@ class Simulation:
         }
 
     def trace_lines(self) -> Iterator[str]:
-        return (record.to_json_line() for record in self.trace)
+        """Each record's line. A DATA record's line is written around its hop's
+        middle text, formatted once per hop."""
+        middles: dict[tuple, str] = {}
+        for record in self.trace:
+            if type(record) is DataRecord:
+                tick, seq, node, record_type, session, (direction, data, index) = record
+                key = (node, record_type, session, direction)
+                middle = middles.get(key)
+                if middle is None:
+                    middle = middles[key] = _data_line_middle(*key)
+                yield _data_line(tick, seq, middle, data, index)
+            else:
+                yield record.to_json_line()
 
     def write_trace(self, path: str) -> None:
         """Write the trace as NDJSON, one line at a time."""

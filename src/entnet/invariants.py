@@ -47,28 +47,33 @@ _RECORD_RULES: dict[str, tuple[frozenset, SessionState | str | None]] = {
 
 def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
     """Replay every session's records against the legal transition relation."""
+    # each field is read once: a trace holds two record classes, and repeated
+    # reads of one attribute across them miss the interpreter's attribute cache
     states: dict[int, SessionState | str] = {}
     for record in records:
-        if record.session is None:
+        session = record.session
+        if session is None:
             continue
-        allowed, target = _RECORD_RULES[record.type]
-        state = states.get(record.session)
+        record_type = record.type
+        allowed, target = _RECORD_RULES[record_type]
+        state = states.get(session)
         if state not in allowed:
             raise InvariantViolation(
-                f"session {record.session}: {record.type} at tick {record.tick} "
+                f"session {session}: {record_type} at tick {record.tick} "
                 f"not legal in state {getattr(state, 'value', state)}")
         if target is not None:
-            states[record.session] = target
+            states[session] = target
 
 
 def check_causality(records: Iterable[TraceRecord]) -> None:
     """Every DELIVER pairs with an earlier SEND of the same session+direction."""
     pending: dict[tuple[int, str], int] = {}
     for record in records:
-        if record.type == "SEND":
+        record_type = record.type
+        if record_type == "SEND":
             key = (record.session, record.detail["dir"])
             pending[key] = pending.get(key, 0) + 1
-        elif record.type == "DELIVER":
+        elif record_type == "DELIVER":
             key = (record.session, record.detail["dir"])
             if pending.get(key, 0) < 1:
                 raise InvariantViolation(

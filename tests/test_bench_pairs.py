@@ -83,13 +83,8 @@ def test_count_diff_of_a_run_that_printed_nothing():
     assert diff["counts"]["a.calls"]["delta"] is None
 
 
-@pytest.mark.parametrize("absent, digests, status", [
-    ((), ("t", "s"), 0),
-    (("qbs.circuit_build",), ("t", "s"), 1),
-    ((), ("other", "s"), 1),
-])
-def test_the_runner_fails_on_an_absent_target_or_a_digest_mismatch(
-        monkeypatch, tmp_path, absent, digests, status):
+def fake_perfbench(absent=(), digests=("t", "s")):
+    """perfbench runs that pass; this tree's traced run finds `absent` and `digests`."""
     def fake(tree, workload, seed, seconds, trace=0):
         if trace:
             change = tree == bench_pairs.ROOT
@@ -97,14 +92,39 @@ def test_the_runner_fails_on_an_absent_target_or_a_digest_mismatch(
                           digests if change else ("t", "s"))
         return {"correct": True, "exit": 0, "digests": ["t", "s"],
                 "metrics": {"run_s": 1.0}}
-    monkeypatch.setattr(bench_pairs, "perfbench", fake)
+    return fake
+
+
+def run_main(parent, out):
+    return bench_pairs.main(["--parent", str(parent), "--pairs", "1", "--seconds", "0",
+                             "--seeds", "4", "--out", str(out)])
+
+
+@pytest.mark.parametrize("absent, digests, status", [
+    ((), ("t", "s"), 0),
+    (("qbs.circuit_build",), ("t", "s"), 1),
+    ((), ("other", "s"), 1),
+])
+def test_the_runner_fails_on_an_absent_target_or_a_digest_mismatch(
+        monkeypatch, tmp_path, absent, digests, status):
+    monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench(absent, digests))
     out = tmp_path / "bench.json"
-    assert bench_pairs.main(["--parent", str(tmp_path), "--pairs", "1", "--seconds", "0",
-                             "--seeds", "4", "--out", str(out)]) == status
+    assert run_main(tmp_path, out) == status
     counts = json.loads(out.read_text())["counts"]
     assert set(counts) == set(bench_pairs.WORKLOADS)
     assert counts["bulk"]["seed"] == 4 and counts["bulk"]["absent"] == list(absent)
     assert counts["bulk"]["counts"]["engine.events"] == {"parent": 7, "change": 7, "delta": 0}
+
+
+def test_the_runner_warns_about_a_tree_git_cannot_name(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench())
+    parent = tmp_path / "archived"  # as `git archive` leaves it: sources, no .git
+    parent.mkdir()
+    assert run_main(parent, tmp_path / "bench.json") == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert any(f"parent tree {parent}" in line for line in warnings), warnings
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert report["trees"]["parent"]["git_sha"] is None
 
 
 def report(**medians_and_iqrs):

@@ -1,6 +1,7 @@
 import json
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from enum import IntEnum
 from itertools import chain, repeat
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import record_types
 from hypothesis import given
 from hypothesis import strategies as st
+from test_differential import CALLEE, _play, raw_frames, refsim
 from test_golden import GOLDEN, build
 
 import entnet.engine
@@ -22,6 +24,7 @@ from entnet import (
     example_scenario,
     with_uniform_distances,
 )
+from entnet.engine import DataRecord
 from entnet.errors import (
     CallerUnknown,
     SchedulingError,
@@ -531,9 +534,9 @@ class _Text(str):
     pass
 
 
-# DATA's detail: the encoder writes it, keys ("dir", "frame", "index") in that
-# order, str dir and frame and an int or None index, without its per-key loop.
-# The golden runs cover its usual values; these are the awkward ones.
+# DATA's detail as a dict, keys ("dir", "frame", "index") with str dir and frame
+# and an int or None index: the shape the data plane wrote before it kept the
+# frame bytes. A dict goes through the per-key loop; these are awkward values.
 _data_details = st.tuples(_texts, _texts, st.none() | _ints).map(
     lambda values: dict(zip(("dir", "frame", "index"), values)))
 _odd_values = st.one_of(_texts.map(_Text), st.booleans(), st.sampled_from(list(_Spin)),
@@ -581,13 +584,19 @@ def test_golden_trace_lines_equal_json_dumps(name):
         assert line == reference_line(record)
 
 
-def test_trace_escapes_awkward_node_ids():
+def awkward_node_ids():
+    """A run whose node ids need JSON escaping, with a cross-Child session each way."""
     scenario = Scenario(seed=0, planets=(PlanetSpec('m"é', (
         ChildSpec("q\\1", (UserSpec('a"\n\\é', 1),)),
         ChildSpec("q\n2", (UserSpec("b\\é", 2),)),
     )),), workload=(WorkloadItem(0, 1, 2, b"hi"), WorkloadItem(0, 2, 1, b"yo")))
     sim = Simulation(scenario)
     sim.run_until_idle()
+    return sim
+
+
+def test_trace_escapes_awkward_node_ids():
+    sim = awkward_node_ids()
     check_all(sim)
     lines = list(sim.trace_lines())
     assert {"CIRCUIT_PROVISIONED", "ESTABLISHED", "DELIVER"} <= set(record_types(sim))
@@ -595,6 +604,110 @@ def test_trace_escapes_awkward_node_ids():
     for line, record in zip(lines, sim.trace):
         assert line == reference_line(record)
         assert json.loads(line) == record._asdict()
+
+
+# DataRecord: the data plane's DATA keeps (dir, frame bytes, index); its line is
+# written from them directly, and its detail dict is built when it is read
+
+def relayed_raw_frame():
+    """A same-QBS session that relays one raw frame, whose DATA index is null."""
+    sim = Simulation(example_scenario("same-qbs"))
+    sim.run_until_idle()
+    sid = sim.request_session(11, 12)
+    sim.run_until_idle()
+    sim.relay_data(sid, Frame(bytes(range(16))))
+    sim.run_until_idle()
+    return sim
+
+
+_RUNS = {"relay-data": relayed_raw_frame, "awkward-node-ids": awkward_node_ids}
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), *_RUNS])
+def test_data_record_json_line_on_runs(name):
+    sim = _RUNS[name]() if name in _RUNS else build(name)
+    lines = list(sim.trace_lines())
+    data = [(line, record) for line, record in zip(lines, sim.trace) if record.type == "DATA"]
+    assert data and all(type(record) is DataRecord for _, record in data)
+    if name == "relay-data":
+        assert [record.detail["index"] for _, record in data[-3:]] == [None] * 3
+    for line, record in data:
+        assert record.to_json_line() == line == reference_line(record)
+        assert json.loads(line) == record._asdict()
+        direction, frame, index = record[5]
+        assert record.detail == {"dir": direction, "frame": frame.hex(), "index": index}
+
+
+@pytest.mark.parametrize("kind", sorted(CALLEE))
+def test_records_json_line_and_detail_match_refsim(kind):
+    """refsim builds every detail as a dict, as entnet did before DataRecord:
+    messages and raw frames both ways give the same records and lines."""
+    sim, _, lines, _ = _play(entnet, kind, raw_frames)
+    ref, _, ref_lines, _ = _play(refsim, kind, raw_frames)
+    assert lines == ref_lines
+    assert {type(record) for record in sim.trace} == {TraceRecord, DataRecord}
+    assert [record._asdict() for record in sim.trace] == list(map(asdict, ref.trace))
+    assert list(map(repr, sim.trace)) == list(map(repr, ref.trace))
+
+
+def test_emit_json_line_with_a_dict_detail_keeps_a_plain_record():
+    sim = Simulation(empty_scenario())
+    sim.emit("a", "DATA", 1, {"dir": "fwd", "frame": "00" * 16, "index": 0})
+    record = sim.trace[-1]
+    assert type(record) is TraceRecord
+    assert record.to_json_line() == next(sim.trace_lines()) == reference_line(record)
+
+
+# node, dir and session also come from small pools, so a trace repeats hops
+_data_records = st.builds(
+    lambda tick, seq, node, session, direction, frame, index: DataRecord._make(
+        (tick, seq, node, "DATA", session, (direction, frame, index))),
+    _ints, _ints, _texts | st.sampled_from(["a", 'q"é\n']),
+    st.none() | _ints | st.sampled_from([1, 2**70]),
+    _texts | st.sampled_from(["fwd", "rev"]), st.binary(min_size=16, max_size=16),
+    st.none() | _ints)
+
+
+@given(_data_records)
+def test_data_record_json_line_matches_json_dumps(record):
+    line = record.to_json_line()
+    direction, frame, index = record[5]
+    assert record.detail == {"dir": direction, "frame": frame.hex(), "index": index}
+    assert line == reference_line(record)
+    assert json.loads(line) == record._asdict()
+    assert repr(record) == repr(TraceRecord(*record[:5], record.detail))
+
+
+@given(st.lists(_data_records | _records, max_size=8))
+def test_trace_lines_json_line_matches_json_dumps(records):
+    sim = Simulation(empty_scenario())
+    sim.trace[:] = records
+    assert list(sim.trace_lines()) == list(map(reference_line, records))
+
+
+# trace bytes per DATA record on Python 3.10-3.13: 197-198 with the frame kept
+# as bytes, 368-423 with its hex in a detail dict; about 1.25 times the first
+_DATA_RECORD_HEAP_BOUND = 248
+
+
+def test_trace_heap_per_data_record_is_bounded():
+    sim = Simulation(example_scenario("cross-qbs"))
+    sim.run_until_idle()
+    sid = sim.request_session(11, 13)
+    sim.run_until_idle()
+    start = len(sim.trace)
+    tracemalloc.start()
+    try:
+        sim.send_message(sid, bytes(range(256)) * 64)  # a header and 1,024 data frames
+        sim.run_until_idle()
+        held = tracemalloc.get_traced_memory()[0]
+        data = sum(1 for record in sim.trace[start:] if record.type == "DATA")
+        del sim.trace[start:]
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert data == 4 * 1025  # logged at the caller, at both stations and at the callee
+    assert freed / data < _DATA_RECORD_HEAP_BOUND, freed / data
 
 
 def test_trace_file_round_trip(tmp_path, run_example):
