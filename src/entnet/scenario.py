@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ValidationError
 from .node import AcceptAll, AcceptList, AcceptPolicy, RejectAll
@@ -57,7 +58,7 @@ class WorkloadItem:
 @dataclass(frozen=True)
 class Scenario:
     seed: int
-    planets: tuple[PlanetSpec, ...] = ()
+    planets: tuple[PlanetSpec, ...] = field(default=(), metadata={"required": True})
     links: tuple[LinkSpec, ...] = ()
     workload: tuple[WorkloadItem, ...] = ()
     # set by scenario_from_dict on a scenario it validated and built from nothing
@@ -66,23 +67,43 @@ class Scenario:
     parsed: bool = field(default=False, init=False, repr=False, compare=False)
 
 
+# the schema -------------------------------------------------------------------
+# The spec dataclasses are the only schema: a spec's JSON keys are its init
+# fields, in field order, and a field's kind says how its value is parsed and
+# written. A tuple of specs is a list of JSON objects, an accept policy and a
+# payload each have a pair of hooks, and any other value passes through.
+
+
+def _kinds(cls: type) -> tuple[tuple[str, object], ...]:
+    """(name, kind) of each init field of a spec, in order. The kind of a tuple
+    of specs is the spec type; of any other field, its type."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, get_args(hint)[0] if get_origin(hint) is tuple else hint)
+                 for f in fields(cls) if f.init for hint in (hints[f.name],))
+
+
+_FIELDS = {cls: _kinds(cls) for cls in
+           (Scenario, PlanetSpec, ChildSpec, UserSpec, LinkSpec, WorkloadItem)}
+_KEYS = {cls: frozenset(name for name, _ in kinds) for cls, kinds in _FIELDS.items()}
+_REQUIRED = frozenset(f.name for f in fields(Scenario) if f.metadata.get("required"))
+
+
+def _path(*parts) -> str:
+    """A finding's path from field names and list indices: planets[0].mother_id."""
+    return "".join(f"[{part}]" if type(part) is int else f".{part}" for part in parts)[1:]
+
+
 # parsing ----------------------------------------------------------------------
 
-# the keys a JSON object of each kind may hold
-_SCENARIO_KEYS = frozenset({"seed", "planets", "links", "workload"})
-_PLANET_KEYS = frozenset({"mother_id", "children"})
-_CHILD_KEYS = frozenset({"qbs_id", "users"})
-_USER_KEYS = frozenset({"node_id", "qid", "accept_policy"})
-_LINK_KEYS = frozenset({"a", "b", "distance_meters"})
-_ITEM_KEYS = frozenset({"at_tick", "from_qid", "to_qid", "payload"})
+_ACCEPT_ALL, _REJECT_ALL = AcceptAll(), RejectAll()  # frozen, so one of each serves all
 
 
 def _parse_policy(raw):
     """The policy a JSON value names; any other value passes through."""
     if raw is None or raw == "accept_all":
-        return AcceptAll()
+        return _ACCEPT_ALL
     if raw == "reject_all":
-        return RejectAll()
+        return _REJECT_ALL
     if type(raw) is dict and raw.keys() == {"accept_list"}:
         qids = raw["accept_list"]
         if type(qids) is list and all(map(is_u64, qids)):
@@ -90,75 +111,92 @@ def _parse_policy(raw):
     return raw
 
 
-def _parse_payload(raw, i: int, findings: list[str]) -> bytes:
-    """Workload item i's payload bytes; b"" and a finding when it has none."""
+def _parse_payload(raw) -> bytes:
+    """The bytes a JSON payload names, or a ValueError whose text follows the
+    payload's path in its finding."""
     try:
         if isinstance(raw, str):
             return raw.encode("utf-8")
         if isinstance(raw, dict) and raw.keys() == {"hex"} and isinstance(raw["hex"], str):
             return bytes.fromhex(raw["hex"])
-        findings.append(f"workload[{i}].payload: payload must be a UTF-8 string "
-                        "or {'hex': '..'}")
     except ValueError:  # a bad hex digit, or a lone surrogate that UTF-8 cannot encode
-        findings.append(f"workload[{i}].payload: not valid UTF-8" if isinstance(raw, str)
-                        else f"workload[{i}].payload.hex: not valid hex")
-    return b""
+        raise ValueError(": not valid UTF-8" if isinstance(raw, str)
+                         else ".hex: not valid hex") from None
+    raise ValueError(": payload must be a UTF-8 string or {'hex': '..'}")
+
+
+def _policy_to_json(policy: AcceptPolicy):
+    if isinstance(policy, AcceptList):
+        return {"accept_list": sorted(policy.qids)}
+    return "reject_all" if isinstance(policy, RejectAll) else "accept_all"
+
+
+def _payload_to_json(payload: bytes):
+    """Printable UTF-8 text as it is, the empty payload included; else hex."""
+    try:
+        if (text := payload.decode("utf-8")).isprintable():
+            return text
+    except UnicodeDecodeError:
+        pass
+    return {"hex": payload.hex()}
+
+
+# (parse, write) hooks by kind; any other kind is parsed and written as it is
+_HOOKS = {AcceptPolicy: (_parse_policy, _policy_to_json),
+          bytes: (_parse_payload, _payload_to_json)}
+_SAME = (lambda value: value,) * 2
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from parsed JSON; raises ValidationError on any problem.
 
-    Parsing maps JSON objects onto specs, names policies and decodes payloads;
-    any other value passes through as it is, for validate_scenario to check.
-    A null or absent list is empty, except `planets`, which is required."""
+    Parsing checks each object's keys, maps objects onto specs, names policies
+    and decodes payloads; any other value passes through as it is, for
+    validate_scenario to check. A null or absent list is empty unless it is
+    required, and an absent payload is empty."""
     if not isinstance(raw, dict):
         raise ValidationError(["$: scenario must be a JSON object"])
-    findings = [f"{key}: unknown field" for key in raw if key not in _SCENARIO_KEYS]
     given = []  # values that pass through as given, which may be mutable containers
 
-    def objects(value, path: str, keys: frozenset, make, *at: int, empty=()):
-        """A JSON list with each object checked for unknown keys and mapped by
-        `make(obj, *at, i)`; null is `empty`, other values and elements pass
-        through. `path` is the list's, with a `{}` for each index in `at`."""
-        if type(value) is not list:
-            if value is None:
-                return empty
-            given.append(value)
-            return value
+    def specs(items, cls: type, *at):
+        """The JSON list at path `at` as a tuple of `cls` specs; null is empty, and
+        other values and elements pass through. An object's leading fields pass
+        through unchanged and its last is parsed by kind, with the parser chosen
+        once per list."""
+        if type(items) is not list:
+            if items is None:
+                return ()
+            given.append(items)
+            return items
+        keys = _KEYS[cls]
+        *lead, (last, kind) = _FIELDS[cls]
+        lead = [name for name, _ in lead]
+        absent = "" if kind is bytes else None  # an absent payload is empty
+        parse = ((lambda value: specs(value, kind, *at, i, last))  # i: the loop's
+                 if kind in _FIELDS else _HOOKS.get(kind, _SAME)[0])
         mapped = []
-        for i, obj in enumerate(value):
+        for i, obj in enumerate(items):
             if type(obj) is dict:
                 if not obj.keys() <= keys:
-                    where = (path + "[{}]").format(*at, i)
-                    findings.extend(f"{where}.{key}: unknown field"
+                    findings.extend(f"{_path(*at, i, key)}: unknown field"
                                     for key in obj if key not in keys)
-                obj = make(obj, *at, i)
+                try:
+                    value = parse(obj.get(last, absent))
+                except ValueError as fault:  # a payload that names no bytes is empty
+                    findings.append(f"{_path(*at, i, last)}{fault}")
+                    value = b""
+                obj = cls(*map(obj.get, lead), value)
             else:
                 given.append(obj)
             mapped.append(obj)
         return tuple(mapped)
 
-    def planet(p: dict, i: int) -> PlanetSpec:
-        return PlanetSpec(p.get("mother_id"), objects(
-            p.get("children"), "planets[{}].children", _CHILD_KEYS, child, i))
-
-    def child(c: dict, i: int, j: int) -> ChildSpec:
-        return ChildSpec(c.get("qbs_id"), objects(
-            c.get("users"), "planets[{}].children[{}].users", _USER_KEYS, user, i, j))
-
-    def user(u: dict, *at: int) -> UserSpec:
-        return UserSpec(u.get("node_id"), u.get("qid"), _parse_policy(u.get("accept_policy")))
-
-    def item(w: dict, i: int) -> WorkloadItem:
-        return WorkloadItem(w.get("at_tick"), w.get("from_qid"), w.get("to_qid"),
-                            _parse_payload(w.get("payload", ""), i, findings))
-
-    scenario = Scenario(
-        raw.get("seed"),
-        objects(raw.get("planets"), "planets", _PLANET_KEYS, planet, empty=None),
-        objects(raw.get("links"), "links", _LINK_KEYS,
-                lambda l, _: LinkSpec(l.get("a"), l.get("b"), l.get("distance_meters"))),
-        objects(raw.get("workload"), "workload", _ITEM_KEYS, item))
+    findings = [f"{key}: unknown field" for key in raw if key not in _KEYS[Scenario]]
+    # a required list that is null or absent stays None, for validate_scenario
+    scenario = Scenario(*[
+        specs(raw.get(name), kind, name) if kind in _FIELDS and (
+            raw.get(name) is not None or name not in _REQUIRED) else raw.get(name)
+        for name, kind in _FIELDS[Scenario]])
     findings += validate_scenario(scenario)
     if findings:
         raise ValidationError(findings)
@@ -168,13 +206,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and fully validate a scenario file; OSError passes through."""
-    with open(path) as handle:
-        text = handle.read()
-    try:
-        raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
-        raise ValidationError([f"$: not valid JSON: {exc}"]) from exc
+    """Read and fully validate a UTF-8 scenario file; OSError passes through."""
+    with open(path, encoding="utf-8") as handle:
+        try:  # ValueError: bad UTF-8 or JSON, or an integer past Python's digit limit
+            raw = json.load(handle)
+        except (ValueError, RecursionError) as exc:  # the latter: nested too deeply
+            raise ValidationError([f"$: not valid JSON: {exc}"]) from exc
     return scenario_from_dict(raw)
 
 
@@ -206,97 +243,91 @@ def validate_user(node_id, qid, policy, path: str = "user") -> list[str]:
     return [f"{path}.{fault}" for fault in _user_faults(node_id, qid, policy)]
 
 
-# a node id's path, by the number of list indices that place it; then a user's
-_ID_PATHS = {1: "planets[{}].mother_id", 2: "planets[{}].children[{}].qbs_id",
-             3: "planets[{}].children[{}].users[{}].node_id"}
-_USER_PATH = "planets[{}].children[{}].users[{}]"
-
-
 def validate_scenario(scenario: Scenario) -> list[str]:
     """All problems with a structured scenario: shapes, types, ranges and references.
-    Paths are kept as list indices and formatted only for a finding."""
+    Paths are kept as parts and formatted only for a finding."""
     findings: list[str] = []
-    node_ids: dict[str, tuple[int, ...]] = {}  # id -> where it was first claimed
-    qids: dict[int, tuple[int, int, int]] = {}
+    node_ids: dict[str, tuple] = {}  # id -> the path where it was first claimed
+    qids: dict[int, tuple] = {}  # QID -> the path of its user's node id
+
+    def report(at: tuple, text: str) -> None:
+        findings.append(f"{_path(*at)}: {text}")
 
     if not is_u64(scenario.seed):
-        findings.append("seed: must be an unsigned 64-bit integer")
+        report(("seed",), "must be an unsigned 64-bit integer")
 
-    def claim_node(node_id: str, at: tuple[int, ...]) -> None:
+    def claim_node(node_id: str, at: tuple) -> None:
         if not isinstance(node_id, str) or not node_id:
-            findings.append(f"{_ID_PATHS[len(at)].format(*at)}: must be a non-empty string")
+            report(at, "must be a non-empty string")
         elif node_id in node_ids:
-            first = node_ids[node_id]
-            findings.append(f"{_ID_PATHS[len(at)].format(*at)}: duplicate id '{node_id}' "
-                            f"(also used at {_ID_PATHS[len(first)].format(*first)})")
+            report(at, f"duplicate id '{node_id}' (also used at {_path(*node_ids[node_id])})")
         else:
             node_ids[node_id] = at
 
-    def each(items, cls: type, path: str, *at: int):
-        """(index, item) for each `cls` element of a tuple or list; the rest are
-        findings. `path` is the list's, with a `{}` for each index in `at`."""
+    def each(items, cls: type, at: tuple):
+        """(index, item) for each `cls` element of a tuple or list at path `at`;
+        the rest are findings."""
         if not isinstance(items, (tuple, list)):
-            findings.append(f"{path.format(*at)}: must be a list")
+            report(at, "must be a list")
             return
         for i, item in enumerate(items):
             if isinstance(item, cls):
                 yield i, item
             else:
-                findings.append(f"{path.format(*at)}[{i}]: must be an object")
+                report((*at, i), "must be an object")
 
-    for i, planet in each(scenario.planets, PlanetSpec, "planets"):
-        claim_node(planet.mother_id, (i,))
-        for j, child in each(planet.children, ChildSpec, "planets[{}].children", i):
-            claim_node(child.qbs_id, (i, j))
-            for k, user in each(child.users, UserSpec, "planets[{}].children[{}].users", i, j):
-                at = (i, j, k)
+    for i, planet in each(scenario.planets, PlanetSpec, ("planets",)):
+        claim_node(planet.mother_id, ("planets", i, "mother_id"))
+        for j, child in each(planet.children, ChildSpec, ("planets", i, "children")):
+            claim_node(child.qbs_id, ("planets", i, "children", j, "qbs_id"))
+            for k, user in each(child.users, UserSpec, ("planets", i, "children", j, "users")):
+                # the path of the user's node id; the user's own is all but its last part
+                at = ("planets", i, "children", j, "users", k, "node_id")
                 faults = _user_faults(user.node_id, user.qid, user.accept_policy)
                 if faults:
-                    path = _USER_PATH.format(*at)
-                    findings += [f"{path}.{fault}" for fault in faults]
+                    findings += [f"{_path(*at[:-1])}.{fault}" for fault in faults]
                 if isinstance(user.node_id, str) and user.node_id:  # else already a finding
                     claim_node(user.node_id, at)
                 if not is_u64(user.qid):
                     continue
                 if user.qid in qids:
-                    findings.append(f"{_USER_PATH.format(*at)}.qid: duplicate QID {user.qid} "
-                                    f"(also used at {_USER_PATH.format(*qids[user.qid])})")
+                    report((*at[:-1], "qid"), f"duplicate QID {user.qid} "
+                                              f"(also used at {_path(*qids[user.qid][:-1])})")
                 else:
                     qids[user.qid] = at
 
     seen_pairs: set[frozenset] = set()
-    for i, link in each(scenario.links, LinkSpec, "links"):
+    for i, link in each(scenario.links, LinkSpec, ("links",)):
         ends = (link.a, link.b)
         for end, node_id in zip("ab", ends):
             if not isinstance(node_id, str) or node_id not in node_ids:
-                findings.append(f"links[{i}].{end}: unknown node id {node_id!r}")
+                report(("links", i, end), f"unknown node id {node_id!r}")
         if link.a == link.b:
-            findings.append(f"links[{i}]: link endpoints must differ")
+            report(("links", i), "link endpoints must differ")
         distance = link.distance_meters
         if type(distance) not in (int, float) or not 0 <= distance <= sys.float_info.max:
-            findings.append(f"links[{i}].distance_meters: must be a number, finite and >= 0")
+            report(("links", i, "distance_meters"), "must be a number, finite and >= 0")
         if not all(isinstance(node_id, str) for node_id in ends):
             continue
         pair = frozenset(ends)
         if pair in seen_pairs and link.a != link.b:
-            findings.append(f"links[{i}]: duplicate link between "
-                            f"'{link.a}' and '{link.b}'")
+            report(("links", i), f"duplicate link between '{link.a}' and '{link.b}'")
         seen_pairs.add(pair)
 
-    for i, item in each(scenario.workload, WorkloadItem, "workload"):
+    for i, item in each(scenario.workload, WorkloadItem, ("workload",)):
         if type(item.at_tick) is not int or item.at_tick < 0:
-            findings.append(f"workload[{i}].at_tick: must be an integer >= 0")
+            report(("workload", i, "at_tick"), "must be an integer >= 0")
         for end in ("from_qid", "to_qid"):
             qid = getattr(item, end)
             if type(qid) is not int or qid not in qids:
-                findings.append(f"workload[{i}].{end}: unknown QID {qid!r}")
+                report(("workload", i, end), f"unknown QID {qid!r}")
         if item.from_qid == item.to_qid:
-            findings.append(f"workload[{i}]: from_qid and to_qid must differ")
+            report(("workload", i), "from_qid and to_qid must differ")
         if not isinstance(item.payload, bytes):
-            findings.append(f"workload[{i}].payload: must be bytes")
+            report(("workload", i, "payload"), "must be bytes")
         elif len(item.payload) > PAYLOAD_CAP:
-            findings.append(f"workload[{i}].payload: {len(item.payload)} bytes exceeds "
-                            f"the {PAYLOAD_CAP}-byte cap")
+            report(("workload", i, "payload"),
+                   f"{len(item.payload)} bytes exceeds the {PAYLOAD_CAP}-byte cap")
 
     return findings
 
@@ -304,61 +335,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 # serialization -------------------------------------------------------------------
 
 
-def _policy_to_json(policy: AcceptPolicy):
-    if isinstance(policy, RejectAll):
-        return "reject_all"
-    if isinstance(policy, AcceptList):
-        return {"accept_list": sorted(policy.qids)}
-    return "accept_all"
-
-
-def _payload_to_json(payload: bytes):
-    try:
-        text = payload.decode("utf-8")
-    except UnicodeDecodeError:
-        return {"hex": payload.hex()}
-    if text == "" or text.isprintable():
-        return text
-    return {"hex": payload.hex()}
+def _to_json(cls: type, spec) -> dict:
+    """A `cls` spec as its JSON object: each init field, in order, written by kind."""
+    obj = {}
+    for name, kind in _FIELDS[cls]:
+        value = getattr(spec, name)
+        obj[name] = ([_to_json(kind, element) for element in value] if kind in _FIELDS
+                     else _HOOKS.get(kind, _SAME)[1](value))
+    return obj
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "planets": [
-            {
-                "mother_id": planet.mother_id,
-                "children": [
-                    {
-                        "qbs_id": child.qbs_id,
-                        "users": [
-                            {
-                                "node_id": user.node_id,
-                                "qid": user.qid,
-                                "accept_policy": _policy_to_json(user.accept_policy),
-                            }
-                            for user in child.users
-                        ],
-                    }
-                    for child in planet.children
-                ],
-            }
-            for planet in scenario.planets
-        ],
-        "links": [
-            {"a": link.a, "b": link.b, "distance_meters": link.distance_meters}
-            for link in scenario.links
-        ],
-        "workload": [
-            {
-                "at_tick": item.at_tick,
-                "from_qid": item.from_qid,
-                "to_qid": item.to_qid,
-                "payload": _payload_to_json(item.payload),
-            }
-            for item in scenario.workload
-        ],
-    }
+    return _to_json(Scenario, scenario)
 
 
 def scenario_to_json(scenario: Scenario) -> str:
@@ -368,59 +356,33 @@ def scenario_to_json(scenario: Scenario) -> str:
 # ready-made scenarios ---------------------------------------------------------------
 
 
+def _example(seed: int, planets: tuple[PlanetSpec, ...], item: WorkloadItem) -> Scenario:
+    """A walkthrough with one transfer. Its links put each user 10 m from its
+    Child, each Child 1 km from its Mother and the Mothers 2.25e11 m apart."""
+    children = [(child, planet) for planet in planets for child in planet.children]
+    links = ([LinkSpec(user.node_id, child.qbs_id, 10.0)
+              for child, _ in children for user in child.users]
+             + [LinkSpec(child.qbs_id, planet.mother_id, 1000.0) for child, planet in children]
+             + [LinkSpec(a.mother_id, b.mother_id, 2.25e11) for a, b in zip(planets, planets[1:])])
+    return Scenario(seed, planets, tuple(links), (item,))
+
+
 def example_scenario(kind: str) -> Scenario:
     """A ready-to-run walkthrough: 'same-qbs', 'cross-qbs' or 'interplanet'."""
     if kind == "same-qbs":
-        return Scenario(
-            seed=1,
-            planets=(PlanetSpec("earth-mother", (
-                ChildSpec("qbs-1", (
-                    UserSpec("user-a", 11),
-                    UserSpec("user-b", 12),
-                )),
-            )),),
-            links=(
-                LinkSpec("user-a", "qbs-1", 10.0),
-                LinkSpec("user-b", "qbs-1", 10.0),
-                LinkSpec("qbs-1", "earth-mother", 1000.0),
-            ),
-            workload=(WorkloadItem(0, 11, 12, b"HELLO"),),
-        )
+        return _example(1, (PlanetSpec("earth-mother", (
+            ChildSpec("qbs-1", (UserSpec("user-a", 11), UserSpec("user-b", 12))),
+        )),), WorkloadItem(0, 11, 12, b"HELLO"))
     if kind == "cross-qbs":
-        return Scenario(
-            seed=2,
-            planets=(PlanetSpec("earth-mother", (
-                ChildSpec("qbs-1", (UserSpec("user-a", 11),)),
-                ChildSpec("qbs-2", (UserSpec("user-c", 13),)),
-            )),),
-            links=(
-                LinkSpec("user-a", "qbs-1", 10.0),
-                LinkSpec("user-c", "qbs-2", 10.0),
-                LinkSpec("qbs-1", "earth-mother", 1000.0),
-                LinkSpec("qbs-2", "earth-mother", 1000.0),
-            ),
-            workload=(WorkloadItem(0, 11, 13, b"HELLO ACROSS STATIONS"),),
-        )
+        return _example(2, (PlanetSpec("earth-mother", (
+            ChildSpec("qbs-1", (UserSpec("user-a", 11),)),
+            ChildSpec("qbs-2", (UserSpec("user-c", 13),)),
+        )),), WorkloadItem(0, 11, 13, b"HELLO ACROSS STATIONS"))
     if kind == "interplanet":
-        return Scenario(
-            seed=3,
-            planets=(
-                PlanetSpec("earth-mother", (
-                    ChildSpec("qbs-1", (UserSpec("user-a", 11),)),
-                )),
-                PlanetSpec("mars-mother", (
-                    ChildSpec("qbs-2", (UserSpec("user-c", 13),)),
-                )),
-            ),
-            links=(
-                LinkSpec("user-a", "qbs-1", 10.0),
-                LinkSpec("user-c", "qbs-2", 10.0),
-                LinkSpec("qbs-1", "earth-mother", 1000.0),
-                LinkSpec("qbs-2", "mars-mother", 1000.0),
-                LinkSpec("earth-mother", "mars-mother", 2.25e11),
-            ),
-            workload=(WorkloadItem(0, 11, 13, b"HELLO MARS"),),
-        )
+        return _example(3, (
+            PlanetSpec("earth-mother", (ChildSpec("qbs-1", (UserSpec("user-a", 11),)),)),
+            PlanetSpec("mars-mother", (ChildSpec("qbs-2", (UserSpec("user-c", 13),)),)),
+        ), WorkloadItem(0, 11, 13, b"HELLO MARS"))
     raise ValueError(f"unknown example kind '{kind}'")
 
 

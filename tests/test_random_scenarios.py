@@ -6,7 +6,8 @@ on some Children, a negotiation budget. Every case must give refsim's trace
 and stats bytes and latency reports, pass `check_all`, give the same bytes
 on a second run and on a run with another seed (drawing nothing from any
 circuit's stream) and, when no budget is overridden, deliver exactly what
-the policies allow.
+the policies allow. Each drawn scenario must also come back equal from
+`scenario_to_dict` and `scenario_to_json`.
 `--hypothesis-profile=long` runs more cases than the default `fast` one.
 """
 
@@ -83,6 +84,10 @@ def _run(package, raw, budgets, seed=None):
 @settings(deadline=None)
 def test_random_scenario_matches_refsim(case):
     raw, budgets = case
+    # the derived serialiser writes back what parsing read, as a dict and as text
+    scenario = entnet.scenario_from_dict(raw)
+    assert entnet.scenario_from_dict(entnet.scenario_to_dict(scenario)) == scenario
+    assert entnet.scenario_from_dict(json.loads(entnet.scenario_to_json(scenario))) == scenario
     sim, trace, stats = _run(entnet, raw, budgets)
     ref, *ref_bytes = _run(refsim, raw, budgets)
     assert [trace, stats] == ref_bytes
