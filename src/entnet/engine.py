@@ -20,7 +20,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_message
 from .errors import (
@@ -81,32 +81,66 @@ class TraceRecord(NamedTuple):
                 f'"detail":{{{",".join(items)}}}}}')
 
 
-def _data_line_middle(node: str, record_type: str, session: int | None,
-                      direction: str) -> str:
-    """A DATA line from `,"node":` up to the opening quote of the frame hex:
-    the same for every frame a hop carries in one direction of a session."""
-    return (f',"node":{_json_str(node)},"type":{_json_str(record_type)},'
-            f'"session":{"null" if session is None else session},'
-            f'"detail":{{"dir":{_json_str(direction)},"frame":"')
+class _Escaped(dict):
+    """The JSON text of each string, escaped the first time it is asked for."""
+
+    def __missing__(self, text: str) -> str:
+        escaped = self[text] = _json_str(text)
+        return escaped
 
 
-def _data_line(tick: int, seq: int, middle: str, data: bytes, index: int | None) -> str:
-    """A DATA line: its hop's middle text between tick, seq, frame hex and index."""
-    return (f'{{"tick":{tick},"seq":{seq}{middle}{data.hex()}",'
-            f'"index":{"null" if index is None else index}}}}}')
+# The record types the engine emits with a values tuple, each with its detail's
+# keys, sorted, and a writer of the detail's JSON text from (values, _Escaped).
+# The values follow the keys' order. A tuple stands for a JSON array, and None
+# for a key that the record's shape lacks: a MOTHER_LOOKUP names its `child` or
+# a `remote` Mother, and only a Child's timeout gives a REJECT its `reason`.
+# DATA keeps its frame as bytes; `_trace_lines` writes its lines itself.
+_VALUES_TYPES: dict[str, tuple[tuple[str, ...], Callable[[tuple, _Escaped], str] | None]] = {
+    "SESSION_REQUEST": (("callee", "caller"),
+                        lambda v, e: f'"callee":{v[0]},"caller":{v[1]}'),
+    "LOOKUP_LOCAL_HIT": (("qid",), lambda v, e: f'"qid":{v[0]}'),
+    "LOOKUP_LOCAL_MISS": (("qid",), lambda v, e: f'"qid":{v[0]}'),
+    "MOTHER_LOOKUP": (("child", "qid", "remote"),
+                      lambda v, e: f'"child":{e[v[0]]},"qid":{v[1]}' if v[2] is None
+                      else f'"qid":{v[1]},"remote":{e[v[2]]}'),
+    "MOTHER_LOOKUP_MISS": (("qid",), lambda v, e: f'"qid":{v[0]}'),
+    "CIRCUIT_PROVISIONED": (("a", "b", "circuit"),
+                            lambda v, e: f'"a":{e[v[0]]},"b":{e[v[1]]},"circuit":{v[2]}'),
+    "NEGOTIATE": (("callee", "caller"), lambda v, e: f'"callee":{v[0]},"caller":{v[1]}'),
+    "ACCEPT": (("caller",), lambda v, e: f'"caller":{v[0]}'),
+    "REJECT": (("caller", "reason"),
+               lambda v, e: f'"caller":{v[0]}' if v[1] is None
+               else f'"caller":{v[0]},"reason":{e[v[1]]}'),
+    "ESTABLISHED": (("path",), lambda v, e: f'"path":[{",".join(map(e.__getitem__, v[0]))}]'),
+    "SEND": (("bytes", "dir", "frames"),
+             lambda v, e: f'"bytes":{v[0]},"dir":{e[v[1]]},"frames":{v[2]}'),
+    "DATA": (("dir", "frame", "index"), None),
+    "DELIVER": (("bytes", "dir"), lambda v, e: f'"bytes":{v[0]},"dir":{e[v[1]]}'),
+    "CIRCUIT_RELEASED": (("circuit", "scope"),
+                         lambda v, e: f'"circuit":{v[0]},"scope":{e[v[1]]}'),
+    "TEARDOWN": ((), lambda v, e: ""),
+    "CLOSED": ((), lambda v, e: ""),
+}
+_ARITY = {record_type: len(keys) for record_type, (keys, _) in _VALUES_TYPES.items()}
 
 
-class DataRecord(TraceRecord):
-    """A data-plane DATA record that keeps `(dir, frame bytes, index)` as its
-    last field. `detail` builds the trace's {"dir", "frame": hex, "index"} dict
-    each time it is read; `_asdict`, `repr` and the line show that dict."""
+class ValuesRecord(TraceRecord):
+    """A record whose last field is its detail's values, as the engine emits
+    them (see `_VALUES_TYPES`); DATA's are `(dir, frame bytes, index)`.
+    `detail` builds the trace's dict each time it is read, with DATA's frame
+    in hex; `_asdict`, `repr` and the line show that dict."""
 
     __slots__ = ()
 
     @property
     def detail(self) -> dict:
-        direction, data, index = tuple.__getitem__(self, 5)
-        return {"dir": direction, "frame": data.hex(), "index": index}
+        _, _, _, record_type, _, values = self
+        if record_type == "DATA":
+            direction, data, index = values
+            return {"dir": direction, "frame": data.hex(), "index": index}
+        return {key: list(value) if type(value) is tuple else value
+                for key, value in zip(_VALUES_TYPES[record_type][0], values)
+                if value is not None}
 
     def _with_dict(self) -> TraceRecord:
         return _new_record((*self[:5], self.detail))
@@ -118,14 +152,41 @@ class DataRecord(TraceRecord):
         return repr(self._with_dict())
 
     def to_json_line(self) -> str:
-        tick, seq, node, record_type, session, (direction, data, index) = self
-        return _data_line(tick, seq, _data_line_middle(node, record_type, session, direction),
-                          data, index)
+        return next(_trace_lines((self,)))
 
 
 # records from a 6-tuple without the Python-level NamedTuple.__new__
 _new_record = functools.partial(tuple.__new__, TraceRecord)
-_new_data_record = functools.partial(tuple.__new__, DataRecord)
+_new_values_record = functools.partial(tuple.__new__, ValuesRecord)
+
+
+def _trace_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
+    """Each record's line. A values record's line is written from its node's
+    escaped name and its type's writer; a DATA line around its hop's middle
+    text, from `,"node":` up to the frame hex, formatted once per hop."""
+    names = _Escaped()
+    middles: dict[tuple, str] = {}
+    for record in records:
+        if type(record) is not ValuesRecord:
+            yield record.to_json_line()
+            continue
+        tick, seq, node, record_type, session, values = record
+        if record_type == "DATA":
+            direction, data, index = values
+            key = (node, session, direction)
+            middle = middles.get(key)
+            if middle is None:
+                middle = middles[key] = (
+                    f',"node":{names[node]},"type":"DATA",'
+                    f'"session":{"null" if session is None else session},'
+                    f'"detail":{{"dir":{names[direction]},"frame":"')
+            yield (f'{{"tick":{tick},"seq":{seq}{middle}{data.hex()}",'
+                   f'"index":{"null" if index is None else index}}}}}')
+        else:
+            yield (f'{{"tick":{tick},"seq":{seq},"node":{names[node]},'
+                   f'"type":{names[record_type]},'
+                   f'"session":{"null" if session is None else session},'
+                   f'"detail":{{{_VALUES_TYPES[record_type][1](values, names)}}}}}')
 
 
 @dataclass(frozen=True)
@@ -208,16 +269,24 @@ class Simulation:
 
     def emit(self, node: str, record_type: str, session: int | None,
              detail: dict | tuple) -> None:
-        """Append a trace record that keeps `detail` itself. Callers pass a new
-        dict with its keys in sorted order, the order the trace line writes
-        them in; emit neither copies nor reorders it. The data plane passes
-        DATA's `(dir, frame bytes, index)` instead, kept in a DataRecord."""
+        """Append a trace record that keeps `detail` itself. A dict, with its
+        keys in sorted order, is kept in a TraceRecord; emit neither copies nor
+        reorders it. The engine passes a tuple of the detail's values instead,
+        in the order of its type's keys in `_VALUES_TYPES`, kept in a
+        ValuesRecord; a tuple for any other type, or of another length, is a
+        ValueError."""
         now = self.now
-        seq = self._seq_by_tick[now]  # `now` always has an entry
-        self._seq_by_tick[now] = seq + 1
+        seq_by_tick = self._seq_by_tick
+        seq = seq_by_tick[now]  # `now` always has an entry
         record = (now, seq, node, record_type, session, detail)
-        self.trace.append(_new_data_record(record) if type(detail) is tuple
-                          else _new_record(record))
+        if type(detail) is tuple:
+            if _ARITY.get(record_type) != len(detail):
+                raise ValueError(f"record type {record_type!r} takes no "
+                                 f"{len(detail)}-value tuple")
+            self.trace.append(_new_values_record(record))
+        else:
+            self.trace.append(_new_record(record))
+        seq_by_tick[now] = seq + 1  # taken only by a record that was kept
 
     def run_until_idle(self) -> int:
         """Process every queued event; returns the tick of the last one run."""
@@ -362,8 +431,7 @@ class Simulation:
                             user.node_id, user.home_qbs)
         rec.circuits.append(user.home_circuit)
         self.sessions[session_id] = rec
-        self.emit(user.node_id, "SESSION_REQUEST", session_id,
-                  {"callee": callee_qid, "caller": caller_qid})
+        self.emit(user.node_id, "SESSION_REQUEST", session_id, (callee_qid, caller_qid))
         self.schedule(self.now + 1, user.home_qbs, "session_lookup", {"session": session_id})
         return session_id
 
@@ -373,7 +441,7 @@ class Simulation:
         circuit = self._create_circuit(qbs_a, qbs_b, owner_session=session_id)
         self.sessions[session_id].circuits.append(circuit.circuit_id)
         self.emit(mother_id, "CIRCUIT_PROVISIONED", session_id,
-                  {"a": qbs_a, "b": qbs_b, "circuit": circuit.circuit_id})
+                  (qbs_a, qbs_b, circuit.circuit_id))
         return circuit.circuit_id
 
     def establish_session(self, rec: SessionRecord) -> None:
@@ -390,7 +458,7 @@ class Simulation:
         rec.route = {FORWARD: [(a, b, c, c.channel(a, b)) for a, b, c in hops],
                      REVERSE: [(b, a, c, c.channel(b, a)) for a, b, c in reversed(hops)]}
         rec.transition(SessionState.ESTABLISHED)
-        self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, {"path": list(rec.path)})
+        self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, (tuple(rec.path),))
         if rec.workload_payload is not None:
             self.schedule(self.now + 1, rec.caller_node, "session_ready",
                           {"session": rec.session_id})
@@ -405,7 +473,7 @@ class Simulation:
             circuit = self.circuits.peek(circuit_id)  # an unbuilt one is a home circuit
             owned = circuit is not None and circuit.owner_session == rec.session_id
             self.emit(releasing_node, "CIRCUIT_RELEASED", rec.session_id,
-                      {"circuit": circuit_id, "scope": "session" if owned else "permanent"})
+                      (circuit_id, "session" if owned else "permanent"))
             if owned:
                 self.released_plate_draws += circuit.pool.plate_draws
                 del self.circuits[circuit_id]
@@ -427,11 +495,11 @@ class Simulation:
         if rec.state is not SessionState.ESTABLISHED:
             raise SessionNotEstablished(
                 f"session {session_id} is {rec.state.value}, not established")
-        self.emit(rec.caller_qbs, "TEARDOWN", session_id, {})
+        self.emit(rec.caller_qbs, "TEARDOWN", session_id, ())
         rec.transition(SessionState.TEARING_DOWN)
         self.release_session_circuits(rec, rec.caller_qbs)
         rec.transition(SessionState.CLOSED)
-        self.emit(rec.caller_qbs, "CLOSED", session_id, {})
+        self.emit(rec.caller_qbs, "CLOSED", session_id, ())
 
     # data plane -------------------------------------------------------------
 
@@ -441,8 +509,7 @@ class Simulation:
         rec, direction = self._established(session_id, sender)
         frames = segment_message(payload)
         sender_node = rec.route[direction][0][0]
-        self.emit(sender_node, "SEND", session_id,
-                  {"bytes": len(payload), "dir": direction, "frames": len(frames)})
+        self.emit(sender_node, "SEND", session_id, (len(payload), direction, len(frames)))
         for index, frame in enumerate(frames):
             self._submit_frame(rec, direction, frame, index)
 
@@ -536,8 +603,7 @@ class Simulation:
             return
         del rec.rx_buffers[direction]
         user.inbox.append((self.now, rec.session_id, payload))
-        self.emit(target, "DELIVER", rec.session_id,
-                  {"bytes": len(payload), "dir": direction})
+        self.emit(target, "DELIVER", rec.session_id, (len(payload), direction))
         if rec.workload_payload is not None and direction == FORWARD:
             self.schedule(self.now + 1, rec.caller_qbs, "teardown",
                           {"session": rec.session_id})
@@ -614,19 +680,8 @@ class Simulation:
         }
 
     def trace_lines(self) -> Iterator[str]:
-        """Each record's line. A DATA record's line is written around its hop's
-        middle text, formatted once per hop."""
-        middles: dict[tuple, str] = {}
-        for record in self.trace:
-            if type(record) is DataRecord:
-                tick, seq, node, record_type, session, (direction, data, index) = record
-                key = (node, record_type, session, direction)
-                middle = middles.get(key)
-                if middle is None:
-                    middle = middles[key] = _data_line_middle(*key)
-                yield _data_line(tick, seq, middle, data, index)
-            else:
-                yield record.to_json_line()
+        """Each record's line, as its `to_json_line` writes it."""
+        return _trace_lines(self.trace)
 
     def write_trace(self, path: str) -> None:
         """Write the trace as NDJSON, one line at a time."""

@@ -65,16 +65,22 @@ def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
             states[session] = target
 
 
+def _direction(detail: dict | tuple) -> str:
+    return detail[1] if type(detail) is tuple else detail["dir"]
+
+
 def check_causality(records: Iterable[TraceRecord]) -> None:
-    """Every DELIVER pairs with an earlier SEND of the same session+direction."""
+    """Every DELIVER pairs with an earlier SEND of the same session+direction.
+    The direction is read from a values record's stored values, second after
+    `bytes` in both types, without building its detail dict."""
     pending: dict[tuple[int, str], int] = {}
     for record in records:
         record_type = record.type
         if record_type == "SEND":
-            key = (record.session, record.detail["dir"])
+            key = (record.session, _direction(record[5]))
             pending[key] = pending.get(key, 0) + 1
         elif record_type == "DELIVER":
-            key = (record.session, record.detail["dir"])
+            key = (record.session, _direction(record[5]))
             if pending.get(key, 0) < 1:
                 raise InvariantViolation(
                     f"session {record.session}: DELIVER at tick {record.tick} "

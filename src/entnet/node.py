@@ -96,7 +96,9 @@ class UserNode:
         if rec.state is not SessionState.NEGOTIATING:
             return  # the owner already timed the negotiation out
         accepted = self.decide(rec.caller)
-        sim.emit(self.node_id, "ACCEPT" if accepted else "REJECT", rec.session_id,
-                 {"caller": rec.caller})
+        if accepted:
+            sim.emit(self.node_id, "ACCEPT", rec.session_id, (rec.caller,))
+        else:
+            sim.emit(self.node_id, "REJECT", rec.session_id, (rec.caller, None))  # no reason
         sim.schedule(sim.now + 1, rec.callee_qbs, "negotiation_answer",
                      {"session": rec.session_id, "accepted": accepted})

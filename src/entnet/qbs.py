@@ -223,11 +223,11 @@ class QbsNode:
         rec = sim.sessions[p["session"]]
         rec.callee_node = self.lookup_local(rec.callee)
         if rec.callee_node is not None:
-            sim.emit(self.qbs_id, "LOOKUP_LOCAL_HIT", rec.session_id, {"qid": rec.callee})
+            sim.emit(self.qbs_id, "LOOKUP_LOCAL_HIT", rec.session_id, (rec.callee,))
             rec.callee_qbs = self.qbs_id
             self._start_negotiation(sim, rec)
         else:
-            sim.emit(self.qbs_id, "LOOKUP_LOCAL_MISS", rec.session_id, {"qid": rec.callee})
+            sim.emit(self.qbs_id, "LOOKUP_LOCAL_MISS", rec.session_id, (rec.callee,))
             rec.transition(SessionState.QUERYING_MOTHER)
             sim.schedule(sim.now + 1, self.mother_id, "mother_lookup",
                          {"session": rec.session_id})
@@ -245,16 +245,15 @@ class QbsNode:
 
     def _ask_callee(self, sim: "Simulation", rec: SessionRecord) -> None:
         """At the callee's station, once rec.callee_node is resolved."""
-        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id,
-                 {"callee": rec.callee, "caller": rec.caller})
+        sim.emit(self.qbs_id, "NEGOTIATE", rec.session_id, (rec.callee, rec.caller))
         sim.schedule(sim.now + 1, rec.callee_node, "negotiate_ask", {"session": rec.session_id})
 
     def _on_mother_lookup(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
         owner = self.registry.get(rec.callee)
         if owner in self.peer_mothers:  # delegated to another planet's Mother
-            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
-                     {"qid": rec.callee, "remote": owner})
+            # values in key order (child, qid, remote): no child here
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id, (None, rec.callee, owner))
             sim.schedule(sim.now + 1, owner, "peer_lookup", {"session": rec.session_id})
         else:
             self._answer_child(sim, rec, self._resolve_child(sim, rec))
@@ -272,10 +271,10 @@ class QbsNode:
         Never called on a delegation: the QID's own Mother holds its Child."""
         child = self.registry.get(rec.callee)
         if child is not None:
-            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id,
-                     {"child": child, "qid": rec.callee})
+            # values in key order (child, qid, remote): no remote Mother here
+            sim.emit(self.qbs_id, "MOTHER_LOOKUP", rec.session_id, (child, rec.callee, None))
             return child
-        sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, {"qid": rec.callee})
+        sim.emit(self.qbs_id, "MOTHER_LOOKUP_MISS", rec.session_id, (rec.callee,))
         return None
 
     def _answer_child(self, sim: "Simulation", rec: SessionRecord,
@@ -322,8 +321,7 @@ class QbsNode:
         rec = sim.sessions[p["session"]]
         if rec.state is not SessionState.NEGOTIATING:
             return
-        sim.emit(self.qbs_id, "REJECT", rec.session_id,
-                 {"caller": rec.caller, "reason": "timeout"})
+        sim.emit(self.qbs_id, "REJECT", rec.session_id, (rec.caller, "timeout"))
         rec.transition(SessionState.FAILED, FailureReason.REJECTED)
         sim.release_session_circuits(rec, self.qbs_id)
 

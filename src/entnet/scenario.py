@@ -205,13 +205,43 @@ def scenario_from_dict(raw: dict) -> Scenario:
     return scenario
 
 
+def _objects(value):
+    """Each JSON object in `value` with its path parts, in document order."""
+    stack = [((), value)]
+    while stack:  # not recursive: json.load accepts deeper nesting than Python calls
+        at, value = stack.pop()
+        if type(value) is dict:
+            yield at, value
+            items = value.items()
+        elif type(value) is list:
+            items = enumerate(value)
+        else:
+            continue
+        stack.extend(reversed([((*at, key), item) for key, item in items]))
+
+
 def load_scenario(path: str) -> Scenario:
-    """Read and fully validate a UTF-8 scenario file; OSError passes through."""
+    """Read and fully validate a UTF-8 scenario file; OSError passes through.
+    A key given twice in one JSON object is a finding at its path."""
+    repeats: dict[int, list[str]] = {}  # id of a parsed object -> the keys it repeats
+
+    def to_dict(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            repeats[id(obj)] = list(dict.fromkeys(
+                key for key, _ in pairs if key in seen or seen.add(key)))
+        return obj
+
     with open(path, encoding="utf-8") as handle:
         try:  # ValueError: bad UTF-8 or JSON, or an integer past Python's digit limit
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=to_dict)
         except (ValueError, RecursionError) as exc:  # the latter: nested too deeply
             raise ValidationError([f"$: not valid JSON: {exc}"]) from exc
+    if repeats:  # every object is still alive in `raw`, so no id was reused
+        raise ValidationError([f"{_path(*at, key)}: repeated field"
+                               for at, obj in _objects(raw)
+                               for key in repeats.get(id(obj), ())])
     return scenario_from_dict(raw)
 
 

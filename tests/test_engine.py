@@ -24,7 +24,7 @@ from entnet import (
     example_scenario,
     with_uniform_distances,
 )
-from entnet.engine import DataRecord
+from entnet.engine import _VALUES_TYPES, ValuesRecord
 from entnet.errors import (
     CallerUnknown,
     SchedulingError,
@@ -606,7 +606,7 @@ def test_trace_escapes_awkward_node_ids():
         assert json.loads(line) == record._asdict()
 
 
-# DataRecord: the data plane's DATA keeps (dir, frame bytes, index); its line is
+# ValuesRecord: the data plane's DATA keeps (dir, frame bytes, index); its line is
 # written from them directly, and its detail dict is built when it is read
 
 def relayed_raw_frame():
@@ -628,7 +628,7 @@ def test_data_record_json_line_on_runs(name):
     sim = _RUNS[name]() if name in _RUNS else build(name)
     lines = list(sim.trace_lines())
     data = [(line, record) for line, record in zip(lines, sim.trace) if record.type == "DATA"]
-    assert data and all(type(record) is DataRecord for _, record in data)
+    assert data and all(type(record) is ValuesRecord for _, record in data)
     if name == "relay-data":
         assert [record.detail["index"] for _, record in data[-3:]] == [None] * 3
     for line, record in data:
@@ -640,12 +640,12 @@ def test_data_record_json_line_on_runs(name):
 
 @pytest.mark.parametrize("kind", sorted(CALLEE))
 def test_records_json_line_and_detail_match_refsim(kind):
-    """refsim builds every detail as a dict, as entnet did before DataRecord:
+    """refsim builds every detail as a dict, as entnet did before ValuesRecord:
     messages and raw frames both ways give the same records and lines."""
     sim, _, lines, _ = _play(entnet, kind, raw_frames)
     ref, _, ref_lines, _ = _play(refsim, kind, raw_frames)
     assert lines == ref_lines
-    assert {type(record) for record in sim.trace} == {TraceRecord, DataRecord}
+    assert {type(record) for record in sim.trace} == {ValuesRecord}
     assert [record._asdict() for record in sim.trace] == list(map(asdict, ref.trace))
     assert list(map(repr, sim.trace)) == list(map(repr, ref.trace))
 
@@ -660,7 +660,7 @@ def test_emit_json_line_with_a_dict_detail_keeps_a_plain_record():
 
 # node, dir and session also come from small pools, so a trace repeats hops
 _data_records = st.builds(
-    lambda tick, seq, node, session, direction, frame, index: DataRecord._make(
+    lambda tick, seq, node, session, direction, frame, index: ValuesRecord._make(
         (tick, seq, node, "DATA", session, (direction, frame, index))),
     _ints, _ints, _texts | st.sampled_from(["a", 'q"é\n']),
     st.none() | _ints | st.sampled_from([1, 2**70]),
@@ -683,6 +683,62 @@ def test_trace_lines_json_line_matches_json_dumps(records):
     sim = Simulation(empty_scenario())
     sim.trace[:] = records
     assert list(sim.trace_lines()) == list(map(reference_line, records))
+
+
+# every type the engine emits as a values record, with the values its sites pass:
+# ids that need escaping, any ints, and both shapes of MOTHER_LOOKUP and REJECT.
+# Node ids, directions and scopes also come from small pools, so the escaped-text
+# cache of one trace_lines call is hit across records and types.
+_ids = _texts | st.sampled_from(["qbs-1", 'q"é\n'])
+_dirs = _texts | st.sampled_from(["fwd", "rev"])
+_VALUES = {
+    "SESSION_REQUEST": st.tuples(_ints, _ints),
+    "LOOKUP_LOCAL_HIT": st.tuples(_ints),
+    "LOOKUP_LOCAL_MISS": st.tuples(_ints),
+    "MOTHER_LOOKUP": st.tuples(_ids, _ints, st.none()) | st.tuples(st.none(), _ints, _ids),
+    "MOTHER_LOOKUP_MISS": st.tuples(_ints),
+    "CIRCUIT_PROVISIONED": st.tuples(_ids, _ids, _ints),
+    "NEGOTIATE": st.tuples(_ints, _ints),
+    "ACCEPT": st.tuples(_ints),
+    "REJECT": st.tuples(_ints, st.none() | st.just("timeout") | _texts),
+    "ESTABLISHED": st.tuples(st.lists(_ids, max_size=4).map(tuple)),
+    "SEND": st.tuples(_ints, _dirs, _ints),
+    "DATA": st.tuples(_dirs, st.binary(min_size=16, max_size=16), st.none() | _ints),
+    "DELIVER": st.tuples(_ints, _dirs),
+    "CIRCUIT_RELEASED": st.tuples(_ints, st.sampled_from(["session", "permanent"]) | _texts),
+    "TEARDOWN": st.just(()),
+    "CLOSED": st.just(()),
+}
+_values_records = st.sampled_from(sorted(_VALUES)).flatmap(
+    lambda record_type: st.builds(
+        lambda tick, seq, node, session, values: ValuesRecord._make(
+            (tick, seq, node, record_type, session, values)),
+        _ints, _ints, _ids, st.none() | _ints, _VALUES[record_type]))
+
+
+def test_values_strategies_cover_every_engine_record_type():
+    assert set(_VALUES) == set(_VALUES_TYPES) == set(_RECORD_RULES)
+
+
+@given(st.lists(_values_records, max_size=8))
+def test_values_record_json_line_matches_json_dumps(records):
+    sim = Simulation(empty_scenario())
+    sim.trace[:] = records
+    for record, line in zip(records, sim.trace_lines(), strict=True):
+        assert record.to_json_line() == line == json.dumps(record._asdict(),
+                                                            separators=(",", ":"))
+        assert repr(record) == repr(TraceRecord(*record[:5], record.detail))
+
+
+@pytest.mark.parametrize("record_type, values", [
+    ("UNKNOWN", (1,)), ("ACCEPT", (1, None)), ("TEARDOWN", (1,)), ("MOTHER_LOOKUP", (1,))])
+def test_emit_rejects_a_values_tuple_that_its_type_lacks(record_type, values):
+    sim = Simulation(empty_scenario())
+    with pytest.raises(ValueError, match=record_type):
+        sim.emit("a", record_type, 1, values)
+    assert sim.trace == []
+    sim.emit("a", "ACCEPT", 1, (1,))  # the rejected tuple took no seq
+    assert sim.trace[0].seq == 0
 
 
 # trace bytes per DATA record on Python 3.10-3.13: 197-198 with the frame kept
@@ -708,6 +764,27 @@ def test_trace_heap_per_data_record_is_bounded():
         tracemalloc.stop()
     assert data == 4 * 1025  # logged at the caller, at both stations and at the callee
     assert freed / data < _DATA_RECORD_HEAP_BOUND, freed / data
+
+
+# trace bytes per record of a 2,000-session desk run (43,503 records, 39 % DATA)
+# on Python 3.11: 169 with every detail kept as its values, 242 with the
+# control-plane details as dicts; about 1.25 times the first
+_DESK_RECORD_HEAP_BOUND = 211
+
+
+def test_trace_heap_per_desk_record_is_bounded():
+    sim = Simulation(desk_scale_scenario(sessions=2000))
+    tracemalloc.start()
+    try:
+        sim.run_until_idle()
+        held = tracemalloc.get_traced_memory()[0]
+        records = len(sim.trace)
+        del sim.trace[:]
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records == 43_503
+    assert freed / records < _DESK_RECORD_HEAP_BOUND, freed / records
 
 
 def test_trace_file_round_trip(tmp_path, run_example):

@@ -82,3 +82,20 @@ def test_a_file_that_is_not_utf8_is_a_finding(tmp_path, capsys):
 def test_an_integer_past_the_digit_limit_is_a_finding(tmp_path, capsys):
     data = json.dumps({"seed": 1, "planets": []}).replace("1", "9" * 5000, 1)
     _assert_dollar_finding(tmp_path, capsys, data.encode())
+
+
+# a user's QID given twice: json.load alone keeps the last, and the file passed
+REPEATED_KEYS = (b'{"seed": 1, "seed": 2, "planets": [{"mother_id": "m", "children": '
+                 b'[{"qbs_id": "q", "users": [{"node_id": "a", "qid": 1, "qid": 5}, '
+                 b'{"node_id": "b", "qid": 2}]}]}], "workload": []}\n')
+
+
+def test_a_key_repeated_in_an_object_is_a_finding_at_its_path(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_bytes(REPEATED_KEYS)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid: seed: repeated field\n"
+                                "invalid: planets[0].children[0].users[0].qid: repeated field\n")
