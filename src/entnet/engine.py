@@ -16,11 +16,11 @@ import heapq
 import itertools
 import json
 import math
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_message
 from .errors import (
@@ -47,40 +47,6 @@ REVERSE = "rev"
 _ESTABLISHED = SessionState.ESTABLISHED
 
 
-# the encoder that json.dumps(value, separators=(",", ":")) builds on every call
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-class TraceRecord(NamedTuple):
-    tick: int
-    seq: int
-    node: str
-    type: str
-    session: int | None
-    detail: dict
-
-    def to_json_line(self) -> str:
-        """Same bytes as `json.dumps` of the record as a dict in field order,
-        with separators (",", ":") and the default ASCII escaping."""
-        tick, seq, node, record_type, session, detail = self
-        items = []
-        for key, value in detail.items():
-            kind = type(value)
-            if kind is int:  # exact, so bool and IntEnum take the encoder path
-                text = str(value)
-            elif kind is str:
-                text = _json_str(value)
-            elif value is None:
-                text = "null"
-            else:
-                text = _compact_json(value)
-            items.append(f"{_json_str(key)}:{text}")
-        return (f'{{"tick":{tick},"seq":{seq},"node":{_json_str(node)},'
-                f'"type":{_json_str(record_type)},'
-                f'"session":{"null" if session is None else session},'
-                f'"detail":{{{",".join(items)}}}}}')
-
-
 class _Escaped(dict):
     """The JSON text of each string, escaped the first time it is asked for."""
 
@@ -89,12 +55,12 @@ class _Escaped(dict):
         return escaped
 
 
-# The record types the engine emits with a values tuple, each with its detail's
-# keys, sorted, and a writer of the detail's JSON text from (values, _Escaped).
-# The values follow the keys' order. A tuple stands for a JSON array, and None
-# for a key that the record's shape lacks: a MOTHER_LOOKUP names its `child` or
-# a `remote` Mother, and only a Child's timeout gives a REJECT its `reason`.
-# DATA keeps its frame as bytes; `_trace_lines` writes its lines itself.
+# Every trace record type, with its detail's keys, sorted, and a writer of the
+# detail's JSON text from (values, _Escaped). A record keeps its detail's values
+# in the keys' order. A tuple stands for a JSON array, and None for a key that
+# the record's shape lacks: a MOTHER_LOOKUP names its `child` or a `remote`
+# Mother, and only a Child's timeout gives a REJECT its `reason`. DATA keeps
+# its frame as bytes; `_trace_lines` writes its lines itself.
 _VALUES_TYPES: dict[str, tuple[tuple[str, ...], Callable[[tuple, _Escaped], str] | None]] = {
     "SESSION_REQUEST": (("callee", "caller"),
                         lambda v, e: f'"callee":{v[0]},"caller":{v[1]}'),
@@ -124,8 +90,9 @@ _VALUES_TYPES: dict[str, tuple[tuple[str, ...], Callable[[tuple, _Escaped], str]
 _ARITY = {record_type: len(keys) for record_type, (keys, _) in _VALUES_TYPES.items()}
 
 
-class ValuesRecord(TraceRecord):
-    """A record whose last field is its detail's values, as the engine emits
+class TraceRecord(namedtuple("TraceRecord", ("tick", "seq", "node", "type", "session",
+                                             "detail"))):
+    """A record whose last field keeps its detail's values, as `emit` takes
     them (see `_VALUES_TYPES`); DATA's are `(dir, frame bytes, index)`.
     `detail` builds the trace's dict each time it is read, with DATA's frame
     in hex; `_asdict`, `repr` and the line show that dict."""
@@ -142,34 +109,29 @@ class ValuesRecord(TraceRecord):
                 for key, value in zip(_VALUES_TYPES[record_type][0], values)
                 if value is not None}
 
-    def _with_dict(self) -> TraceRecord:
-        return _new_record((*self[:5], self.detail))
-
     def _asdict(self) -> dict:
-        return self._with_dict()._asdict()
+        return dict(zip(self._fields, (*self[:5], self.detail)))
 
     def __repr__(self) -> str:
-        return repr(self._with_dict())
+        fields = ", ".join(f"{key}={value!r}" for key, value in self._asdict().items())
+        return f"TraceRecord({fields})"
 
     def to_json_line(self) -> str:
+        """Same bytes as `json.dumps(self._asdict(), separators=(",", ":"))`."""
         return next(_trace_lines((self,)))
 
 
-# records from a 6-tuple without the Python-level NamedTuple.__new__
+# records from a 6-tuple without the Python-level namedtuple __new__
 _new_record = functools.partial(tuple.__new__, TraceRecord)
-_new_values_record = functools.partial(tuple.__new__, ValuesRecord)
 
 
 def _trace_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
-    """Each record's line. A values record's line is written from its node's
-    escaped name and its type's writer; a DATA line around its hop's middle
-    text, from `,"node":` up to the frame hex, formatted once per hop."""
+    """Each record's line, written from its node's escaped name and its type's
+    writer; a DATA line around its hop's middle text, from `,"node":` up to
+    the frame hex, formatted once per hop."""
     names = _Escaped()
     middles: dict[tuple, str] = {}
     for record in records:
-        if type(record) is not ValuesRecord:
-            yield record.to_json_line()
-            continue
         tick, seq, node, record_type, session, values = record
         if record_type == "DATA":
             direction, data, index = values
@@ -268,24 +230,22 @@ class Simulation:
         self._cancelled.add(key)
 
     def emit(self, node: str, record_type: str, session: int | None,
-             detail: dict | tuple) -> None:
-        """Append a trace record that keeps `detail` itself. A dict, with its
-        keys in sorted order, is kept in a TraceRecord; emit neither copies nor
-        reorders it. The engine passes a tuple of the detail's values instead,
-        in the order of its type's keys in `_VALUES_TYPES`, kept in a
-        ValuesRecord; a tuple for any other type, or of another length, is a
-        ValueError."""
+             values: tuple) -> None:
+        """Append a trace record of `values`, the detail's values in the order
+        of its type's keys in `_VALUES_TYPES`. Anything but a tuple is a
+        TypeError; a tuple for a type the table lacks, or of another length,
+        is a ValueError. Neither takes a seq. emit is the engine's own call:
+        it checks no value's type."""
         now = self.now
         seq_by_tick = self._seq_by_tick
         seq = seq_by_tick[now]  # `now` always has an entry
-        record = (now, seq, node, record_type, session, detail)
-        if type(detail) is tuple:
-            if _ARITY.get(record_type) != len(detail):
-                raise ValueError(f"record type {record_type!r} takes no "
-                                 f"{len(detail)}-value tuple")
-            self.trace.append(_new_values_record(record))
-        else:
-            self.trace.append(_new_record(record))
+        if type(values) is not tuple:
+            raise TypeError(f"record type {record_type!r} takes a tuple of values, "
+                            f"not {type(values).__name__}")
+        if _ARITY.get(record_type) != len(values):
+            raise ValueError(f"record type {record_type!r} takes no "
+                             f"{len(values)}-value tuple")
+        self.trace.append(_new_record((now, seq, node, record_type, session, values)))
         seq_by_tick[now] = seq + 1  # taken only by a record that was kept
 
     def run_until_idle(self) -> int:

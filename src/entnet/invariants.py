@@ -47,8 +47,6 @@ _RECORD_RULES: dict[str, tuple[frozenset, SessionState | str | None]] = {
 
 def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
     """Replay every session's records against the legal transition relation."""
-    # each field is read once: a trace holds two record classes, and repeated
-    # reads of one attribute across them miss the interpreter's attribute cache
     states: dict[int, SessionState | str] = {}
     for record in records:
         session = record.session
@@ -65,22 +63,18 @@ def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
             states[session] = target
 
 
-def _direction(detail: dict | tuple) -> str:
-    return detail[1] if type(detail) is tuple else detail["dir"]
-
-
 def check_causality(records: Iterable[TraceRecord]) -> None:
     """Every DELIVER pairs with an earlier SEND of the same session+direction.
-    The direction is read from a values record's stored values, second after
+    The direction is read from the record's stored values, second after
     `bytes` in both types, without building its detail dict."""
     pending: dict[tuple[int, str], int] = {}
     for record in records:
         record_type = record.type
         if record_type == "SEND":
-            key = (record.session, _direction(record[5]))
+            key = (record.session, record[5][1])
             pending[key] = pending.get(key, 0) + 1
         elif record_type == "DELIVER":
-            key = (record.session, _direction(record[5]))
+            key = (record.session, record[5][1])
             if pending.get(key, 0) < 1:
                 raise InvariantViolation(
                     f"session {record.session}: DELIVER at tick {record.tick} "
