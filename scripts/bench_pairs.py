@@ -20,6 +20,13 @@ targets either tree found absent, both trees' trace and stats sha256, and
 every count metric with its delta. Counts are deterministic for a tree, so
 a delta is never noise.
 
+Each tree's runs read and write bytecode under their own PYTHONPYCACHEPREFIX
+in a temporary directory, with writing allowed even where the environment
+sets PYTHONDONTWRITEBYTECODE. So neither checkout is written, and both trees
+are compiled once, by their first run, whatever their `__pycache__` holds:
+a tree whose sources are newer than its bytecode would otherwise recompile
+at every start and read a higher `peak_rss_mb`. The report's settings say so.
+
 The script gates on no time. It exits 1 when a run fails its correctness gate,
 the two trees disagree on a run's trace or stats digest, or a traced run finds
 a wrapped target absent; all of these are kept in the output. It warns on
@@ -44,6 +51,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,13 +87,22 @@ def describe(tree: Path) -> dict:
             "src_lines": lines, "src_sha256": digest.hexdigest()}
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def bytecode_env(prefix: Path) -> dict[str, str]:
+    """The environment of one tree's runs: bytecode is read from and written
+    under `prefix`, never in the checkout."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0,
+              env: dict[str, str] | None = None) -> dict:
     """One perfbench run: its gate, digests and metric values. A traced run
     gives the wrapped targets it found absent and its count metrics instead."""
     done = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, env=env, capture_output=True, text=True, check=False)
     lines = done.stdout.splitlines()
     if len(lines) < 2:
         return {"correct": False, "exit": done.returncode,
@@ -204,33 +221,40 @@ def main(argv: list[str] | None = None) -> int:
     workloads = {}
     count_diffs = {}
     failed = False
-    for workload in WORKLOADS:
-        traced = [perfbench(trees[side], workload, args.seeds[0], 0, trace=1) for side in SIDES]
-        diff = count_diffs[workload] = {"seed": args.seeds[0], **count_diff(*traced)}
-        failed |= (bool(diff["absent"]) or not diff["digests_equal"]
-                   or not all(diff["correct"].values()))
-        pairs = []
-        for index in range(args.pairs):
-            seed = args.seeds[index % len(args.seeds)]
-            order = SIDES if index % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = perfbench(trees[side], workload, seed, args.seconds)
-            pair["digests_equal"] = pair["parent"].get("digests") == pair["change"].get("digests")
-            failed |= not (pair["parent"]["correct"] and pair["change"]["correct"]
-                           and pair["digests_equal"])
-            pairs.append(pair)
-            run_s = [pair[side]["metrics"].get("run_s") for side in SIDES]
-            print(f"{workload} pair {index + 1}/{args.pairs} seed {seed}: "
-                  f"run_s parent {run_s[0]} change {run_s[1]}", file=sys.stderr)
-        workloads[workload] = {
-            "metrics": {m["name"]: summarize(pairs, m) for m in metrics},
-            "pairs": pairs,
-        }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as caches:
+        envs = {side: bytecode_env(Path(caches) / side) for side in SIDES}
+        for workload in WORKLOADS:
+            traced = [perfbench(trees[side], workload, args.seeds[0], 0, trace=1,
+                                env=envs[side]) for side in SIDES]
+            diff = count_diffs[workload] = {"seed": args.seeds[0], **count_diff(*traced)}
+            failed |= (bool(diff["absent"]) or not diff["digests_equal"]
+                       or not all(diff["correct"].values()))
+            pairs = []
+            for index in range(args.pairs):
+                seed = args.seeds[index % len(args.seeds)]
+                order = SIDES if index % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = perfbench(trees[side], workload, seed, args.seconds,
+                                           env=envs[side])
+                pair["digests_equal"] = (pair["parent"].get("digests")
+                                         == pair["change"].get("digests"))
+                failed |= not (pair["parent"]["correct"] and pair["change"]["correct"]
+                               and pair["digests_equal"])
+                pairs.append(pair)
+                run_s = [pair[side]["metrics"].get("run_s") for side in SIDES]
+                print(f"{workload} pair {index + 1}/{args.pairs} seed {seed}: "
+                      f"run_s parent {run_s[0]} change {run_s[1]}", file=sys.stderr)
+            workloads[workload] = {
+                "metrics": {m["name"]: summarize(pairs, m) for m in metrics},
+                "pairs": pairs,
+            }
 
     report = {
         "command": "perfbench/run.py --trace 0",
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": args.seeds},
+        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": args.seeds,
+                     "bytecode": "each tree compiled once, under its own temporary "
+                                 "PYTHONPYCACHEPREFIX"},
         "host": {"python": platform.python_version(), "cpu_count": os.cpu_count()},
         "trees": described,
         "workloads": workloads,

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .node import AcceptAll, AcceptPolicy, UserNode
-from .qbs import Circuit, CircuitTable, FailureReason, QbsNode, SessionRecord, SessionState
+from .qbs import Circuit, FailureReason, QbsNode, SessionRecord, SessionState
 from .scenario import Scenario, is_u64, validate_scenario, validate_user
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
@@ -196,7 +196,8 @@ class Simulation:
         self.nodes: dict[str, QbsNode | UserNode] = {}
         self.users: dict[int, UserNode] = {}
         self.sessions: dict[int, SessionRecord] = {}
-        self.circuits = CircuitTable(self.seed)
+        # built circuits only: a user's home circuit joins when a route first uses it
+        self.circuits: dict[int, Circuit] = {}
         self._permanent: set[int] = set()
         self._next_circuit = itertools.count(1)
         self._next_session = itertools.count(1)
@@ -327,12 +328,15 @@ class Simulation:
 
     def _create_circuit(self, a: str, b: str, owner_session: int | None = None) -> Circuit:
         circuit_id = next(self._next_circuit)
-        # a str seed: the pool hashes it only if it ever draws, and no clean run does
-        circuit = Circuit.build(circuit_id, a, b, f"{self.seed}/circuit:{circuit_id}",
-                                owner_session)
-        self.circuits[circuit_id] = circuit
         if owner_session is None:
             self._permanent.add(circuit_id)
+        return self._build_circuit(circuit_id, a, b, owner_session)
+
+    def _build_circuit(self, circuit_id: int, a: str, b: str,
+                       owner_session: int | None = None) -> Circuit:
+        # a str seed: the pool hashes it only if it ever draws, and no clean run does
+        circuit = self.circuits[circuit_id] = Circuit.build(
+            circuit_id, a, b, f"{self.seed}/circuit:{circuit_id}", owner_session)
         return circuit
 
     def register_user(self, child_id: str, qid: int, node_id: str,
@@ -368,7 +372,6 @@ class Simulation:
             peer.registry[qid] = mother.qbs_id
         # the id now, in attach order; the circuit when a session first routes over it
         user.home_circuit = circuit_id = next(self._next_circuit)
-        self.circuits.reserve(circuit_id, user)
         self._permanent.add(circuit_id)
 
     def _schedule_workload(self) -> None:
@@ -411,6 +414,9 @@ class Simulation:
         if rec.callee_qbs != rec.caller_qbs:
             rec.path.append(rec.callee_qbs)
         rec.path.append(rec.callee_node)
+        for user in (self.users[rec.caller], callee_user):
+            if user.home is None:
+                user.home = self._build_circuit(user.home_circuit, user.node_id, user.home_qbs)
         # hop i rides rec.circuits[i]: caller home, owned child<->child, callee home
         hops = [(a, b, self.circuits[c]) for a, b, c in zip(rec.path, rec.path[1:], rec.circuits)]
         assert len(hops) == len(rec.circuits) and all(
@@ -430,7 +436,7 @@ class Simulation:
         A frame still in flight keeps its own hop list: it is decoded, its
         plate reset and its channel drained, then dropped as session_closed."""
         for circuit_id in rec.circuits:
-            circuit = self.circuits.peek(circuit_id)  # an unbuilt one is a home circuit
+            circuit = self.circuits.get(circuit_id)  # an unbuilt one is a home circuit
             owned = circuit is not None and circuit.owner_session == rec.session_id
             self.emit(releasing_node, "CIRCUIT_RELEASED", rec.session_id,
                       (circuit_id, "session" if owned else "permanent"))
@@ -591,7 +597,9 @@ class Simulation:
             frozenset((link.a, link.b)): link.distance_meters
             for link in self.scenario.links
         }
-        edges = {frozenset(self.circuits.ends(circuit_id)) for circuit_id in self._permanent}
+        edges = {frozenset((user.node_id, user.home_qbs)) for user in self.users.values()}
+        edges.update(frozenset((c.a, c.b)) for c in self.circuits.values()
+                     if c.owner_session is None)
         edges.update(link_distances)
         adj: dict[str, list[tuple[str, float]]] = {}
         for edge in sorted(edges, key=sorted):

@@ -94,8 +94,8 @@ def _plate_fault(tx: Plate, rx: Plate) -> str | None:
 
 def check_anti_correlation(sim: Simulation) -> None:
     """Every channel plate pair of every live circuit carries opposite spins.
-    A circuit not built yet holds no plates."""
-    for circuit in sim.circuits.built():
+    A home circuit that no route has used is not built and holds no plates."""
+    for circuit in sim.circuits.values():
         for (src, dst), channel in circuit.channels.items():
             fault = _plate_fault(channel.tx, channel.rx)
             if fault:
@@ -106,7 +106,7 @@ def check_anti_correlation(sim: Simulation) -> None:
 
 def check_no_blind_decodes(sim: Simulation) -> None:
     """No plate of any circuit, live or released, was decoded before it was encoded."""
-    for circuit in sim.circuits.built():
+    for circuit in sim.circuits.values():
         if circuit.pool.plate_draws:
             raise InvariantViolation(
                 f"circuit {circuit.circuit_id}: {circuit.pool.plate_draws} blind decode(s)")
@@ -116,13 +116,15 @@ def check_no_blind_decodes(sim: Simulation) -> None:
 
 
 def check_circuit_conservation(sim: Simulation) -> None:
-    """At quiescence the live circuits are exactly the permanent topology ones."""
+    """At quiescence the live circuits are exactly the permanent topology ones.
+    A home circuit that no route has built counts as live under its id."""
     live = [rec for rec in sim.sessions.values() if not rec.terminal]
     if live:
         raise InvariantViolation(
             f"not at quiescence: sessions {[r.session_id for r in live]} still live")
     expected = set(sim.permanent_circuit_ids)
     actual = set(sim.circuits)
+    actual.update(user.home_circuit for user in sim.users.values() if user.home is None)
     if actual != expected:
         raise InvariantViolation(
             f"circuit sets differ: extra={sorted(actual - expected)} "

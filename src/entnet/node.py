@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
 from .codec import Frame
-from .qbs import SessionState
+from .qbs import Circuit, SessionState
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulation
@@ -40,13 +40,15 @@ class UserNode:
     """One end device, attached to exactly one Child base station.
 
     Its `inbox` and `raw_frames` lists are made on first use: most users of
-    a large network never receive anything."""
+    a large network never receive anything. Its `home` circuit, id
+    `home_circuit`, is built when a session first routes over it."""
 
     node_id: str
     qid: int
     home_qbs: str
     policy: AcceptPolicy = field(default_factory=AcceptAll)
     home_circuit: int | None = None
+    home: Circuit | None = field(default=None, repr=False)
     _inbox: list | None = field(default=None, init=False, repr=False)
     _raw_frames: list | None = field(default=None, init=False, repr=False)
 

@@ -12,7 +12,6 @@ by the simulation event loop.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -23,7 +22,6 @@ from .errors import IllegalTransition
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulation
-    from .node import UserNode
 
 # session state machine --------------------------------------------------------
 
@@ -136,62 +134,6 @@ class Circuit:
             for ends in ((self.a, self.b), (self.b, self.a)):
                 channels[ends] = DirectedChannel(*self.pool.make_plate_pair())
         return channels[src, dst]
-
-
-class CircuitTable(MutableMapping):
-    """Live circuits by id, in the order their ids were handed out.
-
-    A user's home circuit is reserved at attach: its id is listed, but its
-    `Circuit` is built the first time someone reads it, usually when a
-    session first routes over it. An unbuilt circuit is fresh: no channels,
-    no plates, no draws."""
-
-    def __init__(self, seed: int) -> None:
-        self._seed = seed
-        # a built Circuit, or the user whose home circuit this id reserves
-        self._entries: dict[int, Circuit | UserNode] = {}
-
-    def reserve(self, circuit_id: int, user: UserNode) -> None:
-        self._entries[circuit_id] = user
-
-    def __getitem__(self, circuit_id: int) -> Circuit:
-        entry = self._entries[circuit_id]
-        if not isinstance(entry, Circuit):
-            entry = self._entries[circuit_id] = Circuit.build(
-                circuit_id, entry.node_id, entry.home_qbs,
-                f"{self._seed}/circuit:{circuit_id}")
-        return entry
-
-    def __setitem__(self, circuit_id: int, circuit: Circuit) -> None:
-        self._entries[circuit_id] = circuit
-
-    def __delitem__(self, circuit_id: int) -> None:
-        del self._entries[circuit_id]
-
-    def __contains__(self, circuit_id: object) -> bool:
-        return circuit_id in self._entries
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def built(self) -> list[Circuit]:
-        """The circuits built so far, without building any other."""
-        return [c for c in self._entries.values() if isinstance(c, Circuit)]
-
-    def peek(self, circuit_id: int) -> Circuit | None:
-        """The circuit if it is live and built; None otherwise, building nothing."""
-        entry = self._entries.get(circuit_id)
-        return entry if isinstance(entry, Circuit) else None
-
-    def ends(self, circuit_id: int) -> tuple[str, str]:
-        """A live circuit's two endpoints, built or not."""
-        entry = self._entries[circuit_id]
-        if isinstance(entry, Circuit):
-            return entry.a, entry.b
-        return entry.node_id, entry.home_qbs
 
 
 # base-station node --------------------------------------------------------------

@@ -88,7 +88,6 @@ def test_criterion_3_same_qbs_conformance():
 
 def test_criterion_4_cross_qbs_conformance():
     sim = Simulation(example_scenario("cross-qbs"))
-    circuits_before = set(sim.circuits)
     sim.run_until_idle()
     types = [r.type for r in sim.trace]
     assert is_subsequence(
@@ -99,7 +98,7 @@ def test_criterion_4_cross_qbs_conformance():
         hops = [r.node for r in sim.trace
                 if r.type == "DATA" and r.detail["index"] == index]
         assert hops == ["user-a", "qbs-1", "qbs-2", "user-c"], hops
-    assert set(sim.circuits) == circuits_before
+    assert set(sim.circuits) == sim.permanent_circuit_ids  # both homes routed
     provisioned = next(r.detail["circuit"] for r in sim.trace
                        if r.type == "CIRCUIT_PROVISIONED")
     released = {r.detail["circuit"] for r in sim.trace

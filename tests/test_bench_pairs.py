@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,7 +87,7 @@ def test_count_diff_of_a_run_that_printed_nothing():
 
 def fake_perfbench(absent=(), digests=("t", "s")):
     """perfbench runs that pass; this tree's traced run finds `absent` and `digests`."""
-    def fake(tree, workload, seed, seconds, trace=0):
+    def fake(tree, workload, seed, seconds, trace=0, env=None):
         if trace:
             change = tree == bench_pairs.ROOT
             return traced({"engine.events": 7}, absent if change else (),
@@ -125,6 +127,42 @@ def test_the_runner_warns_about_a_tree_git_cannot_name(monkeypatch, tmp_path, ca
     assert any(f"parent tree {parent}" in line for line in warnings), warnings
     report = json.loads((tmp_path / "bench.json").read_text())
     assert report["trees"]["parent"]["git_sha"] is None
+
+
+def test_each_tree_runs_under_its_own_bytecode_cache(monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    envs = {}
+
+    def recording(tree, workload, seed, seconds, trace=0, env=None):
+        envs.setdefault(tree, []).append(env)
+        return fake_perfbench()(tree, workload, seed, seconds, trace)
+    monkeypatch.setattr(bench_pairs, "perfbench", recording)
+    assert run_main(tmp_path, tmp_path / "bench.json") == 0
+    prefixes = {}
+    for tree, seen in envs.items():
+        assert len(seen) == 2 * len(bench_pairs.WORKLOADS)  # one traced, one timed
+        assert all(env is seen[0] for env in seen)
+        assert "PYTHONDONTWRITEBYTECODE" not in seen[0]
+        prefixes[tree] = Path(seen[0]["PYTHONPYCACHEPREFIX"])
+    assert set(prefixes) == {tmp_path.resolve(), bench_pairs.ROOT}
+    first, second = prefixes.values()
+    assert first != second
+    for prefix in prefixes.values():
+        assert not prefix.exists()  # the temporary directory is gone
+        assert not prefix.is_relative_to(tmp_path) and not prefix.is_relative_to(bench_pairs.ROOT)
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert "PYTHONPYCACHEPREFIX" in report["settings"]["bytecode"]
+
+
+def test_bytecode_env_compiles_into_its_prefix_and_never_into_the_tree(monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    tree, prefix = tmp_path / "tree", tmp_path / "cache"
+    tree.mkdir()
+    (tree / "probe.py").write_text("VALUE = 1\n")
+    env = dict(bench_pairs.bytecode_env(prefix), PYTHONPATH=str(tree))
+    subprocess.run([sys.executable, "-c", "import probe"], cwd=tree, env=env, check=True)
+    assert list(prefix.rglob("probe.*.pyc"))
+    assert not (tree / "__pycache__").exists()
 
 
 def report(**medians_and_iqrs):

@@ -256,7 +256,8 @@ def test_permanent_circuit_count():
         ChildSpec("q2", (UserSpec("b", 2),)),
     )),))
     sim = Simulation(scenario)
-    assert len(sim.circuits) == 4  # 2 user<->child + 2 child<->mother
+    assert len(sim.permanent_circuit_ids) == 4  # 2 user<->child + 2 child<->mother
+    assert len(sim.circuits) == 2  # a home circuit is built when a route first uses it
 
 
 def test_two_planets_get_one_mother_link():

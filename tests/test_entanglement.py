@@ -162,13 +162,13 @@ def _blind_decode(seed, circuit_id=1):
 def test_blind_decode_on_a_circuit_follows_scenario_and_seed():
     assert _blind_decode(5) == _blind_decode(5)
     assert _blind_decode(5) != _blind_decode(6)
-    assert _blind_decode(5, circuit_id=1) != _blind_decode(5, circuit_id=2)
+    assert _blind_decode(5, circuit_id=1) != _blind_decode(5, circuit_id=3)
 
 
 def test_circuit_stream_is_seeded_from_its_label():
-    circuit = Simulation(example_scenario("cross-qbs"), seed=5).circuits[2]
+    circuit = Simulation(example_scenario("cross-qbs"), seed=5).circuits[3]
     rx = circuit.channel(circuit.a, circuit.b).rx
-    expected = random.Random("5/circuit:2").getrandbits(PLATE_WIDTH)
+    expected = random.Random("5/circuit:3").getrandbits(PLATE_WIDTH)
     assert circuit.pool.observe_plate(rx) == expected
 
 

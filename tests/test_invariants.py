@@ -6,7 +6,10 @@ from entnet.invariants import (
     check_active_session_membership,
     check_all,
     check_anti_correlation,
+    check_causality,
+    check_circuit_conservation,
     check_registry_coherence,
+    check_session_circuit_binding,
     check_trace_state_machine,
 )
 
@@ -202,3 +205,41 @@ def test_a_qid_moved_to_another_child_with_its_user_is_caught():
     sim.nodes["qbs-2"].registry[11] = sim.nodes["qbs-1"].registry.pop(11)
     with pytest.raises(InvariantViolation, match="QID 11: chain ends at user-a"):
         check_registry_coherence(sim)
+
+
+def test_a_deliver_ahead_of_its_send_is_caught(run_example):
+    records = list(run_example("same-qbs").trace)
+    check_causality(records)
+    types = [r.type for r in records]
+    records.insert(types.index("SEND"), records.pop(types.index("DELIVER")))
+    with pytest.raises(InvariantViolation, match="session 1: DELIVER .* precedes its SEND"):
+        check_causality(records)
+
+
+def test_circuit_conservation_needs_quiescence():
+    sim = Simulation(example_scenario("same-qbs"))
+    sim.run_until(4)  # the workload session is live
+    assert not sim.sessions[1].terminal
+    with pytest.raises(InvariantViolation, match=r"not at quiescence: sessions \[1\] still live"):
+        check_circuit_conservation(sim)
+    sim.run_until_idle()
+    check_circuit_conservation(sim)
+
+
+@pytest.mark.parametrize("terminal", [True, False], ids=["closed-with-circuit", "live-without"])
+def test_a_session_circuit_list_at_odds_with_its_state_is_caught(terminal):
+    sim = Simulation(example_scenario("same-qbs"))
+    if terminal:
+        sim.run_until_idle()
+    else:
+        sim.run_until(4)
+    rec = sim.sessions[1]
+    assert rec.terminal == terminal
+    check_session_circuit_binding(sim)
+    if terminal:
+        rec.circuits.append(sim.users[11].home_circuit)
+    else:
+        rec.circuits.clear()
+    state = "closed" if terminal else rec.state.value
+    with pytest.raises(InvariantViolation, match=rf"session 1 \({state}\) holds circuits"):
+        check_session_circuit_binding(sim)

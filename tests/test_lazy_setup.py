@@ -1,5 +1,5 @@
-"""Home circuits are reserved at attach and built on first read; set-up holds
-only what a run routes over."""
+"""A home circuit's id is handed out at attach, and its circuit is built when a
+session first routes over it; set-up holds only what a run routes over."""
 
 import tracemalloc
 from dataclasses import replace
@@ -28,28 +28,42 @@ def builds(monkeypatch):
 
 
 def unbuilt(sim) -> set[int]:
-    return set(sim.circuits) - {c.circuit_id for c in sim.circuits.built()}
+    """The home circuit ids that no route has built."""
+    return {user.home_circuit for user in sim.users.values() if user.home is None}
 
 
 def test_a_new_simulation_builds_only_station_circuits(builds):
     sim = Simulation(example_scenario("interplanet"))
     # 1 qbs-1<->earth, 2 user-a home, 3 qbs-2<->mars, 4 user-c home, 5 earth<->mars
     assert builds == [1, 3, 5]
-    assert list(sim.circuits) == [1, 2, 3, 4, 5] and len(sim.circuits) == 5
-    assert 2 in sim.circuits and 4 in sim.circuits
+    assert list(sim.circuits) == [1, 3, 5]
     assert sim.permanent_circuit_ids == {1, 2, 3, 4, 5}
     assert unbuilt(sim) == {2, 4}
+    with pytest.raises(KeyError):
+        sim.circuits[2]
+    assert builds == [1, 3, 5]
 
 
-def test_reading_a_reserved_circuit_builds_it_once_with_its_seed_label(builds):
+def test_reading_the_circuit_table_builds_nothing(builds):
+    sim = Simulation(example_scenario("interplanet"))
+    builds.clear()
+    assert list(dict(sim.circuits)) == [1, 3, 5]
+    assert [c.circuit_id for c in sim.circuits.values()] == [1, 3, 5]
+    assert [cid for cid, _ in sim.circuits.items()] == [1, 3, 5]
+    assert sum(len(c.pool) for c in sim.circuits.values()) == 0
+    assert builds == [] and unbuilt(sim) == {2, 4}
+
+
+def test_a_route_builds_a_home_circuit_once_with_its_seed_label(builds):
     sim = Simulation(example_scenario("same-qbs"), seed=77)
+    sim.run_until_idle()
     user = sim.users[12]
-    circuit = sim.circuits[user.home_circuit]
-    assert builds == [1, user.home_circuit]
+    circuit = user.home
+    assert builds == [1, sim.users[11].home_circuit, user.home_circuit]
     assert (circuit.circuit_id, circuit.a, circuit.b, circuit.owner_session) == (
         user.home_circuit, "user-b", "qbs-1", None)
     assert circuit.pool._seed == f"77/circuit:{user.home_circuit}"
-    assert sim.circuits[user.home_circuit] is circuit and len(builds) == 2
+    assert sim.circuits[user.home_circuit] is circuit
 
 
 def test_the_first_session_builds_its_home_circuits_and_a_second_none(builds):
@@ -92,23 +106,24 @@ def test_the_light_speed_graph_holds_unbuilt_home_circuits():
     # no declared user links: a user's only edge is its home circuit
     base = example_scenario("cross-qbs")
     scenario = replace(base, links=tuple(l for l in base.links if not l.a.startswith("user")))
-    lazy, built = Simulation(scenario), Simulation(scenario)
-    dict(built.circuits)  # reading every value builds it
+    lazy, routed = Simulation(scenario), Simulation(scenario)
+    routed.run_until_idle()  # its one session routes over both home circuits
     graph = lazy._classical_graph()
-    assert unbuilt(lazy) == {2, 4} and not unbuilt(built)
-    assert graph == built._classical_graph()
+    assert unbuilt(lazy) == {2, 4} and not unbuilt(routed)
+    assert graph == routed._classical_graph()
     assert ("user-a", 0.0) in graph["qbs-1"] and ("user-c", 0.0) in graph["qbs-2"]
 
 
-def test_a_dropped_unbuilt_permanent_circuit_is_still_missing():
+def test_a_dropped_built_home_circuit_is_still_missing():
     sim = Simulation(example_scenario("cross-qbs"))
     sim.run_until_idle()
     sim.register_user("qbs-1", 99, "user-z")
-    spare = sim.users[99].home_circuit
-    assert spare in unbuilt(sim)
+    assert unbuilt(sim) == {sim.users[99].home_circuit}
     check_circuit_conservation(sim)
-    del sim.circuits[spare]
-    with pytest.raises(InvariantViolation, match=rf"missing=\[{spare}\]"):
+    home = sim.users[11].home_circuit
+    assert sim.circuits[home] is sim.users[11].home
+    del sim.circuits[home]
+    with pytest.raises(InvariantViolation, match=rf"missing=\[{home}\]"):
         check_circuit_conservation(sim)
 
 
@@ -121,10 +136,10 @@ def test_a_drained_channel_queue_is_released():
     waited = False
     for tick in range(100):
         sim.run_until(tick)
-        waited |= any(ch.queue for c in sim.circuits.built() for ch in c.channels.values())
+        waited |= any(ch.queue for c in sim.circuits.values() for ch in c.channels.values())
     sim.run_until_idle()
     assert waited
-    assert [ch.queue for c in sim.circuits.built() for ch in c.channels.values()] == [None] * 4
+    assert [ch.queue for c in sim.circuits.values() for ch in c.channels.values()] == [None] * 4
     assert sorted(sim.users[2].receive_poll()) == [(1, b"x" * 200), (2, b"y" * 200)]
 
 
@@ -137,7 +152,8 @@ def test_sparse_desk_build_heap_stays_small():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(sim.circuits) == 10_010
+    assert len(sim.permanent_circuit_ids) == 10_010
+    assert len(sim.circuits) == 10  # the child<->mother circuits
     assert held <= 6_000_000, held
 
 

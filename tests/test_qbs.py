@@ -247,10 +247,10 @@ def test_concurrent_sessions_get_distinct_circuits():
 
 def test_teardown_removes_provisioned_circuit():
     sim = Simulation(two_station_scenario(workload=[WorkloadItem(0, 1, 3, b"x")]))
-    before = set(sim.circuits)
     sim.run_until_idle()
     assert sim.sessions[1].state is SessionState.CLOSED
-    assert set(sim.circuits) == before
+    unrouted = {sim.users[2].home_circuit, sim.users[4].home_circuit}
+    assert set(sim.circuits) == sim.permanent_circuit_ids - unrouted
     provisioned = [r.detail["circuit"] for r in sim.trace
                    if r.type == "CIRCUIT_PROVISIONED"]
     assert provisioned and provisioned[0] not in sim.circuits

@@ -99,3 +99,14 @@ def test_a_key_repeated_in_an_object_is_a_finding_at_its_path(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == ("invalid: seed: repeated field\n"
                                 "invalid: planets[0].children[0].users[0].qid: repeated field\n")
+
+
+@pytest.mark.parametrize("text", ["[]", "5"], ids=["array", "number"])
+def test_a_top_level_that_is_not_an_object_is_a_finding(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text + "\n")
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid: $: scenario must be a JSON object\n"
