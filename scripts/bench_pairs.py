@@ -17,8 +17,11 @@ SHA, the `src/entnet` line count, the Python version and `os.cpu_count()`.
 Per workload it also runs `perfbench/run.py --trace 1` once on each tree,
 with the first seed, and writes the count diff under "counts": the wrapped
 targets either tree found absent, both trees' trace and stats sha256, and
-every count metric with its delta. Counts are deterministic for a tree, so
-a delta is never noise.
+every count metric with its delta. A work count, such as calls or events, is
+deterministic for a tree, so its delta is never noise. A `runtime.*` count
+is not: `runtime.gc_collections` follows the allocations pending when the
+run starts, which a change to set-up can shift by one. Those counts go under
+the diff's "runtime" key and out of the summary line's changed counts.
 
 Each tree's runs read and write bytecode under their own PYTHONPYCACHEPREFIX
 in a temporary directory, with writing allowed even where the environment
@@ -121,15 +124,16 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int =
 
 def count_diff(parent: dict, change: dict) -> dict:
     """Two traced runs of one workload, parent's and this tree's: the targets
-    either found absent, both digests, and every count with its delta."""
+    either found absent, both digests, and every count with its delta, the
+    work counts under "counts" and the `runtime.*` ones under "runtime"."""
     runs = {"parent": parent, "change": change}
     digests = {side: run.get("digests", [None, None]) for side, run in runs.items()}
     names = sorted(set(parent.get("counts", {})) | set(change.get("counts", {})))
-    counts = {}
+    counts, runtime = {}, {}
     for name in names:
         a, b = (run.get("counts", {}).get(name) for run in (parent, change))
-        counts[name] = {"parent": a, "change": b,
-                        "delta": None if a is None or b is None else b - a}
+        (runtime if name.startswith("runtime.") else counts)[name] = {
+            "parent": a, "change": b, "delta": None if a is None or b is None else b - a}
     return {
         "correct": {side: run["correct"] for side, run in runs.items()},
         "absent": sorted(set(parent.get("absent", ())) | set(change.get("absent", ()))),
@@ -137,6 +141,7 @@ def count_diff(parent: dict, change: dict) -> dict:
         "stats_sha256": {side: d[1] for side, d in digests.items()},
         "digests_equal": digests["parent"] == digests["change"],
         "counts": counts,
+        "runtime": runtime,
     }
 
 

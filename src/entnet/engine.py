@@ -350,10 +350,8 @@ class Simulation:
         child = self.nodes.get(child_id)
         if not isinstance(child, QbsNode) or child.mother_id is None:
             raise ValueError(f"{child_id!r} is not a Child station")
-        mother = self.nodes[child.mother_id]
-        for station in [mother, *mother.peer_mothers.values()]:
-            if qid in station.registry:
-                raise DuplicateQid(f"QID {qid} already registered")
+        if qid in self.users:
+            raise DuplicateQid(f"QID {qid} already registered")
         if node_id in self.nodes:
             raise DuplicateNode(f"node id {node_id!r} already in use")
         self._attach_user(child, qid, node_id, policy)

@@ -132,48 +132,33 @@ def check_circuit_conservation(sim: Simulation) -> None:
 
 
 def check_registry_coherence(sim: Simulation) -> None:
-    """Mother -> Child -> user pointers terminate at the owning node, attached
-    to that Child, and a Child holds only the QIDs its Mother routes to it."""
-    stations = [n for n in sim.nodes.values() if isinstance(n, QbsNode)]
-    mothers = [n for n in stations if n.mother_id is None]
-    children = [n for n in stations if n.mother_id is not None]
-    routed = 0  # Mother entries that name a Child, each found in that Child's registry
-
-    def child_of(mother: QbsNode, node_id: str | None) -> QbsNode | None:
-        node = sim.nodes.get(node_id)
-        return node if isinstance(node, QbsNode) and node.mother_id == mother.qbs_id else None
-
-    for mother in mothers:
-        for qid, entry in mother.registry.items():
-            owner = mother.peer_mothers.get(entry)
-            if owner is not None:  # a delegation
-                if child_of(owner, owner.registry.get(qid)) is None:
-                    raise InvariantViolation(
-                        f"QID {qid}: delegation from {mother.qbs_id} does not "
-                        f"resolve at {entry}")
-                continue
-            child = child_of(mother, entry)
-            if child is None:
-                raise InvariantViolation(
-                    f"QID {qid}: mother {mother.qbs_id} holds {entry!r}")
-            node_id = child.registry.get(qid)
-            if node_id is None:
-                raise InvariantViolation(
-                    f"QID {qid}: child {entry} does not hold it locally")
-            user = sim.nodes.get(node_id)
-            if not isinstance(user, UserNode) or user.qid != qid or user.home_qbs != entry:
-                raise InvariantViolation(
-                    f"QID {qid}: chain ends at {node_id} which does not own it")
-            routed += 1
-
-    # so any further Child entry is one its Mother does not route to that Child
-    if routed != sum(len(child.registry) for child in children):
-        child, qid = next((c, q) for c in children for q in c.registry
-                          if sim.nodes[c.mother_id].registry.get(q) != c.qbs_id)
-        mother = sim.nodes[child.mother_id]
-        raise InvariantViolation(
-            f"QID {qid}: child {child.qbs_id} holds it, but mother {mother.qbs_id} "
-            f"routes it to {mother.registry.get(qid)!r}")
+    """Each station's registry equals the one its attached users imply: a Child
+    maps its users' QIDs to their node ids, and a Mother maps each QID on its
+    planet to the user's Child and every other QID to that planet's Mother."""
+    stations = {node_id: node for node_id, node in sim.nodes.items() if isinstance(node, QbsNode)}
+    implied = {node_id: {} for node_id in stations}
+    for qid, user in sim.users.items():
+        node_id = getattr(user, "node_id", None)
+        if not isinstance(user, UserNode) or user.qid != qid or sim.nodes.get(node_id) is not user:
+            raise InvariantViolation(f"QID {qid}: node {node_id!r} is not the user of that QID")
+        child = stations.get(user.home_qbs)
+        if child is None or child.mother_id is None:
+            raise InvariantViolation(
+                f"QID {qid}: user {node_id} is attached to {user.home_qbs!r}, not a Child")
+        implied[user.home_qbs][qid] = node_id
+    mothers = [node_id for node_id, node in stations.items() if node.mother_id is None]
+    for child_id, child in stations.items():
+        if child.mother_id is not None:
+            for mother in mothers:
+                entry = child_id if mother == child.mother_id else child.mother_id
+                implied[mother].update(dict.fromkeys(implied[child_id], entry))
+    for station, entries in implied.items():  # in sim.nodes order
+        registry = stations[station].registry
+        if registry != entries:
+            qid = min(q for q in registry.keys() | entries.keys()
+                      if registry.get(q) != entries.get(q))
+            raise InvariantViolation(f"QID {qid}: {station} holds {registry.get(qid)!r}, "
+                                     f"should hold {entries.get(qid)!r}")
 
 
 def check_active_session_membership(sim: Simulation) -> None:

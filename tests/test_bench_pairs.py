@@ -85,12 +85,16 @@ def test_count_diff_of_a_run_that_printed_nothing():
     assert diff["counts"]["a.calls"]["delta"] is None
 
 
-def fake_perfbench(absent=(), digests=("t", "s")):
-    """perfbench runs that pass; this tree's traced run finds `absent` and `digests`."""
+PARENT_COUNTS = {"engine.events": 7, "runtime.gc_collections": 10}
+
+
+def fake_perfbench(absent=(), digests=("t", "s"), counts=PARENT_COUNTS):
+    """perfbench runs that pass; this tree's traced run finds `absent`, `digests`
+    and `counts`."""
     def fake(tree, workload, seed, seconds, trace=0, env=None):
         if trace:
             change = tree == bench_pairs.ROOT
-            return traced({"engine.events": 7}, absent if change else (),
+            return traced(counts if change else PARENT_COUNTS, absent if change else (),
                           digests if change else ("t", "s"))
         return {"correct": True, "exit": 0, "digests": ["t", "s"],
                 "metrics": {"run_s": 1.0}}
@@ -116,6 +120,19 @@ def test_the_runner_fails_on_an_absent_target_or_a_digest_mismatch(
     assert set(counts) == set(bench_pairs.WORKLOADS)
     assert counts["bulk"]["seed"] == 4 and counts["bulk"]["absent"] == list(absent)
     assert counts["bulk"]["counts"]["engine.events"] == {"parent": 7, "change": 7, "delta": 0}
+
+
+def test_a_moved_runtime_count_is_kept_apart_from_the_work_counts(monkeypatch, tmp_path, capsys):
+    # gen-0 collections follow the allocations pending when the run starts
+    moved = {"engine.events": 7, "runtime.gc_collections": 11}
+    diff = bench_pairs.count_diff(traced(PARENT_COUNTS), traced(moved))
+    assert diff["counts"] == {"engine.events": {"parent": 7, "change": 7, "delta": 0}}
+    assert diff["runtime"] == {
+        "runtime.gc_collections": {"parent": 10, "change": 11, "delta": 1}}
+    monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench(counts=moved))
+    assert run_main(tmp_path, tmp_path / "bench.json") == 0
+    summary = [line for line in capsys.readouterr().out.splitlines() if " counts: " in line]
+    assert len(summary) == 3 and all(line.endswith("changed {}") for line in summary), summary
 
 
 def test_the_runner_warns_about_a_tree_git_cannot_name(monkeypatch, tmp_path, capsys):

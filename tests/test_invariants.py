@@ -153,45 +153,54 @@ def test_records_after_a_refusal_are_caught(record_type):
         check_trace_state_machine(records)
 
 
-def corrupt_registry(kind, station, qid, source, source_qid):
-    """A finished run whose `station` registry maps `qid` to `source`'s entry for
-    `source_qid`: a copy, or a deletion when `source` is None."""
+def corrupt(kind, *edits):
+    """A finished run after `edits`: each (station, key, value) sets that
+    station's registry entry, or, when station is None, points `sim.nodes[key]`
+    at node `value`; a value of None deletes the entry."""
     sim = Simulation(example_scenario(kind))
     sim.run_until_idle()
     check_registry_coherence(sim)
-    registry = sim.nodes[station].registry
-    if source is None:
-        del registry[qid]
-    else:
-        registry[qid] = sim.nodes[source].registry[source_qid]
+    for station, key, value in edits:
+        table = sim.nodes if station is None else sim.nodes[station].registry
+        if value is None:
+            del table[key]
+        else:
+            table[key] = sim.nodes[value] if station is None else value
     return sim
 
 
-@pytest.mark.parametrize("kind, station, qid, source, source_qid, message", [
+@pytest.mark.parametrize("kind, edits, message", [
     # the Mother a delegation names no longer holds the QID
-    ("interplanet", "mars-mother", 13, None, None,
-     "QID 13: delegation from earth-mother does not resolve at mars-mother"),
+    ("interplanet", [("mars-mother", 13, None)],
+     "QID 13: mars-mother holds None, should hold 'qbs-2'"),
     # the Mother routes QID 11 to the Child of QID 13
-    ("cross-qbs", "earth-mother", 11, "earth-mother", 13,
-     "QID 11: child qbs-2 does not hold it locally"),
+    ("cross-qbs", [("earth-mother", 11, "qbs-2")],
+     "QID 11: earth-mother holds 'qbs-2', should hold 'qbs-1'"),
     # the Mother holds a Child's entry: the user, not a Child
-    ("cross-qbs", "earth-mother", 11, "qbs-1", 11, "QID 11: mother earth-mother holds"),
+    ("cross-qbs", [("earth-mother", 11, "user-a")],
+     "QID 11: earth-mother holds 'user-a', should hold 'qbs-1'"),
     # the Child routes QID 11 to the user of QID 12
-    ("same-qbs", "qbs-1", 11, "qbs-1", 12,
-     "QID 11: chain ends at user-b which does not own it"),
+    ("same-qbs", [("qbs-1", 11, "user-b")], "QID 11: qbs-1 holds 'user-b', should hold 'user-a'"),
     # a Child entry for a QID its Mother does not know, naming the user of QID 12
-    ("same-qbs", "qbs-1", 99, "qbs-1", 12,
-     "QID 99: child qbs-1 holds it, but mother earth-mother routes it to None"),
+    ("same-qbs", [("qbs-1", 99, "user-b")], "QID 99: qbs-1 holds 'user-b', should hold None"),
     # a stray Child entry: qbs-2 also claims user-a, who sits on qbs-1
-    ("cross-qbs", "qbs-2", 11, "qbs-1", 11,
-     "QID 11: child qbs-2 holds it, but mother earth-mother routes it to 'qbs-1'"),
+    ("cross-qbs", [("qbs-2", 11, "user-a")], "QID 11: qbs-2 holds 'user-a', should hold None"),
     # the Mother forgets a QID its Child still holds
-    ("cross-qbs", "earth-mother", 11, None, None,
-     "QID 11: child qbs-1 holds it, but mother earth-mother routes it to None"),
+    ("cross-qbs", [("earth-mother", 11, None)],
+     "QID 11: earth-mother holds None, should hold 'qbs-1'"),
+    # the home Mother forgets the delegation of a QID on another planet
+    ("interplanet", [("earth-mother", 13, None)],
+     "QID 13: earth-mother holds None, should hold 'mars-mother'"),
+    # a QID gone from its Child and its Mother alike, while its user stays attached
+    ("cross-qbs", [("qbs-2", 13, None), ("earth-mother", 13, None)],
+     "QID 13: earth-mother holds None, should hold 'qbs-2'"),
+    # user-a's node id names user-b
+    ("same-qbs", [(None, "user-a", "user-b")], "QID 11: node 'user-a' is not the user of that QID"),
 ], ids=["dangling-delegation", "child-lacks-qid", "mother-holds-user", "chain-ends-at-non-owner",
-        "child-holds-unrouted-qid", "stray-child-entry", "mother-lacks-child-qid"])
-def test_incoherent_registry_is_caught(kind, station, qid, source, source_qid, message):
-    sim = corrupt_registry(kind, station, qid, source, source_qid)
+        "child-holds-unrouted-qid", "stray-child-entry", "mother-lacks-child-qid",
+        "mother-lacks-delegation", "qid-gone-from-child-and-mother", "node-id-names-another-user"])
+def test_incoherent_registry_is_caught(kind, edits, message):
+    sim = corrupt(kind, *edits)
     with pytest.raises(InvariantViolation, match=message):
         check_registry_coherence(sim)
     with pytest.raises(InvariantViolation, match=message):
@@ -199,11 +208,31 @@ def test_incoherent_registry_is_caught(kind, station, qid, source, source_qid, m
 
 
 def test_a_qid_moved_to_another_child_with_its_user_is_caught():
-    # every entry resolves and no Child holds a QID its Mother does not route
-    # to it, but the chain for QID 11 ends at user-a, attached to qbs-1
-    sim = corrupt_registry("cross-qbs", "earth-mother", 11, "earth-mother", 13)
-    sim.nodes["qbs-2"].registry[11] = sim.nodes["qbs-1"].registry.pop(11)
-    with pytest.raises(InvariantViolation, match="QID 11: chain ends at user-a"):
+    # the stations agree with each other that QID 11 sits on qbs-2, but its
+    # user, user-a, is attached to qbs-1
+    sim = corrupt("cross-qbs", ("earth-mother", 11, "qbs-2"), ("qbs-1", 11, None),
+                  ("qbs-2", 11, "user-a"))
+    with pytest.raises(InvariantViolation,
+                       match="QID 11: earth-mother holds 'qbs-2', should hold 'qbs-1'"):
+        check_registry_coherence(sim)
+
+
+@pytest.mark.parametrize("home_qbs", ["earth-mother", "user-b", "qbs-9"])
+def test_a_user_attached_to_no_child_is_caught(home_qbs):
+    sim = corrupt("same-qbs")
+    sim.users[11].home_qbs = home_qbs
+    with pytest.raises(InvariantViolation,
+                       match=f"QID 11: user user-a is attached to '{home_qbs}', not a Child"):
+        check_registry_coherence(sim)
+
+
+def test_a_users_entry_that_is_not_its_user_is_caught():
+    sim = corrupt("same-qbs")
+    sim.users[11] = sim.nodes["qbs-1"]
+    with pytest.raises(InvariantViolation, match="QID 11: node None is not the user"):
+        check_registry_coherence(sim)
+    sim.users[11] = sim.nodes["user-b"]
+    with pytest.raises(InvariantViolation, match="QID 11: node 'user-b' is not the user"):
         check_registry_coherence(sim)
 
 

@@ -85,9 +85,20 @@ def test_register_then_mother_entry():
 
 
 def test_duplicate_registration_rejected():
-    sim = Simulation(two_station_scenario())
-    with pytest.raises(DuplicateQid):
-        sim.register_user("qbs-2", 1, "user-x")
+    # QID 1 sits on qbs-1: the same Child, then another Child of its Mother
+    for child_id in ("qbs-1", "qbs-2"):
+        sim = Simulation(two_station_scenario())
+        before = registries(sim)
+        with pytest.raises(DuplicateQid, match="QID 1 already registered"):
+            sim.register_user(child_id, 1, "user-x")
+        assert registries(sim) == before
+    # QID 11 sits on earth's qbs-1; qbs-2 is the Child on mars
+    sim = Simulation(example_scenario("interplanet"))
+    before = registries(sim)
+    with pytest.raises(DuplicateQid, match="QID 11 already registered"):
+        sim.register_user("qbs-2", 11, "user-x")
+    assert registries(sim) == before
+    check_all(sim)
 
 
 @pytest.mark.parametrize("node_id", ["qbs-2", "user-c"])
