@@ -90,14 +90,34 @@ _VALUES_TYPES: dict[str, tuple[tuple[str, ...], Callable[[tuple, _Escaped], str]
 _ARITY = {record_type: len(keys) for record_type, (keys, _) in _VALUES_TYPES.items()}
 
 
+def _check_values(record_type: str, values: tuple) -> None:
+    """Raise as `emit` does for values that `record_type` cannot take."""
+    if type(values) is not tuple:
+        raise TypeError(f"record type {record_type!r} takes a tuple of values, "
+                        f"not {type(values).__name__}")
+    if _ARITY.get(record_type) != len(values):
+        raise ValueError(f"record type {record_type!r} takes no {len(values)}-value tuple")
+
+
 class TraceRecord(namedtuple("TraceRecord", ("tick", "seq", "node", "type", "session",
                                              "detail"))):
     """A record whose last field keeps its detail's values, as `emit` takes
     them (see `_VALUES_TYPES`); DATA's are `(dir, frame bytes, index)`.
     `detail` builds the trace's dict each time it is read, with DATA's frame
-    in hex; `_asdict`, `repr` and the line show that dict."""
+    in hex; `_asdict`, `repr` and the line show that dict. Built directly, or by
+    `_make` or `_replace`, it checks its values as `emit` does; the engine's
+    own records skip the check."""
 
     __slots__ = ()
+
+    def __new__(cls, tick: int, seq: int, node: str, type: str, session: int | None,
+                detail: tuple) -> "TraceRecord":
+        _check_values(type, detail)
+        return tuple.__new__(cls, (tick, seq, node, type, session, detail))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "TraceRecord":
+        return cls(*iterable)
 
     @property
     def detail(self) -> dict:
@@ -121,7 +141,7 @@ class TraceRecord(namedtuple("TraceRecord", ("tick", "seq", "node", "type", "ses
         return next(_trace_lines((self,)))
 
 
-# records from a 6-tuple without the Python-level namedtuple __new__
+# records from a checked 6-tuple, without TraceRecord.__new__
 _new_record = functools.partial(tuple.__new__, TraceRecord)
 
 
@@ -192,13 +212,15 @@ class Simulation:
         self._cancelled: set[tuple[int, int]] = set()
         self._tick_events = 0
 
-        self.trace: list[TraceRecord] = []
+        # plain (tick, seq, node, type, session, values) tuples until `trace` is read
+        self._trace: list[tuple] = []
+        self._keep: Callable[[tuple], None] = self._trace.append
         self.nodes: dict[str, QbsNode | UserNode] = {}
         self.users: dict[int, UserNode] = {}
         self.sessions: dict[int, SessionRecord] = {}
         # built circuits only: a user's home circuit joins when a route first uses it
         self.circuits: dict[int, Circuit] = {}
-        self._permanent: set[int] = set()
+        self._permanent: set[int] = set()  # station circuits; each user has its `home_circuit`
         self._next_circuit = itertools.count(1)
         self._next_session = itertools.count(1)
         self.released_plate_draws = 0  # blind-decode draws of destroyed circuits
@@ -240,14 +262,22 @@ class Simulation:
         now = self.now
         seq_by_tick = self._seq_by_tick
         seq = seq_by_tick[now]  # `now` always has an entry
-        if type(values) is not tuple:
-            raise TypeError(f"record type {record_type!r} takes a tuple of values, "
-                            f"not {type(values).__name__}")
-        if _ARITY.get(record_type) != len(values):
-            raise ValueError(f"record type {record_type!r} takes no "
-                             f"{len(values)}-value tuple")
-        self.trace.append(_new_record((now, seq, node, record_type, session, values)))
+        if type(values) is not tuple or _ARITY.get(record_type) != len(values):
+            _check_values(record_type, values)
+        self._keep((now, seq, node, record_type, session, values))
         seq_by_tick[now] = seq + 1  # taken only by a record that was kept
+
+    @property
+    def trace(self) -> list[TraceRecord]:
+        """The records. A run keeps plain tuples, which the collector soon stops
+        tracking; the first read turns them into TraceRecords in place, a chunk
+        at a time, and from then on each record is built as one."""
+        records = self._trace
+        if self._keep == records.append:
+            for start in range(0, len(records), 4096):
+                records[start:start + 4096] = map(_new_record, records[start:start + 4096])
+            self._keep = lambda record: records.append(_new_record(record))
+        return records
 
     def run_until_idle(self) -> int:
         """Process every queued event; returns the tick of the last one run."""
@@ -324,7 +354,7 @@ class Simulation:
     @property
     def permanent_circuit_ids(self) -> frozenset[int]:
         """Circuits that outlive sessions: user<->child, child<->mother, mother<->mother."""
-        return frozenset(self._permanent)
+        return frozenset(self._permanent).union(user.home_circuit for user in self.users.values())
 
     def _create_circuit(self, a: str, b: str, owner_session: int | None = None) -> Circuit:
         circuit_id = next(self._next_circuit)
@@ -369,8 +399,7 @@ class Simulation:
         for peer in mother.peer_mothers.values():
             peer.registry[qid] = mother.qbs_id
         # the id now, in attach order; the circuit when a session first routes over it
-        user.home_circuit = circuit_id = next(self._next_circuit)
-        self._permanent.add(circuit_id)
+        user.home_circuit = next(self._next_circuit)
 
     def _schedule_workload(self) -> None:
         for item in self.scenario.workload:
@@ -419,8 +448,7 @@ class Simulation:
         hops = [(a, b, self.circuits[c]) for a, b, c in zip(rec.path, rec.path[1:], rec.circuits)]
         assert len(hops) == len(rec.circuits) and all(
             {c.a, c.b} == {a, b} for a, b, c in hops), (rec.path, rec.circuits)
-        rec.route = {FORWARD: [(a, b, c, c.channel(a, b)) for a, b, c in hops],
-                     REVERSE: [(b, a, c, c.channel(b, a)) for a, b, c in reversed(hops)]}
+        rec.route = {FORWARD: [(a, b, c, c.channel(a, b)) for a, b, c in hops]}
         rec.transition(SessionState.ESTABLISHED)
         self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, (tuple(rec.path),))
         if rec.workload_payload is not None:
@@ -491,14 +519,20 @@ class Simulation:
                 f"session {session_id} is {rec.state.value}, not established")
         if sender not in (None, rec.caller, rec.callee):
             raise CallerUnknown(f"QID {sender} does not own session {session_id}")
-        return rec, REVERSE if sender == rec.callee else FORWARD
+        if sender != rec.callee:
+            return rec, FORWARD
+        if REVERSE not in rec.route:  # its channels, and their plates, made on first use
+            rec.route[REVERSE] = [(b, a, c, c.channel(b, a))
+                                  for a, b, c, _ in reversed(rec.route[FORWARD])]
+        return rec, REVERSE
 
     def _submit_frame(self, rec: SessionRecord, direction: str, frame: Frame,
                       index: int | None) -> None:
         """Start a frame down its route with the one event payload for all its hops:
-        `pos` counts the hops it was encoded onto; hops[pos - 1] it arrives over."""
-        self._hop({"session": rec.session_id, "rec": rec, "dir": direction,
-                   "index": index, "pos": 0, "hops": rec.route[direction]}, frame)
+        `pos` counts the hops it was encoded onto; hops[pos - 1] it arrives over.
+        `values` is the DATA detail that every hop decoding these bytes logs."""
+        self._hop({"session": rec.session_id, "rec": rec, "values": (direction, frame.data, index),
+                   "pos": 0, "hops": rec.route[direction]}, frame)
 
     def _hop(self, p: dict, frame: Frame, dequeued: bool = False) -> None:
         """Encode the frame onto hop `pos` and schedule its arrival at the far end.
@@ -514,8 +548,7 @@ class Simulation:
         encode_frame(circuit.pool, channel.tx, frame)
         if pos == 0:
             # relays already logged this frame at their decode step
-            self.emit(src, "DATA", p["session"],
-                      (p["dir"], frame.data, p["index"]))
+            self.emit(src, "DATA", p["session"], p["values"])
         p["pos"] = pos = pos + 1
         # a relaying station spends a tick; delivery at the route's end is same-tick
         self.schedule(self.now if pos == len(hops) else self.now + 1, dst,
@@ -549,16 +582,17 @@ class Simulation:
         if rec.state is not _ESTABLISHED:
             self.dropped_frames["session_closed"] += 1
             return
-        self.emit(target, "DATA", p["session"],
-                  (p["dir"], frame.data, p["index"]))
+        direction, data, index = values = p["values"]
+        if frame.data != data:  # this hop decoded other bytes: it logs its own
+            p["values"] = values = (direction, frame.data, index)
+        self.emit(target, "DATA", p["session"], values)
         if pos < len(hops):
             self._hop(p, frame)
             return
         user = self.nodes[target]
-        if p["index"] is None:  # relayed outside any message
+        if index is None:  # relayed outside any message
             user.raw_frames.append((rec.session_id, frame))
             return
-        direction = p["dir"]
         buffer = rec.rx_buffers.get(direction)
         if buffer is None:  # the message's header frame
             buffer = rec.rx_buffers[direction] = MessageBuffer()
@@ -634,7 +668,7 @@ class Simulation:
         established = sum(1 for rec in self.sessions.values() if rec.path)
         return {
             "final_tick": self.now,
-            "record_counts": dict(sorted(Counter(map(itemgetter(3), self.trace)).items())),
+            "record_counts": dict(sorted(Counter(map(itemgetter(3), self._trace)).items())),
             "sessions": {
                 "total": len(self.sessions),
                 "established": established,
@@ -647,7 +681,7 @@ class Simulation:
 
     def trace_lines(self) -> Iterator[str]:
         """Each record's line, as its `to_json_line` writes it."""
-        return _trace_lines(self.trace)
+        return _trace_lines(self._trace)
 
     def write_trace(self, path: str) -> None:
         """Write the trace as NDJSON, one line at a time."""

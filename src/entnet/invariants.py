@@ -45,19 +45,23 @@ _RECORD_RULES: dict[str, tuple[frozenset, SessionState | str | None]] = {
 }
 
 
+# Both checks read a record by position, so a TraceRecord or the engine's plain
+# (tick, seq, node, type, session, values) tuple will do.
+
+
 def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
     """Replay every session's records against the legal transition relation."""
     states: dict[int, SessionState | str] = {}
     for record in records:
-        session = record.session
+        session = record[4]
         if session is None:
             continue
-        record_type = record.type
+        record_type = record[3]
         allowed, target = _RECORD_RULES[record_type]
         state = states.get(session)
         if state not in allowed:
             raise InvariantViolation(
-                f"session {session}: {record_type} at tick {record.tick} "
+                f"session {session}: {record_type} at tick {record[0]} "
                 f"not legal in state {getattr(state, 'value', state)}")
         if target is not None:
             states[session] = target
@@ -69,15 +73,15 @@ def check_causality(records: Iterable[TraceRecord]) -> None:
     `bytes` in both types, without building its detail dict."""
     pending: dict[tuple[int, str], int] = {}
     for record in records:
-        record_type = record.type
+        record_type = record[3]
         if record_type == "SEND":
-            key = (record.session, record[5][1])
+            key = (record[4], record[5][1])
             pending[key] = pending.get(key, 0) + 1
         elif record_type == "DELIVER":
-            key = (record.session, record[5][1])
+            key = (record[4], record[5][1])
             if pending.get(key, 0) < 1:
                 raise InvariantViolation(
-                    f"session {record.session}: DELIVER at tick {record.tick} "
+                    f"session {record[4]}: DELIVER at tick {record[0]} "
                     f"precedes its SEND")
             pending[key] -= 1
 
@@ -122,7 +126,14 @@ def check_circuit_conservation(sim: Simulation) -> None:
     if live:
         raise InvariantViolation(
             f"not at quiescence: sessions {[r.session_id for r in live]} still live")
-    expected = set(sim.permanent_circuit_ids)
+    # each user's home id is its own: an int, apart from the station circuits
+    # and every other user's, so an unbuilt one cannot stand in for another
+    expected = set(sim._permanent)
+    for qid, user in sim.users.items():
+        circuit_id = user.home_circuit
+        if type(circuit_id) is not int or circuit_id in expected:
+            raise InvariantViolation(f"user {qid}: home circuit {circuit_id!r} is not its own id")
+        expected.add(circuit_id)
     actual = set(sim.circuits)
     actual.update(user.home_circuit for user in sim.users.values() if user.home is None)
     if actual != expected:
@@ -134,8 +145,26 @@ def check_circuit_conservation(sim: Simulation) -> None:
 def check_registry_coherence(sim: Simulation) -> None:
     """Each station's registry equals the one its attached users imply: a Child
     maps its users' QIDs to their node ids, and a Mother maps each QID on its
-    planet to the user's Child and every other QID to that planet's Mother."""
+    planet to the user's Child and every other QID to that planet's Mother.
+    First, the links that routing reads match the scenario's planets: each
+    Mother's `peer_mothers` maps every other Mother's id to its node, and each
+    Child's `mother_id` names its planet's Mother."""
     stations = {node_id: node for node_id, node in sim.nodes.items() if isinstance(node, QbsNode)}
+    planets = sim.scenario.planets
+    for planet in planets:
+        peers = {other.mother_id: stations.get(other.mother_id) for other in planets
+                 if other is not planet}
+        mother = stations.get(planet.mother_id)
+        if mother is None or mother.peer_mothers != peers:
+            held = {key: getattr(node, "qbs_id", None)
+                    for key, node in getattr(mother, "peer_mothers", {}).items()}
+            raise InvariantViolation(f"{planet.mother_id}: peer_mothers maps {held}, "
+                                     f"should map {dict(zip(peers, peers))}")
+        for child_spec in planet.children:
+            mother_id = getattr(stations.get(child_spec.qbs_id), "mother_id", None)
+            if mother_id != planet.mother_id:
+                raise InvariantViolation(f"{child_spec.qbs_id}: mother_id is {mother_id!r}, "
+                                         f"should be {planet.mother_id!r}")
     implied = {node_id: {} for node_id in stations}
     for qid, user in sim.users.items():
         node_id = getattr(user, "node_id", None)
@@ -182,8 +211,9 @@ def check_session_circuit_binding(sim: Simulation) -> None:
 
 
 def check_all(sim: Simulation) -> None:
-    check_trace_state_machine(sim.trace)
-    check_causality(sim.trace)
+    # the records as the run keeps them: reading `sim.trace` would convert them
+    check_trace_state_machine(sim._trace)
+    check_causality(sim._trace)
     check_anti_correlation(sim)
     check_no_blind_decodes(sim)
     check_circuit_conservation(sim)

@@ -67,8 +67,8 @@ class SessionRecord:
     callee_qbs: str | None = None
     path: list[str] = field(default_factory=list)
     circuits: list[int] = field(default_factory=list)
-    # per direction, hop i of the path as (src, dst, circuit, channel), set at
-    # establish and never changed; release clears it
+    # per direction, hop i of the path as (src, dst, circuit, channel): forward
+    # set at establish, reverse at the first reverse send; release clears it
     route: dict[str, list[tuple]] = field(default_factory=dict)
     # per direction, the message its receiving user is reassembling
     rx_buffers: dict[str, MessageBuffer] = field(default_factory=dict)
@@ -112,8 +112,9 @@ class DirectedChannel:
 class Circuit:
     """A provisioned plate-pair link between two nodes, one channel per direction.
 
-    The channels, and the plates under them, are made the first time a route
-    asks for one: most permanent circuits never carry a frame."""
+    Each channel, and the plates under it, is made the first time a route
+    asks for it: most permanent circuits never carry a frame, and most
+    sessions send one way only."""
 
     circuit_id: int
     a: str
@@ -128,12 +129,11 @@ class Circuit:
         return cls(circuit_id, a, b, PairPool(seed), owner_session)
 
     def channel(self, src: str, dst: str) -> DirectedChannel:
-        """The src->dst channel; the first call makes both, a->b then b->a."""
-        channels = self.channels
-        if not channels:
-            for ends in ((self.a, self.b), (self.b, self.a)):
-                channels[ends] = DirectedChannel(*self.pool.make_plate_pair())
-        return channels[src, dst]
+        """The src->dst channel, made with its plate pair on the first call."""
+        channel = self.channels.get((src, dst))
+        if channel is None:
+            channel = self.channels[src, dst] = DirectedChannel(*self.pool.make_plate_pair())
+        return channel
 
 
 # base-station node --------------------------------------------------------------

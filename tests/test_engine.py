@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_differential import CALLEE, _play, raw_frames, refsim
 from test_golden import GOLDEN, build
+from test_qbs import established_example
 
 import entnet.engine
 import entnet.scenario
@@ -23,7 +24,7 @@ from entnet import (
     example_scenario,
     with_uniform_distances,
 )
-from entnet.engine import _VALUES_TYPES
+from entnet.engine import FORWARD, _VALUES_TYPES
 from entnet.errors import (
     CallerUnknown,
     SchedulingError,
@@ -236,6 +237,30 @@ _ops = st.lists(st.one_of(st.tuples(st.just("now"), st.just(0)),
 def test_event_order_holds_across_run_until_chunks(plan, starts, chunks):
     whole = run_order_probe(plan, starts)
     assert run_order_probe(plan, starts, chunks) == whole
+
+
+class _Canceller:
+    """Logs each verb it handles; "first" cancels the key in its payload."""
+
+    def __init__(self):
+        self.ran = []
+
+    def handle(self, sim, verb, payload):
+        self.ran.append(verb)
+        if verb == "first":
+            sim.cancel(payload["victim"])
+
+
+def test_a_handler_cancels_a_later_event_of_its_own_tick():
+    sim = Simulation(empty_scenario())
+    probe = sim.nodes["probe"] = _Canceller()
+    payload = {"victim": None}
+    sim.schedule(1, "probe", "first", payload)
+    payload["victim"] = sim.schedule(1, "probe", "second")
+    sim.schedule(1, "probe", "third")
+    assert sim.run_until_idle() == 1
+    assert probe.ran == ["first", "third"]
+    assert not sim._cancelled  # a cancel is forgotten once it takes effect
 
 
 def test_run_until_stops_at_limit():
@@ -685,9 +710,63 @@ def test_emit_rejects_a_values_tuple_that_its_type_lacks(record_type, values, er
     assert sim.trace[0].seq == 0
 
 
-# trace bytes per DATA record on Python 3.10-3.13: 197-198 with the frame kept
-# as bytes, 368-423 with its hex in a detail dict; about 1.25 times the first
-_DATA_RECORD_HEAP_BOUND = 248
+@pytest.mark.parametrize("record_type, values, error", [
+    ("UNKNOWN", (1,), ValueError), ("ACCEPT", (1, None), ValueError),
+    ("ACCEPT", {"caller": 7}, TypeError), ("ACCEPT", [7], TypeError)],
+    ids=["unknown-type", "arity", "dict", "list"])
+def test_a_record_built_directly_checks_its_values(record_type, values, error):
+    fields = (0, 0, "a", record_type, 1, values)
+    record = TraceRecord(0, 0, "a", "ACCEPT", 1, (7,))
+    assert record.detail == {"caller": 7}
+    assert record.to_json_line() == ('{"tick":0,"seq":0,"node":"a","type":"ACCEPT",'
+                                     '"session":1,"detail":{"caller":7}}')
+    for build in (lambda: TraceRecord(*fields), lambda: TraceRecord._make(fields),
+                  lambda: record._replace(type=record_type, detail=values)):
+        with pytest.raises(error, match=record_type):
+            build()
+
+
+def test_the_engines_own_records_skip_the_record_check(monkeypatch):
+    checked = []
+    monkeypatch.setattr(entnet.engine, "_check_values", lambda *args: checked.append(args))
+    sim = Simulation(example_scenario("interplanet"))
+    held = sim.trace  # read before the run: every record is built as a TraceRecord
+    sim.run_until_idle()
+    unread = Simulation(example_scenario("interplanet"))
+    unread.run_until_idle()
+    assert unread.trace == held and {type(r) for r in (*held, *unread.trace)} == {TraceRecord}
+    assert checked == []
+
+
+def test_reading_the_trace_mid_run_changes_no_byte():
+    scenario = desk_scale_scenario(sessions=400)
+    unread, read, early = (Simulation(scenario) for _ in range(3))
+    held = early.trace  # a reference taken before the run
+    for sim in (unread, early):
+        sim.run_until_idle()
+    read.run_until(600)
+    mid = read.trace
+    assert len(mid) > 4096  # converted in more than one chunk
+    assert {type(record) for record in mid} == {TraceRecord}
+    read.run_until_idle()
+    # records emitted after the read, and a list taken before the run, hold no tuple
+    for records in (mid, held):
+        assert {type(record) for record in records} == {TraceRecord}
+    assert read.trace is mid and early.trace is held
+    for sim in (unread, read, early):
+        check_all(sim)
+    lines = [list(sim.trace_lines()) for sim in (unread, read, early)]
+    stats = [sim.stats() for sim in (unread, read, early)]
+    # none of these reads turned the unread run's plain tuples into records
+    assert {type(record) for record in unread._trace} == {tuple}
+    assert lines[0] == lines[1] == lines[2] and stats[0] == stats[1] == stats[2]
+    assert {type(record) for record in unread.trace} == {TraceRecord}
+    assert unread.trace == mid == held
+
+
+# trace bytes per DATA record on Python 3.10-3.13: 128-129 with one detail
+# tuple per frame, 197-198 with one per hop; about 1.25 times the first
+_DATA_RECORD_HEAP_BOUND = 161
 
 
 def test_trace_heap_per_data_record_is_bounded():
@@ -711,9 +790,9 @@ def test_trace_heap_per_data_record_is_bounded():
 
 
 # trace bytes per record of a 2,000-session desk run (43,503 records, 39 % DATA)
-# on Python 3.11: 169 with every detail kept as its values, 242 with the
-# control-plane details as dicts; about 1.25 times the first
-_DESK_RECORD_HEAP_BOUND = 211
+# on Python 3.10-3.13: 123-124 with one DATA detail per frame, 168-169 with one
+# per hop; about 1.25 times the first
+_DESK_RECORD_HEAP_BOUND = 155
 
 
 def test_trace_heap_per_desk_record_is_bounded():
@@ -903,3 +982,36 @@ def test_multi_frame_message_survives_pipelining():
     sim.send_message(sid, payload)
     sim.run_until_idle()
     assert sim.users[13].receive_poll() == [(sid, payload)]
+
+
+def test_a_frame_logs_one_detail_at_every_hop():
+    sim, rec = established_example("cross-qbs")
+    sim.send_message(rec.session_id, bytes(range(40)))  # a header and 3 data frames
+    sim.run_until_idle()
+    by_index = {}
+    for record in sim.trace:
+        if record.type == "DATA":
+            by_index.setdefault(record.detail["index"], []).append(record)
+    assert sorted(by_index) == [0, 1, 2, 3]
+    for records in by_index.values():
+        assert [r.node for r in records] == ["user-a", "qbs-1", "qbs-2", "user-c"]
+        assert all(r[5] is records[0][5] for r in records)
+
+
+def test_a_relay_that_decodes_other_bytes_logs_its_own():
+    sim, rec = established_example("cross-qbs")
+    frame = Frame(bytes(range(16)))
+    sim.relay_data(rec.session_id, frame)
+    sim.run_until(sim.now + 1)  # qbs-1 decoded it and encoded it onto the session's circuit
+    _, _, circuit, channel = rec.route[FORWARD][1]
+    assert circuit.owner_session == rec.session_id and channel.tx.fixed
+    channel.rx.up ^= 1 << 40  # flipped in flight, as in the anti-correlation test
+    sim.run_until_idle()
+    flipped = (int.from_bytes(frame.data, "big") ^ 1 << 40).to_bytes(16, "big")
+    data = [r for r in sim.trace if r.type == "DATA"]
+    assert [(r.node, r[5]) for r in data] == [("user-a", ("fwd", frame.data, None)),
+                                             ("qbs-1", ("fwd", frame.data, None)),
+                                             ("qbs-2", ("fwd", flipped, None)),
+                                             ("user-c", ("fwd", flipped, None))]
+    assert data[0][5] is data[1][5] and data[2][5] is data[3][5]
+    assert sim.users[13].raw_frames == [(rec.session_id, Frame(flipped))]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from entnet import Frame, RejectAll, Simulation, decode_frame, encode_frame, example_scenario
@@ -143,12 +145,18 @@ def test_timeout_racing_the_callees_refusal_is_legal(kind, budget):
     check_all(sim)
 
 
+# a well-formed detail for each record type inserted below
+_DETAILS = {"ESTABLISHED": (("user-a", "qbs-1", "user-b"),), "ACCEPT": (11,),
+            "NEGOTIATE": (12, 11), "SEND": (5, "fwd", 2), "DATA": ("fwd", bytes(16), 0)}
+
+
 @pytest.mark.parametrize("record_type", ["ESTABLISHED", "ACCEPT", "NEGOTIATE", "SEND", "DATA"])
 def test_records_after_a_refusal_are_caught(record_type):
     _, records = refused_trace("same-qbs", 1)
     check_trace_state_machine(records)
     reject = [r.type for r in records].index("REJECT")
-    records.insert(reject + 1, records[reject]._replace(type=record_type))
+    records.insert(reject + 1, records[reject]._replace(type=record_type,
+                                                        detail=_DETAILS[record_type]))
     with pytest.raises(InvariantViolation, match=f"{record_type} .* state refused"):
         check_trace_state_machine(records)
 
@@ -204,6 +212,28 @@ def test_incoherent_registry_is_caught(kind, edits, message):
     with pytest.raises(InvariantViolation, match=message):
         check_registry_coherence(sim)
     with pytest.raises(InvariantViolation, match=message):
+        check_all(sim)
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    # earth-mother forgets its peer: a lookup of QID 13 would be sent to node None
+    ("interplanet", lambda nodes: nodes["earth-mother"].peer_mothers.pop("mars-mother"),
+     "earth-mother: peer_mothers maps {}, should map {'mars-mother': 'mars-mother'}"),
+    # the peer entry points at mars's Child, not its Mother
+    ("interplanet", lambda nodes: nodes["earth-mother"].peer_mothers.update(
+        {"mars-mother": nodes["qbs-2"]}),
+     "earth-mother: peer_mothers maps {'mars-mother': 'qbs-2'}, "
+     "should map {'mars-mother': 'mars-mother'}"),
+    # a Child names another Child as its Mother
+    ("cross-qbs", lambda nodes: setattr(nodes["qbs-2"], "mother_id", "qbs-1"),
+     "qbs-2: mother_id is 'qbs-1', should be 'earth-mother'"),
+], ids=["peer-mother-deleted", "peer-mother-is-a-child", "child-names-another-mother"])
+def test_a_broken_station_link_is_caught(kind, edit, message):
+    sim = corrupt(kind)
+    edit(sim.nodes)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        check_registry_coherence(sim)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
         check_all(sim)
 
 

@@ -127,6 +127,22 @@ def test_a_dropped_built_home_circuit_is_still_missing():
         check_circuit_conservation(sim)
 
 
+@pytest.mark.parametrize("corrupt", ["none", "another_users", "a_station_circuits"])
+def test_an_unbuilt_home_id_that_is_not_its_own_is_caught(corrupt):
+    sim = Simulation(example_scenario("cross-qbs"))
+    sim.run_until_idle()
+    sim.register_user("qbs-1", 99, "user-z")
+    check_all(sim)
+    user = sim.users[99]
+    assert user.home is None
+    user.home_circuit = {"none": None, "another_users": sim.users[11].home_circuit,
+                         "a_station_circuits": min(sim.circuits)}[corrupt]
+    with pytest.raises(InvariantViolation, match="user 99: home circuit"):
+        check_circuit_conservation(sim)
+    with pytest.raises(InvariantViolation, match="user 99: home circuit"):
+        check_all(sim)
+
+
 def test_a_drained_channel_queue_is_released():
     # two sessions over the same two home circuits: frames wait their turn
     scenario = Scenario(seed=5, planets=(PlanetSpec("m", (ChildSpec("q", (
@@ -139,7 +155,8 @@ def test_a_drained_channel_queue_is_released():
         waited |= any(ch.queue for c in sim.circuits.values() for ch in c.channels.values())
     sim.run_until_idle()
     assert waited
-    assert [ch.queue for c in sim.circuits.values() for ch in c.channels.values()] == [None] * 4
+    # one channel per home circuit: both sessions send from user a to user b
+    assert [ch.queue for c in sim.circuits.values() for ch in c.channels.values()] == [None] * 2
     assert sorted(sim.users[2].receive_poll()) == [(1, b"x" * 200), (2, b"y" * 200)]
 
 
@@ -154,7 +171,9 @@ def test_sparse_desk_build_heap_stays_small():
         tracemalloc.stop()
     assert len(sim.permanent_circuit_ids) == 10_010
     assert len(sim.circuits) == 10  # the child<->mother circuits
-    assert held <= 6_000_000, held
+    # 3.09 MB on Python 3.11 (3.72 on 3.10), 3.42 with every home circuit id in a
+    # set as well; about 1.25 times the first
+    assert held <= 3_860_000, held
 
 
 def test_a_user_gets_its_lists_on_first_use():

@@ -282,12 +282,15 @@ def established_example(kind):
     return sim, rec
 
 
-def test_first_channel_request_makes_both_in_a_to_b_order():
+def test_a_channel_request_makes_only_its_direction():
     circuit = Circuit.build(1, "x", "y", 0)
     assert circuit.channels == {} and len(circuit.pool) == 0
     back = circuit.channel("y", "x")
-    assert list(circuit.channels) == [("x", "y"), ("y", "x")]
-    assert circuit.channel("y", "x") is back and len(circuit.pool) == 2 * PLATE_WIDTH
+    assert list(circuit.channels) == [("y", "x")] and len(circuit.pool) == PLATE_WIDTH
+    assert circuit.channel("y", "x") is back and len(circuit.pool) == PLATE_WIDTH
+    there = circuit.channel("x", "y")
+    assert list(circuit.channels) == [("y", "x"), ("x", "y")] and there is not back
+    assert len(circuit.pool) == 2 * PLATE_WIDTH
 
 
 @pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
@@ -301,18 +304,38 @@ def test_fresh_simulation_holds_no_plates(kind):
 @pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
 def test_established_session_builds_plates_on_its_route_only(kind):
     sim, rec = established_example(kind)
-    routed = {circuit.circuit_id for _, _, circuit, _ in rec.route[FORWARD]}
-    assert routed == set(rec.circuits)
+    routed = {circuit.circuit_id: (src, dst) for src, dst, circuit, _ in rec.route[FORWARD]}
+    assert list(routed) == rec.circuits and list(rec.route) == [FORWARD]
     for circuit in sim.circuits.values():
-        if circuit.circuit_id in routed:
-            assert list(circuit.channels) == [(circuit.a, circuit.b), (circuit.b, circuit.a)]
-            assert len(circuit.pool) == 2 * PLATE_WIDTH
+        if circuit.circuit_id in routed:  # the forward channel only
+            assert list(circuit.channels) == [routed[circuit.circuit_id]]
+            assert len(circuit.pool) == PLATE_WIDTH
         else:
             assert circuit.channels == {} and len(circuit.pool) == 0
-    for direction in (FORWARD, REVERSE):
-        for src, dst, circuit, channel in rec.route[direction]:
-            assert channel is circuit.channels[src, dst]
-            assert channel.queue is None  # made when a frame first has to wait
+    for src, dst, circuit, channel in rec.route[FORWARD]:
+        assert channel is circuit.channels[src, dst]
+        assert channel.queue is None  # made when a frame first has to wait
+
+
+@pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
+def test_a_reverse_send_builds_its_route_and_plates_then(kind):
+    sim, rec = established_example(kind)
+    forward = rec.route[FORWARD]
+    sim.send_message(rec.session_id, b"HI")  # forward again: nothing new is made
+    assert list(rec.route) == [FORWARD] and sum(len(c.pool) for _, _, c, _ in forward) \
+        == len(forward) * PLATE_WIDTH
+    sim.send_message(rec.session_id, b"BACK", sender=rec.callee)
+    reverse = rec.route[REVERSE]
+    assert [(src, dst, c) for src, dst, c, _ in reverse] \
+        == [(dst, src, c) for src, dst, c, _ in reversed(forward)]
+    for (src, dst, circuit, channel), (_, _, _, there) in zip(reverse, reversed(forward)):
+        assert list(circuit.channels) == [(dst, src), (src, dst)]
+        assert channel is circuit.channels[src, dst] is not there
+        assert len(circuit.pool) == 2 * PLATE_WIDTH
+    sim.run_until_idle()
+    assert sim.users[rec.caller].receive_poll() == [(rec.session_id, b"BACK")]
+    assert sim.users[rec.callee].receive_poll() == [(rec.session_id, b"HI")]
+    check_anti_correlation(sim)
 
 
 def test_flipped_rx_bit_on_a_routed_channel_is_caught():
