@@ -4,7 +4,6 @@ from . import errors
 from .codec import (
     FRAME_BITS,
     FRAME_BYTES,
-    Frame,
     MessageBuffer,
     decode_frame,
     encode_frame,
@@ -35,7 +34,6 @@ __all__ = [
     "FRAME_BITS",
     "FRAME_BYTES",
     "FailureReason",
-    "Frame",
     "LatencyReport",
     "MessageBuffer",
     "PLATE_WIDTH",

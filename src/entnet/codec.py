@@ -2,14 +2,12 @@
 
 Bit convention: Up carries raw 1 and Down raw 0; the receiving side inverts
 every observed raw bit, so decode(encode(f)) == f across an anti-correlated
-channel. Frames pack bits most-significant-bit-first into 16 bytes, and the
-hex dump used in traces is 32 lowercase characters with bit 0 as the most
-significant bit of the first character.
+channel. A frame is a `bytes` of FRAME_BYTES (16): bits packed
+most-significant-bit-first, and the hex dump used in traces is 32 lowercase
+characters with bit 0 as the most significant bit of the first character.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .entanglement import ALL, PLATE_WIDTH, PairPool, Plate
 from .errors import LengthOverrun
@@ -21,52 +19,26 @@ FRAME_BYTES = FRAME_BITS // 8
 _LENGTH_BYTES = 8
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
-        if len(self.data) != FRAME_BYTES:
-            raise ValueError(f"a frame is exactly {FRAME_BYTES} bytes, got {len(self.data)}")
-
-    def hex(self) -> str:
-        return self.data.hex()
-
-
-_set_data = Frame.data.__set__  # the slot's own setter, under the frozen __setattr__
-
-
-def _built(data: bytes) -> Frame:
-    """A Frame from exactly FRAME_BYTES bytes, built without re-checking them."""
-    frame = object.__new__(Frame)
-    _set_data(frame, data)
-    return frame
-
-
-def encode_frame(pool: PairPool, tx: Plate, frame: Frame) -> None:
+def encode_frame(pool: PairPool, tx: Plate, frame: bytes) -> None:
     """Trigger the whole fresh Tx plate: bit 1 -> Up, bit 0 -> Down."""
-    pool.trigger_plate(tx, int.from_bytes(frame.data, "big"))
+    pool.trigger_plate(tx, int.from_bytes(frame, "big"))
 
 
-def decode_frame(pool: PairPool, rx: Plate) -> Frame:
+def decode_frame(pool: PairPool, rx: Plate) -> bytes:
     """Observe the whole Rx plate and invert each raw bit."""
-    frame = object.__new__(Frame)  # as _built, without the call: one per hop
-    _set_data(frame, (pool.observe_plate(rx) ^ ALL).to_bytes(FRAME_BYTES, "big"))
-    return frame
+    return (pool.observe_plate(rx) ^ ALL).to_bytes(FRAME_BYTES, "big")
 
 
-def segment_message(payload: bytes) -> list[Frame]:
+def segment_message(payload: bytes) -> list[bytes]:
     """Split a byte message into a header frame plus 16-byte data frames.
 
     The final data frame is zero-padded; an empty payload is just the header.
     """
     header = len(payload).to_bytes(_LENGTH_BYTES, "big") + bytes(FRAME_BYTES - _LENGTH_BYTES)
-    frames = [_built(header)]
+    frames = [header]
     for off in range(0, len(payload), FRAME_BYTES):
         chunk = bytes(payload[off : off + FRAME_BYTES])
-        frames.append(_built(chunk.ljust(FRAME_BYTES, b"\x00")))
+        frames.append(chunk.ljust(FRAME_BYTES, b"\x00"))
     return frames
 
 
@@ -78,14 +50,14 @@ class MessageBuffer:
         self._data = bytearray()
         self._complete = False
 
-    def push(self, frame: Frame) -> bytes | None:
+    def push(self, frame: bytes) -> bytes | None:
         """Feed the next frame; returns the payload once complete, else None."""
         if self._complete:
             raise LengthOverrun("data frame after message completion")
         if self.declared_length is None:
-            self.declared_length = int.from_bytes(frame.data[:_LENGTH_BYTES], "big")
+            self.declared_length = int.from_bytes(frame[:_LENGTH_BYTES], "big")
         else:
-            self._data += frame.data
+            self._data += frame
         if len(self._data) >= self.declared_length:
             self._complete = True
             return bytes(self._data[: self.declared_length])

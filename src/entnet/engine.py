@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .codec import Frame, MessageBuffer, decode_frame, encode_frame, segment_message
+from .codec import FRAME_BYTES, MessageBuffer, decode_frame, encode_frame, segment_message
 from .errors import (
     CallerUnknown,
     DuplicateNode,
@@ -246,7 +246,7 @@ class Simulation:
         if events is None:
             events = self._calendar[tick] = deque()
             heapq.heappush(self._ticks, tick)
-        events.append((seq, target, verb, payload or {}))
+        events.append((seq, target, verb, {} if payload is None else payload))
         return (tick, seq)
 
     def cancel(self, key: tuple[int, int]) -> None:
@@ -505,10 +505,14 @@ class Simulation:
         for index, frame in enumerate(frames):
             self._submit_frame(rec, direction, frame, index)
 
-    def relay_data(self, session_id: int, frame: Frame, sender: int | None = None) -> None:
-        """Push a single raw frame down the path, outside any message."""
-        if not isinstance(frame, Frame):
-            raise TypeError(f"relay_data takes a Frame, not {type(frame).__name__}")
+    def relay_data(self, session_id: int, frame: bytes, sender: int | None = None) -> None:
+        """Push a single raw frame, FRAME_BYTES bytes, down the path, outside any
+        message. Any type but bytes is a TypeError (a mutable buffer would alias
+        the logged frame), and another length a ValueError."""
+        if type(frame) is not bytes:
+            raise TypeError(f"relay_data takes bytes, not {type(frame).__name__}")
+        if len(frame) != FRAME_BYTES:
+            raise ValueError(f"a frame is exactly {FRAME_BYTES} bytes, got {len(frame)}")
         self._submit_frame(*self._established(session_id, sender), frame, index=None)
 
     def _established(self, session_id: int, sender: int | None) -> tuple[SessionRecord, str]:
@@ -526,26 +530,26 @@ class Simulation:
                                   for a, b, c, _ in reversed(rec.route[FORWARD])]
         return rec, REVERSE
 
-    def _submit_frame(self, rec: SessionRecord, direction: str, frame: Frame,
+    def _submit_frame(self, rec: SessionRecord, direction: str, frame: bytes,
                       index: int | None) -> None:
         """Start a frame down its route with the one event payload for all its hops:
         `pos` counts the hops it was encoded onto; hops[pos - 1] it arrives over.
-        `values` is the DATA detail that every hop decoding these bytes logs."""
-        self._hop({"session": rec.session_id, "rec": rec, "values": (direction, frame.data, index),
-                   "pos": 0, "hops": rec.route[direction]}, frame)
+        `values` is the DATA detail, and its bytes the frame each hop encodes."""
+        self._hop({"session": rec.session_id, "rec": rec, "values": (direction, frame, index),
+                   "pos": 0, "hops": rec.route[direction]})
 
-    def _hop(self, p: dict, frame: Frame, dequeued: bool = False) -> None:
-        """Encode the frame onto hop `pos` and schedule its arrival at the far end.
-        A frame not just taken off the channel's queue joins the back of it while
-        it holds frames or the plate pair is still in use."""
+    def _hop(self, p: dict, dequeued: bool = False) -> None:
+        """Encode the frame, `p["values"][1]`, onto hop `pos` and schedule its
+        arrival at the far end. A frame not just taken off the channel's queue
+        joins the back of it while it holds frames or the plate pair is in use."""
         pos, hops = p["pos"], p["hops"]
         src, dst, circuit, channel = hops[pos]
         if not dequeued and (channel.queue or not circuit.pool.plate_fresh(channel.tx)):
             if channel.queue is None:
                 channel.queue = deque()
-            channel.queue.append((p, frame))
+            channel.queue.append(p)
             return
-        encode_frame(circuit.pool, channel.tx, frame)
+        encode_frame(circuit.pool, channel.tx, p["values"][1])
         if pos == 0:
             # relays already logged this frame at their decode step
             self.emit(src, "DATA", p["session"], p["values"])
@@ -564,8 +568,8 @@ class Simulation:
             item = queue.popleft()
             if not queue:  # drained: the next frame that has to wait makes another
                 channel.queue = None
-            if item[0]["rec"].state is _ESTABLISHED:
-                self._hop(*item, dequeued=True)
+            if item["rec"].state is _ESTABLISHED:
+                self._hop(item, dequeued=True)
                 return
             self.dropped_frames["session_closed"] += 1
 
@@ -583,20 +587,21 @@ class Simulation:
             self.dropped_frames["session_closed"] += 1
             return
         direction, data, index = values = p["values"]
-        if frame.data != data:  # this hop decoded other bytes: it logs its own
-            p["values"] = values = (direction, frame.data, index)
+        if frame != data:  # this hop decoded other bytes: it logs, and passes on, its own
+            p["values"] = values = (direction, frame, index)
+            data = frame
         self.emit(target, "DATA", p["session"], values)
         if pos < len(hops):
-            self._hop(p, frame)
+            self._hop(p)
             return
         user = self.nodes[target]
         if index is None:  # relayed outside any message
-            user.raw_frames.append((rec.session_id, frame))
+            user.raw_frames.append((rec.session_id, data))
             return
         buffer = rec.rx_buffers.get(direction)
         if buffer is None:  # the message's header frame
             buffer = rec.rx_buffers[direction] = MessageBuffer()
-        payload = buffer.push(frame)
+        payload = buffer.push(data)
         if payload is None:
             return
         del rec.rx_buffers[direction]

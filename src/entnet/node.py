@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
-from .codec import Frame
 from .qbs import Circuit, SessionState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,8 +59,8 @@ class UserNode:
         return self._inbox
 
     @property
-    def raw_frames(self) -> list[tuple[int, Frame]]:
-        """Frames relayed outside any message: (session_id, frame)."""
+    def raw_frames(self) -> list[tuple[int, bytes]]:
+        """Frames relayed outside any message: (session_id, frame bytes)."""
         if self._raw_frames is None:
             self._raw_frames = []
         return self._raw_frames

@@ -12,7 +12,6 @@ from conftest import is_subsequence
 from entnet import (
     FRAME_BYTES,
     PLATE_WIDTH,
-    Frame,
     MessageBuffer,
     PairPool,
     SessionState,
@@ -41,7 +40,7 @@ def test_criterion_1_codec_identity():
     tx, rx = pool.make_plate_pair()
     rng = random.Random(20240307)
     for _ in range(10_000):
-        frame = Frame(rng.randbytes(FRAME_BYTES))
+        frame = rng.randbytes(FRAME_BYTES)
         encode_frame(pool, tx, frame)
         assert decode_frame(pool, rx) == frame
         pool.reset_plate_pair(tx, rx)

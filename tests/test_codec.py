@@ -6,20 +6,21 @@ from hypothesis import strategies as st
 
 from entnet import (
     FRAME_BYTES,
-    Frame,
     MessageBuffer,
     PLATE_WIDTH,
     PairPool,
+    Simulation,
     decode_frame,
     encode_frame,
+    example_scenario,
     segment_message,
 )
 from entnet.entanglement import ALL
 from entnet.errors import LengthOverrun, PlateAlreadyUsed
 
-frames = st.binary(min_size=FRAME_BYTES, max_size=FRAME_BYTES).map(Frame)
-ZEROS = Frame(bytes(FRAME_BYTES))
-FIRST_BIT = Frame(b"\x80" + bytes(FRAME_BYTES - 1))  # bit 0 set, the rest clear
+frames = st.binary(min_size=FRAME_BYTES, max_size=FRAME_BYTES)
+ZEROS = bytes(FRAME_BYTES)
+FIRST_BIT = b"\x80" + bytes(FRAME_BYTES - 1)  # bit 0 set, the rest clear
 
 
 def pushed(frames_in):
@@ -35,10 +36,12 @@ def fresh_channel(seed=0):
 
 
 def test_frame_requires_exact_width():
-    with pytest.raises(ValueError):
-        Frame(b"\x00" * 15)
-    with pytest.raises(ValueError):
-        Frame(b"\x00" * 17)
+    sim = Simulation(example_scenario("same-qbs"))
+    sid = sim.request_session(11, 12)
+    sim.run_until_idle()
+    for size in (FRAME_BYTES - 1, FRAME_BYTES + 1):
+        with pytest.raises(ValueError, match=f"exactly {FRAME_BYTES} bytes, got {size}"):
+            sim.relay_data(sid, b"\x00" * size)
 
 
 def test_frame_bit_order_is_msb_first():
@@ -52,7 +55,7 @@ def test_hex_dump_is_32_lowercase_chars_msb_first():
     assert len(dump) == 32
     assert dump == dump.lower()
     assert dump[0] == "8"  # bit 0 is the MSB of the first character
-    assert Frame(b"\xAB" + b"\x00" * 15).hex().startswith("ab")
+    assert (b"\xAB" + b"\x00" * 15).hex().startswith("ab")
 
 
 def test_encode_all_zeros_spins():
@@ -87,7 +90,7 @@ def test_receiver_inverts_raw_bits():
 
 def test_decode_encode_identity_all_ones():
     pool, tx, rx = fresh_channel()
-    ones = Frame(b"\xff" * FRAME_BYTES)
+    ones = b"\xff" * FRAME_BYTES
     encode_frame(pool, tx, ones)
     assert decode_frame(pool, rx) == ones
 
@@ -118,14 +121,14 @@ def test_segment_sixteen_bytes_needs_no_padding():
     payload = bytes(range(16))
     frames_out = segment_message(payload)
     assert len(frames_out) == 2
-    assert frames_out[1].data == payload
+    assert frames_out[1] == payload
 
 
 def test_segment_hello_layout():
     frames_out = segment_message(b"HELLO")
     assert len(frames_out) == 2
-    assert frames_out[0].data == bytes(7) + b"\x05" + bytes(8)
-    assert frames_out[1].data == b"\x48\x45\x4c\x4c\x4f" + bytes(11)
+    assert frames_out[0] == bytes(7) + b"\x05" + bytes(8)
+    assert frames_out[1] == b"\x48\x45\x4c\x4c\x4f" + bytes(11)
 
 
 @given(st.integers(0, 10_000))
@@ -172,7 +175,7 @@ def test_round_trip_over_reset_channel():
     pool, tx, rx = fresh_channel(seed=5)
     rng = random.Random(9)
     for _ in range(50):
-        frame = Frame(rng.randbytes(FRAME_BYTES))
+        frame = rng.randbytes(FRAME_BYTES)
         encode_frame(pool, tx, frame)
         assert decode_frame(pool, rx) == frame
         pool.reset_plate_pair(tx, rx)

@@ -59,7 +59,9 @@ def raw_frames(sim, callee):
     sid = sim.request_session(CALLER, callee)
     sim.run_until_idle()
     package = _package(sim)
-    forward, backward = package.Frame(_data(16)), package.Frame(_data(32)[16:])
+    forward, backward = _data(16), _data(32)[16:]
+    if package is refsim:  # refsim wraps a frame's bytes in its Frame
+        forward, backward = refsim.Frame(forward), refsim.Frame(backward)
     sim.send_message(sid, _data(40))
     sim.relay_data(sid, forward)
     if package is entnet:

@@ -15,7 +15,6 @@ from test_qbs import established_example
 import entnet.engine
 import entnet.scenario
 from entnet import (
-    Frame,
     RejectAll,
     SPEED_OF_LIGHT_M_PER_S,
     Simulation,
@@ -261,6 +260,36 @@ def test_a_handler_cancels_a_later_event_of_its_own_tick():
     assert sim.run_until_idle() == 1
     assert probe.ran == ["first", "third"]
     assert not sim._cancelled  # a cancel is forgotten once it takes effect
+
+
+class _Payloads:
+    """Keeps the payload of each verb it handles."""
+
+    def __init__(self):
+        self.got = {}
+
+    def handle(self, sim, verb, payload):
+        self.got[verb] = payload
+
+
+def test_a_handler_reads_a_key_added_to_its_payload_after_scheduling():
+    sim = Simulation(empty_scenario())
+    probe = sim.nodes["probe"] = _Payloads()
+    payload = {}
+    sim.schedule(1, "probe", "filled", payload)
+    payload["key"] = "added"  # after schedule returned
+    sim.run_until_idle()
+    assert probe.got["filled"] is payload and payload == {"key": "added"}
+
+
+def test_each_event_scheduled_without_a_payload_gets_its_own_dict():
+    sim = Simulation(empty_scenario())
+    probe = sim.nodes["probe"] = _Payloads()
+    sim.schedule(1, "probe", "first")
+    sim.schedule(1, "probe", "second", None)
+    sim.run_until_idle()
+    assert probe.got["first"] == probe.got["second"] == {}
+    assert probe.got["first"] is not probe.got["second"]
 
 
 def test_run_until_stops_at_limit():
@@ -518,7 +547,7 @@ def test_every_record_type_is_emitted_with_sorted_detail_keys(run_example):
     runs = [run_example(kind) for kind in ("same-qbs", "cross-qbs", "interplanet")]
     sid = runs[1].request_session(11, 13)
     runs[1].run_until_idle()
-    runs[1].relay_data(sid, Frame(bytes(range(16))))
+    runs[1].relay_data(sid, bytes(range(16)))
     refused = Simulation(example_scenario("same-qbs"))  # a refusal racing a 1-tick timeout
     refused.users[12].policy = RejectAll()
     refused.nodes["qbs-1"].negotiation_budget = 1
@@ -588,7 +617,7 @@ def relayed_raw_frame():
     sim.run_until_idle()
     sid = sim.request_session(11, 12)
     sim.run_until_idle()
-    sim.relay_data(sid, Frame(bytes(range(16))))
+    sim.relay_data(sid, bytes(range(16)))
     sim.run_until_idle()
     return sim
 
@@ -844,7 +873,7 @@ def test_raw_relay_data_arrives_identically():
     sim.users[12].receive_poll()  # drain the workload transfer
     sid = sim.request_session(11, 12)
     sim.run_until_idle()
-    frame = Frame(bytes(range(16)))
+    frame = bytes(range(16))
     sim.relay_data(sid, frame)
     sim.run_until_idle()
     assert sim.users[12].raw_frames == [(sid, frame)]
@@ -856,7 +885,7 @@ def test_raw_frame_from_the_callee_reaches_the_caller():
     sim.run_until_idle()
     sid = sim.request_session(11, 13)
     sim.run_until_idle()
-    frame = Frame(bytes(range(16)))
+    frame = bytes(range(16))
     sim.relay_data(sid, frame, sender=13)
     sim.run_until_idle()
     assert sim.users[11].raw_frames == [(sid, frame)]
@@ -874,29 +903,48 @@ def test_relay_data_from_a_stranger_rejected_before_scheduling():
     sim.run_until_idle()
     records, events = len(sim.trace), sum(map(len, sim._calendar.values()))
     with pytest.raises(CallerUnknown, match="999"):
-        sim.relay_data(sid, Frame(bytes(16)), sender=999)
+        sim.relay_data(sid, bytes(16), sender=999)
     assert (len(sim.trace), sum(map(len, sim._calendar.values()))) == (records, events)
     sim.run_until_idle()
     assert sim.users[11].raw_frames == sim.users[12].raw_frames == []
 
 
+# what relay_data refuses, and the error it raises: a frame is 16 immutable bytes
+_NOT_FRAMES = [
+    ("0123456789abcdef", TypeError, "takes bytes, not str"),
+    (bytearray(16), TypeError, "takes bytes, not bytearray"),
+    (memoryview(bytes(16)), TypeError, "takes bytes, not memoryview"),
+    (None, TypeError, "takes bytes, not NoneType"),
+    (b"", ValueError, "exactly 16 bytes, got 0"),
+    (bytes(15), ValueError, "exactly 16 bytes, got 15"),
+    (bytes(17), ValueError, "exactly 16 bytes, got 17"),
+]
+
+
+def _relay_state(sim):
+    """What a refused relay_data must leave as it was."""
+    return (len(sim.trace), sum(map(len, sim._calendar.values())),
+            list(sim.users[12].raw_frames), sim.stats())
+
+
 @pytest.mark.parametrize("busy", [False, True], ids=["free-channel", "busy-channel"])
 def test_relay_data_rejects_a_non_frame_before_scheduling(busy):
-    sim = Simulation(example_scenario("same-qbs"))
-    sim.run_until_idle()
-    sid = sim.request_session(11, 12)
-    sim.run_until_idle()
-    frame = Frame(bytes(range(16)))
-    if busy:  # the bad frame would queue behind this one on the caller's home channel
-        sim.relay_data(sid, frame)
-    records, events = len(sim.trace), sum(map(len, sim._calendar.values()))
-    with pytest.raises(TypeError, match="Frame"):
-        sim.relay_data(sid, bytes(16))
-    assert (len(sim.trace), sum(map(len, sim._calendar.values()))) == (records, events)
-    sim.run_until_idle()
-    assert sim.users[12].raw_frames == ([(sid, frame)] if busy else [])
-    sim.teardown_session(sid)
-    check_all(sim)
+    for bad, error, message in _NOT_FRAMES:  # each on a run of its own, checked whole
+        sim = Simulation(example_scenario("same-qbs"))
+        sim.run_until_idle()
+        sid = sim.request_session(11, 12)
+        sim.run_until_idle()
+        frame = bytes(range(16))
+        if busy:  # the bad frame would queue behind this one on the caller's home channel
+            sim.relay_data(sid, frame)
+        before = _relay_state(sim)
+        with pytest.raises(error, match=message):
+            sim.relay_data(sid, bad)
+        assert _relay_state(sim) == before, bad
+        sim.run_until_idle()
+        assert sim.users[12].raw_frames == ([(sid, frame)] if busy else []), bad
+        sim.teardown_session(sid)
+        check_all(sim)
 
 
 def test_shared_channel_contention_keeps_messages_intact():
@@ -998,20 +1046,64 @@ def test_a_frame_logs_one_detail_at_every_hop():
         assert all(r[5] is records[0][5] for r in records)
 
 
+@pytest.mark.parametrize("sender", [11, 13], ids=["forward", "reverse"])
+def test_a_relayed_frame_is_one_bytes_object_from_end_to_end(sender):
+    sim, rec = established_example("cross-qbs")
+    frame = bytes(range(16))
+    sim.relay_data(rec.session_id, frame, sender=sender)
+    sim.run_until_idle()
+    data = [r for r in sim.trace if r.type == "DATA"]
+    assert len(data) == 4 and data[0][5][1] is frame  # the first hop logs the object passed in
+    assert all(r[5] is data[0][5] for r in data)  # and no hop makes a copy of it
+    receiver = 11 if sender == 13 else 13
+    assert sim.users[receiver].raw_frames == [(rec.session_id, frame)]
+    assert sim.users[receiver].raw_frames[0][1] is frame
+
+
 def test_a_relay_that_decodes_other_bytes_logs_its_own():
     sim, rec = established_example("cross-qbs")
-    frame = Frame(bytes(range(16)))
+    frame = bytes(range(16))
     sim.relay_data(rec.session_id, frame)
     sim.run_until(sim.now + 1)  # qbs-1 decoded it and encoded it onto the session's circuit
     _, _, circuit, channel = rec.route[FORWARD][1]
     assert circuit.owner_session == rec.session_id and channel.tx.fixed
     channel.rx.up ^= 1 << 40  # flipped in flight, as in the anti-correlation test
     sim.run_until_idle()
-    flipped = (int.from_bytes(frame.data, "big") ^ 1 << 40).to_bytes(16, "big")
+    flipped = (int.from_bytes(frame, "big") ^ 1 << 40).to_bytes(16, "big")
     data = [r for r in sim.trace if r.type == "DATA"]
-    assert [(r.node, r[5]) for r in data] == [("user-a", ("fwd", frame.data, None)),
-                                             ("qbs-1", ("fwd", frame.data, None)),
+    assert [(r.node, r[5]) for r in data] == [("user-a", ("fwd", frame, None)),
+                                             ("qbs-1", ("fwd", frame, None)),
                                              ("qbs-2", ("fwd", flipped, None)),
                                              ("user-c", ("fwd", flipped, None))]
     assert data[0][5] is data[1][5] and data[2][5] is data[3][5]
-    assert sim.users[13].raw_frames == [(rec.session_id, Frame(flipped))]
+    assert sim.users[13].raw_frames == [(rec.session_id, flipped)]
+    assert sim.users[13].raw_frames[0][1] is data[2][5][1]  # the bytes qbs-2 decoded
+
+
+@pytest.mark.parametrize("raw", [True, False], ids=["raw-frame", "message"])
+def test_a_receiver_that_decodes_other_bytes_keeps_its_own(raw):
+    """The last hop arrives in the tick it was encoded, so the flip is made
+    as the receiver's arrival starts."""
+    sim, rec = established_example("cross-qbs")
+    arrive = sim._on_frame_arrival
+
+    def flipped_at_the_receiver(target, p):
+        if target == "user-c" and p["values"][2] in (None, 1):  # the raw or first data frame
+            p["hops"][-1][3].rx.up ^= 1 << 40
+        arrive(target, p)
+
+    sim._on_frame_arrival = flipped_at_the_receiver
+    sent = bytes(range(16))
+    if raw:
+        sim.relay_data(rec.session_id, sent)
+    else:
+        sim.send_message(rec.session_id, sent)
+    sim.run_until_idle()
+    flipped = (int.from_bytes(sent, "big") ^ 1 << 40).to_bytes(16, "big")
+    last = [r for r in sim.trace if r.type == "DATA" and r.node == "user-c"][-1]
+    assert last[5][1] == flipped
+    if raw:
+        assert sim.users[13].raw_frames == [(rec.session_id, flipped)]
+        assert sim.users[13].raw_frames[0][1] is last[5][1]
+    else:
+        assert sim.users[13].receive_poll() == [(rec.session_id, flipped)]

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from entnet import Frame, RejectAll, Simulation, decode_frame, encode_frame, example_scenario
+from entnet import RejectAll, Simulation, decode_frame, encode_frame, example_scenario
 from entnet.errors import InvariantViolation
 from entnet.invariants import (
     check_active_session_membership,
@@ -27,7 +27,7 @@ def encoded(run_example):
     """A finished run with one frame encoded on a live channel."""
     sim = run_example("cross-qbs")
     circuit, channel = live_channel(sim)
-    encode_frame(circuit.pool, channel.tx, Frame(bytes(range(16))))
+    encode_frame(circuit.pool, channel.tx, bytes(range(16)))
     check_anti_correlation(sim)
     return sim, channel
 

@@ -6,7 +6,6 @@ from conftest import is_subsequence, record_types
 from entnet import (
     PLATE_WIDTH,
     Circuit,
-    Frame,
     QbsNode,
     SessionState,
     Simulation,
@@ -342,7 +341,7 @@ def test_flipped_rx_bit_on_a_routed_channel_is_caught():
     sim, rec = established_example("cross-qbs")
     src, dst, circuit, channel = rec.route[FORWARD][1]  # the session's own circuit
     assert circuit.owner_session == rec.session_id
-    encode_frame(circuit.pool, channel.tx, Frame(bytes(range(16))))
+    encode_frame(circuit.pool, channel.tx, bytes(range(16)))
     check_anti_correlation(sim)
     channel.rx.up ^= 1 << 40
     with pytest.raises(InvariantViolation,
@@ -358,7 +357,7 @@ def test_relay_on_closed_session_raises():
     sim.run_until_idle()
     assert sim.sessions[1].state is SessionState.CLOSED
     with pytest.raises(SessionNotEstablished):
-        sim.relay_data(1, Frame(bytes(16)))
+        sim.relay_data(1, bytes(16))
 
 
 def test_teardown_unknown_session():
