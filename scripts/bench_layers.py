@@ -19,7 +19,10 @@ quartiles and interquartile range. A repeat times --frames frames:
   its far end: decoded, its plates reset, logged as DATA, then encoded onto
   the next hop and scheduled, or delivered;
 - `trace_lines.<kind>`, bytes per second: the lines `trace_lines()` writes
-  for that run's whole trace.
+  for that run's whole trace;
+- `trace_lines.sessions`, bytes per second: the same over a
+  `desk_scale_scenario` run of 200 sessions, made once, whose lines are
+  mostly control records rather than DATA.
 
 The figures are host seconds: they size a change, and gate nothing. A speed
 claim comes from `scripts/bench_pairs.py`.
@@ -37,10 +40,12 @@ import statistics
 import sys
 import time
 
-from entnet import FRAME_BYTES, MessageBuffer, PairPool, decode_frame, encode_frame, segment_message
+from entnet import (FRAME_BYTES, MessageBuffer, PairPool, Simulation, decode_frame,
+                    desk_scale_scenario, encode_frame, segment_message)
 from run_message import established
 
 KINDS = ("same-qbs", "cross-qbs")
+DESK_SESSIONS = 200
 MIN_REPEATS = 5
 UNITS = {"codec": "s/frame", "hop": "hops/s", "trace_lines": "B/s"}
 
@@ -110,11 +115,15 @@ def hop_repeat(kind: str, message: bytes) -> dict[str, float]:
     run_s = time.perf_counter() - started
     if sim.users[callee].receive_poll() != [(session, message)]:
         sys.exit(f"{kind}: the callee did not receive the message exactly")
+    return {f"hop.{kind}": hops / run_s, f"trace_lines.{kind}": lines_rate(sim)}
+
+
+def lines_rate(sim: Simulation) -> float:
+    """Bytes per second of the lines `trace_lines()` writes for the whole trace."""
     gc.collect()
     started = time.perf_counter()
     written = sum(len(line) + 1 for line in sim.trace_lines())
-    lines_s = time.perf_counter() - started
-    return {f"hop.{kind}": hops / run_s, f"trace_lines.{kind}": written / lines_s}
+    return written / (time.perf_counter() - started)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -134,11 +143,14 @@ def main(argv: list[str] | None = None) -> None:
     frames = [rng.randbytes(FRAME_BYTES) for _ in range(args.frames)]
     message = bytes(range(251)) * (args.frames * FRAME_BYTES // 251 + 1)
     message = message[:args.frames * FRAME_BYTES]
+    desk = Simulation(desk_scale_scenario(sessions=DESK_SESSIONS))
+    desk.run_until_idle()
     samples: dict[str, list[float]] = {}
     for _ in range(args.repeats):  # the figures interleaved, so a slow spell hits each
         figures = codec_repeat(frames)
         for kind in KINDS:
             figures.update(hop_repeat(kind, message))
+        figures["trace_lines.sessions"] = lines_rate(desk)
         for name, value in figures.items():
             samples.setdefault(name, []).append(value)
 

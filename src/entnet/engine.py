@@ -48,11 +48,13 @@ _ESTABLISHED = SessionState.ESTABLISHED
 
 
 class _Escaped(dict):
-    """The JSON text of each string, escaped the first time it is asked for."""
+    """The JSON text of each string, int or None, made the first time it is
+    asked for."""
 
-    def __missing__(self, text: str) -> str:
-        escaped = self[text] = _json_str(text)
-        return escaped
+    def __missing__(self, value: str | int | None) -> str:
+        text = self[value] = (_json_str(value) if isinstance(value, str)
+                              else "null" if value is None else f"{value}")
+        return text
 
 
 # Every trace record type, with its detail's keys, sorted, and a writer of the
@@ -145,30 +147,52 @@ class TraceRecord(namedtuple("TraceRecord", ("tick", "seq", "node", "type", "ses
 _new_record = functools.partial(tuple.__new__, TraceRecord)
 
 
+# a frame's hops are a few records apart, so a small tail cache keeps them all
+_TAILS_MAX = 1024
+
+
 def _trace_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
-    """Each record's line, written from its node's escaped name and its type's
-    writer; a DATA line around its hop's middle text, from `,"node":` up to
-    the frame hex, formatted once per hop."""
-    names = _Escaped()
-    middles: dict[tuple, str] = {}
-    for record in records:
-        tick, seq, node, record_type, session, values = record
+    """Each record's line, joined from pieces formatted once per call: the
+    `{"tick":T,"seq":` head per run of records at one tick, the JSON text of
+    each seq, session and name, and the rest from the type's writer. A DATA
+    line's rest is its middle, from `,"node":` up to `"dir":`, per (node,
+    session), and its tail, from the direction on, per values tuple, which
+    every hop of a frame shares. The tails are dropped at `_TAILS_MAX`; a
+    tuple that cannot be hashed gets its tail formatted alone."""
+    texts = _Escaped()
+    middles: dict[int | None, dict[str, str]] = {}  # by session, then node
+    tails: dict[tuple, str] = {}
+    head_tick, head = object(), ""  # no tick equals the first head_tick
+    for tick, seq, node, record_type, session, values in records:
+        if tick != head_tick:
+            head_tick, head = tick, f'{{"tick":{tick},"seq":'
         if record_type == "DATA":
-            direction, data, index = values
-            key = (node, session, direction)
-            middle = middles.get(key)
+            try:
+                tail = tails.get(values)
+            except TypeError:  # unhashable: a bytearray frame, say
+                tail = key = None
+            else:
+                key = values
+            if tail is None:
+                direction, data, index = values
+                tail = (f'{texts[direction]},"frame":"{data.hex()}",'
+                        f'"index":{"null" if index is None else index}}}}}')
+                if key is not None:
+                    if len(tails) == _TAILS_MAX:
+                        tails.clear()
+                    tails[key] = tail
+            by_node = middles.get(session)
+            if by_node is None:
+                by_node = middles[session] = {}
+            middle = by_node.get(node)
             if middle is None:
-                middle = middles[key] = (
-                    f',"node":{names[node]},"type":"DATA",'
-                    f'"session":{"null" if session is None else session},'
-                    f'"detail":{{"dir":{names[direction]},"frame":"')
-            yield (f'{{"tick":{tick},"seq":{seq}{middle}{data.hex()}",'
-                   f'"index":{"null" if index is None else index}}}}}')
+                middle = by_node[node] = (f',"node":{texts[node]},"type":"DATA",'
+                                          f'"session":{texts[session]},"detail":{{"dir":')
+            yield f"{head}{texts[seq]}{middle}{tail}"
         else:
-            yield (f'{{"tick":{tick},"seq":{seq},"node":{names[node]},'
-                   f'"type":{names[record_type]},'
-                   f'"session":{"null" if session is None else session},'
-                   f'"detail":{{{_VALUES_TYPES[record_type][1](values, names)}}}}}')
+            yield (f'{head}{texts[seq]},"node":{texts[node]},"type":{texts[record_type]},'
+                   f'"session":{texts[session]},'
+                   f'"detail":{{{_VALUES_TYPES[record_type][1](values, texts)}}}}}')
 
 
 @dataclass(frozen=True)

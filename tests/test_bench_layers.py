@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 UNITS = {"codec": "s/frame", "hop": "hops/s", "trace_lines": "B/s"}
 NAMES = {"codec.encode_frame", "codec.decode_frame", "codec.segment_message",
          "codec.message_push", "hop.same-qbs", "hop.cross-qbs",
-         "trace_lines.same-qbs", "trace_lines.cross-qbs"}
+         "trace_lines.same-qbs", "trace_lines.cross-qbs", "trace_lines.sessions"}
 
 
 def bench_layers(*args):

@@ -1,6 +1,8 @@
 import json
+import signal
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from itertools import chain, repeat
 
@@ -722,6 +724,113 @@ def test_values_record_json_line_matches_json_dumps(records):
         assert record.to_json_line() == line == json.dumps(record._asdict(),
                                                             separators=(",", ":"))
         assert repr(record) == reference_repr(record)
+
+
+# trace_lines() joins each line from pieces it formats once per call: a head per
+# run of records at one tick, the text of each seq and session, a DATA middle per
+# (node, session) and a DATA tail per values tuple
+
+def dumped_lines(records):
+    return [json.dumps(record._asdict(), separators=(",", ":")) for record in records]
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError, rather than hang, if the block outlasts `seconds`."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_trace_lines_json_line_for_extreme_ticks_and_seqs():
+    """A seq is a key of the text cache, never an index: a negative seq
+    reads its own text, and a seq of 10**30 costs what a small one does."""
+    extremes = (-1, 0, 2**64, 10**30)
+    records = [TraceRecord(tick, seq, "q", record_type, session, values)
+               for tick in extremes for seq in extremes
+               for record_type, session, values in (("ACCEPT", 7, (1,)),
+                                                    ("DATA", tick, ("fwd", bytes(16), seq)))]
+    sim = Simulation(empty_scenario())
+    sim.trace[:] = records * 2  # the second pass reads every piece from the caches
+    with deadline(5):
+        lines = list(sim.trace_lines())
+    assert lines == dumped_lines(records * 2)
+
+
+def test_data_record_json_line_with_a_bytearray_frame():
+    """Values that cannot be hashed skip the tail cache and are formatted whole."""
+    record = TraceRecord(3, 1, "q", "DATA", 5, ("fwd", bytearray(range(16)), 2))
+    hashable = record._replace(detail=("fwd", bytes(range(16)), 2))
+    assert record.to_json_line() == dumped_lines([record])[0] == hashable.to_json_line()
+    sim = Simulation(empty_scenario())
+    sim.trace[:] = [record, hashable, record]
+    assert list(sim.trace_lines()) == dumped_lines([record]) * 3
+
+
+def test_trace_lines_json_line_for_two_sessions_sending_equal_bytes():
+    """Both sessions cross the same stations with equal values tuples: a tail
+    is shared, while each (node, session) keeps its own middle."""
+    message = b"the same bytes, frame for frame" * 3
+    scenario = Scenario(seed=0, planets=(PlanetSpec("m", (
+        ChildSpec("q1", (UserSpec("a", 1), UserSpec("b", 2))),
+        ChildSpec("q2", (UserSpec("c", 3), UserSpec("d", 4))),
+    )),), workload=(WorkloadItem(0, 1, 3, message), WorkloadItem(0, 2, 4, message)))
+    sim = Simulation(scenario)
+    sim.run_until_idle()
+    sessions_by_values = {}
+    for record in sim.trace:
+        if record.type == "DATA":
+            sessions_by_values.setdefault(record[5], set()).add(record.session)
+    assert len(sessions_by_values) == 7  # a header and 6 data frames
+    assert all(len(sessions) == 2 for sessions in sessions_by_values.values())
+    assert list(sim.trace_lines()) == dumped_lines(sim.trace)
+
+
+def test_trace_lines_json_line_when_a_relay_decodes_other_bytes():
+    """qbs-2 decodes flipped bytes into a tuple of its own, and a later frame
+    sends those same bytes from the start."""
+    sim, rec = established_example("cross-qbs")
+    frame = bytes(range(16))
+    flipped = (int.from_bytes(frame, "big") ^ 1 << 40).to_bytes(16, "big")
+    sim.relay_data(rec.session_id, frame)
+    sim.run_until(sim.now + 1)  # qbs-1 encoded it onto the session's circuit
+    rec.route[FORWARD][1][3].rx.up ^= 1 << 40
+    sim.relay_data(rec.session_id, flipped)
+    sim.run_until_idle()
+    data = [r for r in sim.trace if r.type == "DATA"]
+    assert sorted((r.node, r[5][1]) for r in data) == sorted(
+        [("user-a", frame), ("qbs-1", frame), ("qbs-2", flipped), ("user-c", flipped),
+         ("user-a", flipped), ("qbs-1", flipped), ("qbs-2", flipped), ("user-c", flipped)])
+    assert data[0][5] is data[1][5] is not data[2][5]
+    assert list(sim.trace_lines()) == dumped_lines(sim.trace)
+
+
+def test_trace_lines_peak_memory_is_bounded():
+    """The caches stay small over a long trace: the tails are dropped at a
+    fixed size, since a frame's hops are only a few records apart."""
+    sim, rec = established_example("cross-qbs")
+    sim.send_message(rec.session_id, bytes(range(256)) * 1024)  # 256 KiB
+    sim.run_until_idle()
+    assert len(sim.trace) == 65_549
+    tracemalloc.start()
+    try:
+        for _ in sim.trace_lines():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("record_type, values, error", [
