@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Layer microbenches: the codec per frame and one frame hop per route, as JSON.
+"""Layer microbenches: the codec per frame, one frame hop per route and session
+set-up per path, as JSON.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --repeats 7 --frames 20000 \\
         --out layers.json
@@ -22,7 +23,11 @@ quartiles and interquartile range. A repeat times --frames frames:
   for that run's whole trace;
 - `trace_lines.sessions`, bytes per second: the same over a
   `desk_scale_scenario` run of 200 sessions, made once, whose lines are
-  mostly control records rather than DATA.
+  mostly control records rather than DATA;
+- `session.<kind>`, sessions established per second, on the same-QBS,
+  cross-QBS and interplanet paths: 200 requests, each between a caller and
+  a callee of its own, run until every one is established. The network is
+  built before the clock starts; --frames does not change this figure.
 
 The figures are host seconds: they size a change, and gate nothing. A speed
 claim comes from `scripts/bench_pairs.py`.
@@ -40,14 +45,16 @@ import statistics
 import sys
 import time
 
-from entnet import (FRAME_BYTES, MessageBuffer, PairPool, Simulation, decode_frame,
-                    desk_scale_scenario, encode_frame, segment_message)
+from entnet import (FRAME_BYTES, MessageBuffer, PairPool, SessionState, Simulation,
+                    decode_frame, desk_scale_scenario, encode_frame, segment_message)
+from entnet.scenario import EXAMPLE_KINDS, ChildSpec, PlanetSpec, Scenario, UserSpec
 from run_message import established
 
 KINDS = ("same-qbs", "cross-qbs")
 DESK_SESSIONS = 200
+ROUTE_SESSIONS = 200
 MIN_REPEATS = 5
-UNITS = {"codec": "s/frame", "hop": "hops/s", "trace_lines": "B/s"}
+UNITS = {"codec": "s/frame", "hop": "hops/s", "trace_lines": "B/s", "session": "sessions/s"}
 
 
 def spread(values: list[float], unit: str) -> dict:
@@ -118,6 +125,35 @@ def hop_repeat(kind: str, message: bytes) -> dict[str, float]:
     return {f"hop.{kind}": hops / run_s, f"trace_lines.{kind}": lines_rate(sim)}
 
 
+def session_scenario(kind: str, pairs: int) -> Scenario:
+    """`pairs` callers on qbs-1 and as many callees on the `kind` path from them."""
+    callers = tuple(UserSpec(f"caller-{i}", 1 + i) for i in range(pairs))
+    callees = tuple(UserSpec(f"callee-{i}", 1 + pairs + i) for i in range(pairs))
+    if kind == "same-qbs":
+        planets = (PlanetSpec("m1", (ChildSpec("qbs-1", callers + callees),)),)
+    elif kind == "cross-qbs":
+        planets = (PlanetSpec("m1", (ChildSpec("qbs-1", callers), ChildSpec("qbs-2", callees))),)
+    else:
+        planets = (PlanetSpec("m1", (ChildSpec("qbs-1", callers),)),
+                   PlanetSpec("m2", (ChildSpec("qbs-2", callees),)))
+    return Scenario(seed=1, planets=planets)
+
+
+def session_repeat(kind: str) -> float:
+    """One repeat of a path's set-up rate: sessions established per second."""
+    def request_all(sim: Simulation) -> None:
+        for caller in range(1, ROUTE_SESSIONS + 1):
+            sim.request_session(caller, caller + ROUTE_SESSIONS)
+        sim.run_until_idle()
+
+    sim = Simulation(session_scenario(kind, ROUTE_SESSIONS))
+    run_s = timed(lambda: sim, request_all)
+    states = {rec.state for rec in sim.sessions.values()}
+    if len(sim.sessions) != ROUTE_SESSIONS or states != {SessionState.ESTABLISHED}:
+        sys.exit(f"{kind}: not every session was established")
+    return ROUTE_SESSIONS / run_s
+
+
 def lines_rate(sim: Simulation) -> float:
     """Bytes per second of the lines `trace_lines()` writes for the whole trace."""
     gc.collect()
@@ -151,6 +187,8 @@ def main(argv: list[str] | None = None) -> None:
         for kind in KINDS:
             figures.update(hop_repeat(kind, message))
         figures["trace_lines.sessions"] = lines_rate(desk)
+        for kind in EXAMPLE_KINDS:
+            figures[f"session.{kind}"] = session_repeat(kind)
         for name, value in figures.items():
             samples.setdefault(name, []).append(value)
 

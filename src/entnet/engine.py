@@ -35,16 +35,14 @@ from .errors import (
     ValidationError,
 )
 from .node import AcceptAll, AcceptPolicy, UserNode
-from .qbs import Circuit, FailureReason, QbsNode, SessionRecord, SessionState
+from .qbs import (_CLOSED, _ESTABLISHED, _TEARING_DOWN, Circuit, FailureReason, QbsNode,
+                  SessionRecord, SessionState)
 from .scenario import Scenario, is_u64, validate_scenario, validate_user
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
 FORWARD = "fwd"
 REVERSE = "rev"
-
-# looked up once: the data plane tests it on every hop
-_ESTABLISHED = SessionState.ESTABLISHED
 
 
 class _Escaped(dict):
@@ -459,25 +457,52 @@ class Simulation:
         return circuit.circuit_id
 
     def establish_session(self, rec: SessionRecord) -> None:
-        callee_user = self.users[rec.callee]
-        rec.circuits.append(callee_user.home_circuit)
+        caller, callee = self.users[rec.caller], self.users[rec.callee]
+        rec.circuits.append(callee.home_circuit)
         rec.path = [rec.caller_node, rec.caller_qbs]
+        owned = None
         if rec.callee_qbs != rec.caller_qbs:
+            owned = self.circuits[rec.circuits[1]]
+            assert (owned.a, owned.b) == (rec.caller_qbs, rec.callee_qbs), (rec.path, owned)
             rec.path.append(rec.callee_qbs)
         rec.path.append(rec.callee_node)
-        for user in (self.users[rec.caller], callee_user):
-            if user.home is None:
-                user.home = self._build_circuit(user.home_circuit, user.node_id, user.home_qbs)
+        route = self._route(caller, callee, owned)
         # hop i rides rec.circuits[i]: caller home, owned child<->child, callee home
-        hops = [(a, b, self.circuits[c]) for a, b, c in zip(rec.path, rec.path[1:], rec.circuits)]
-        assert len(hops) == len(rec.circuits) and all(
-            {c.a, c.b} == {a, b} for a, b, c in hops), (rec.path, rec.circuits)
-        rec.route = {FORWARD: [(a, b, c, c.channel(a, b)) for a, b, c in hops]}
-        rec.transition(SessionState.ESTABLISHED)
+        assert [c.circuit_id for _, _, c, _ in route] == rec.circuits and route[-1][:2] == (
+            rec.callee_qbs, rec.callee_node), (rec.path, rec.circuits)
+        rec.route = {FORWARD: route}
+        rec.transition(_ESTABLISHED)
         self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, (tuple(rec.path),))
         if rec.workload_payload is not None:
             self.schedule(self.now + 1, rec.caller_node, "session_ready",
                           {"session": rec.session_id})
+
+    def _route(self, sender: UserNode, receiver: UserNode, owned: Circuit | None) -> list[tuple]:
+        """The hops from sender to receiver: the sender's home hop up, the
+        session's own child<->child circuit when their Children differ, and the
+        receiver's home hop down. Only the owned circuit's channel is new."""
+        route = [sender.up_hop or self._home_hop(sender, up=True)]
+        if owned is not None:
+            src, dst = sender.home_qbs, receiver.home_qbs
+            route.append((src, dst, owned, owned.channel(src, dst)))
+        route.append(receiver.down_hop or self._home_hop(receiver, up=False))
+        return route
+
+    def _home_hop(self, user: UserNode, up: bool) -> tuple:
+        """Make the user's hop to its Child (`up`) or from it, and keep it for
+        every later route; the home circuit is built with the first of the two."""
+        circuit = user.home
+        if circuit is None:
+            circuit = user.home = self._build_circuit(user.home_circuit, user.node_id, user.home_qbs)
+        assert (circuit.circuit_id, circuit.a, circuit.b) == (
+            user.home_circuit, user.node_id, user.home_qbs), (user.qid, circuit)
+        src, dst = (user.node_id, user.home_qbs) if up else (user.home_qbs, user.node_id)
+        hop = (src, dst, circuit, circuit.channel(src, dst))
+        if up:
+            user.up_hop = hop
+        else:
+            user.down_hop = hop
+        return hop
 
     def release_session_circuits(self, rec: SessionRecord, releasing_node: str) -> None:
         """Unbind every circuit the session holds; destroy the session-owned
@@ -508,13 +533,13 @@ class Simulation:
         rec = self._session(session_id)
         if rec.terminal:
             return
-        if rec.state is not SessionState.ESTABLISHED:
+        if rec.state is not _ESTABLISHED:
             raise SessionNotEstablished(
                 f"session {session_id} is {rec.state.value}, not established")
         self.emit(rec.caller_qbs, "TEARDOWN", session_id, ())
-        rec.transition(SessionState.TEARING_DOWN)
+        rec.transition(_TEARING_DOWN)
         self.release_session_circuits(rec, rec.caller_qbs)
-        rec.transition(SessionState.CLOSED)
+        rec.transition(_CLOSED)
         self.emit(rec.caller_qbs, "CLOSED", session_id, ())
 
     # data plane -------------------------------------------------------------
@@ -550,8 +575,9 @@ class Simulation:
         if sender != rec.callee:
             return rec, FORWARD
         if REVERSE not in rec.route:  # its channels, and their plates, made on first use
-            rec.route[REVERSE] = [(b, a, c, c.channel(b, a))
-                                  for a, b, c, _ in reversed(rec.route[FORWARD])]
+            forward = rec.route[FORWARD]
+            owned = forward[1][2] if len(forward) == 3 else None
+            rec.route[REVERSE] = self._route(self.users[rec.callee], self.users[rec.caller], owned)
         return rec, REVERSE
 
     def _submit_frame(self, rec: SessionRecord, direction: str, frame: bytes,

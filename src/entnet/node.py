@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
-from .qbs import Circuit, SessionState
+from .qbs import _ESTABLISHED, _NEGOTIATING, HANDLER_NAMES, Circuit, handles_events
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulation
@@ -34,13 +34,17 @@ class AcceptList:
 AcceptPolicy = Union[AcceptAll, RejectAll, AcceptList]
 
 
+@handles_events
 @dataclass
 class UserNode:
     """One end device, attached to exactly one Child base station.
 
     Its `inbox` and `raw_frames` lists are made on first use: most users of
     a large network never receive anything. Its `home` circuit, id
-    `home_circuit`, is built when a session first routes over it."""
+    `home_circuit`, is built when a session first routes over it. Its home
+    hops, `(node, child, home, channel)` up and `(child, node, home,
+    channel)` down, are each made for the first route that needs that
+    direction, and every later route starts or ends with the same tuple."""
 
     node_id: str
     qid: int
@@ -48,6 +52,8 @@ class UserNode:
     policy: AcceptPolicy = field(default_factory=AcceptAll)
     home_circuit: int | None = None
     home: Circuit | None = field(default=None, repr=False)
+    up_hop: tuple | None = field(default=None, init=False, repr=False)
+    down_hop: tuple | None = field(default=None, init=False, repr=False)
     _inbox: list | None = field(default=None, init=False, repr=False)
     _raw_frames: list | None = field(default=None, init=False, repr=False)
 
@@ -80,7 +86,8 @@ class UserNode:
     # event handlers -------------------------------------------------------
 
     def handle(self, sim: "Simulation", verb: str, payload: dict) -> None:
-        getattr(self, "_on_" + verb)(sim, payload)
+        # looked up on the instance, so a handler set on one user wins
+        getattr(self, HANDLER_NAMES[verb])(sim, payload)
 
     def _on_workload_send(self, sim: "Simulation", p: dict) -> None:
         session_id = sim.request_session(self.qid, p["to_qid"])
@@ -89,12 +96,12 @@ class UserNode:
 
     def _on_session_ready(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        if rec.state is SessionState.ESTABLISHED:  # not torn down before it was sent
+        if rec.state is _ESTABLISHED:  # not torn down before it was sent
             sim.send_message(rec.session_id, rec.workload_payload, sender=self.qid)
 
     def _on_negotiate_ask(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        if rec.state is not SessionState.NEGOTIATING:
+        if rec.state is not _NEGOTIATING:
             return  # the owner already timed the negotiation out
         accepted = self.decide(rec.caller)
         if accepted:

@@ -11,10 +11,12 @@ by the simulation event loop.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping
 
 from .codec import MessageBuffer
 from .entanglement import PairPool, Plate
@@ -51,6 +53,12 @@ TRANSITIONS: dict[SessionState, frozenset[SessionState]] = {
     SessionState.FAILED: frozenset(),
 }
 
+# read once: on Python 3.11 a member read through its class takes EnumType's
+# slow `__getattr__` path, and each session tests its state a dozen times
+_QUERYING_MOTHER, _NEGOTIATING, _ESTABLISHED, _TEARING_DOWN, _CLOSED, _FAILED = (
+    SessionState.QUERYING_MOTHER, SessionState.NEGOTIATING, SessionState.ESTABLISHED,
+    SessionState.TEARING_DOWN, SessionState.CLOSED, SessionState.FAILED)
+
 
 @dataclass
 class SessionRecord:
@@ -82,12 +90,12 @@ class SessionRecord:
                 f"session {self.session_id}: {self.state.value} -> {new.value}"
             )
         self.state = new
-        if new is SessionState.FAILED:
+        if new is _FAILED:
             self.failure = failure
 
     @property
     def terminal(self) -> bool:
-        return self.state in (SessionState.CLOSED, SessionState.FAILED)
+        return self.state in (_CLOSED, _FAILED)
 
 
 # circuits ---------------------------------------------------------------------
@@ -136,9 +144,30 @@ class Circuit:
         return channel
 
 
+# event dispatch -----------------------------------------------------------------
+
+
+class _HandlerNames(dict):
+    def __missing__(self, verb: str) -> str:
+        return "_on_" + verb  # handled nowhere: getattr then names what is missing
+
+
+_handler_names = _HandlerNames()
+# verb -> interned "_on_<verb>", for every handler a station or user class defines
+HANDLER_NAMES: Mapping[str, str] = MappingProxyType(_handler_names)
+
+
+def handles_events(cls: type) -> type:
+    """Class decorator: add the class's `_on_<verb>` methods to HANDLER_NAMES."""
+    _handler_names.update((name[4:], sys.intern(name))
+                          for name in vars(cls) if name.startswith("_on_"))
+    return cls
+
+
 # base-station node --------------------------------------------------------------
 
 
+@handles_events
 class QbsNode:
     """One base station, Child or Mother."""
 
@@ -159,7 +188,8 @@ class QbsNode:
     # event handlers -------------------------------------------------------
 
     def handle(self, sim: "Simulation", verb: str, payload: dict) -> None:
-        getattr(self, "_on_" + verb)(sim, payload)
+        # looked up on the instance, so a handler set on one station wins
+        getattr(self, HANDLER_NAMES[verb])(sim, payload)
 
     def _on_session_lookup(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
@@ -170,13 +200,13 @@ class QbsNode:
             self._start_negotiation(sim, rec)
         else:
             sim.emit(self.qbs_id, "LOOKUP_LOCAL_MISS", rec.session_id, (rec.callee,))
-            rec.transition(SessionState.QUERYING_MOTHER)
+            rec.transition(_QUERYING_MOTHER)
             sim.schedule(sim.now + 1, self.mother_id, "mother_lookup",
                          {"session": rec.session_id})
 
     def _start_negotiation(self, sim: "Simulation", rec: SessionRecord) -> None:
         """At the caller's Child: ask the callee's station (inline if here), arm the timeout."""
-        rec.transition(SessionState.NEGOTIATING)
+        rec.transition(_NEGOTIATING)
         if rec.callee_qbs == self.qbs_id:
             self._ask_callee(sim, rec)
         else:
@@ -232,14 +262,14 @@ class QbsNode:
         rec = sim.sessions[p["session"]]
         rec.callee_qbs = p["callee_qbs"]
         if rec.callee_qbs is None:
-            rec.transition(SessionState.FAILED, FailureReason.NOT_FOUND)
+            rec.transition(_FAILED, FailureReason.NOT_FOUND)
             sim.release_session_circuits(rec, self.qbs_id)
         else:
             self._start_negotiation(sim, rec)
 
     def _on_session_ask(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        if rec.state is not SessionState.NEGOTIATING:
+        if rec.state is not _NEGOTIATING:
             return  # the owner already timed the negotiation out
         rec.callee_node = self.lookup_local(rec.callee)
         self._ask_callee(sim, rec)
@@ -250,21 +280,23 @@ class QbsNode:
             # callee-side station forwards the verdict to the session owner
             sim.schedule(sim.now + 1, rec.caller_qbs, "negotiation_answer", dict(p))
             return
-        if rec.state is not SessionState.NEGOTIATING:
+        if rec.state is not _NEGOTIATING:
             return  # answer landed after a timeout already failed the session
         sim.cancel(rec.timeout_key)
+        rec.timeout_key = None
         if not p["accepted"]:
-            rec.transition(SessionState.FAILED, FailureReason.REJECTED)
+            rec.transition(_FAILED, FailureReason.REJECTED)
             sim.release_session_circuits(rec, self.qbs_id)
             return
         sim.establish_session(rec)
 
     def _on_negotiation_timeout(self, sim: "Simulation", p: dict) -> None:
         rec = sim.sessions[p["session"]]
-        if rec.state is not SessionState.NEGOTIATING:
+        if rec.state is not _NEGOTIATING:
             return
+        rec.timeout_key = None
         sim.emit(self.qbs_id, "REJECT", rec.session_id, (rec.caller, "timeout"))
-        rec.transition(SessionState.FAILED, FailureReason.REJECTED)
+        rec.transition(_FAILED, FailureReason.REJECTED)
         sim.release_session_circuits(rec, self.qbs_id)
 
     def _on_teardown(self, sim: "Simulation", p: dict) -> None:

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-UNITS = {"codec": "s/frame", "hop": "hops/s", "trace_lines": "B/s"}
+UNITS = {"codec": "s/frame", "hop": "hops/s", "trace_lines": "B/s", "session": "sessions/s"}
 NAMES = {"codec.encode_frame", "codec.decode_frame", "codec.segment_message",
          "codec.message_push", "hop.same-qbs", "hop.cross-qbs",
-         "trace_lines.same-qbs", "trace_lines.cross-qbs", "trace_lines.sessions"}
+         "trace_lines.same-qbs", "trace_lines.cross-qbs", "trace_lines.sessions",
+         "session.same-qbs", "session.cross-qbs", "session.interplanet"}
 
 
 def bench_layers(*args):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import sys
 
 import pytest
 from conftest import is_subsequence, record_types
@@ -10,6 +12,7 @@ from entnet import (
     SessionState,
     Simulation,
     encode_frame,
+    desk_scale_scenario,
     example_scenario,
 )
 from entnet.engine import FORWARD, REVERSE
@@ -25,7 +28,7 @@ from entnet.errors import (
     ValidationError,
 )
 from entnet.invariants import check_all, check_anti_correlation, check_circuit_conservation
-from entnet.qbs import FailureReason, SessionRecord
+from entnet.qbs import HANDLER_NAMES, FailureReason, SessionRecord
 from entnet.scenario import (
     ChildSpec,
     PlanetSpec,
@@ -34,7 +37,7 @@ from entnet.scenario import (
     WorkloadItem,
     validate_scenario,
 )
-from entnet.node import AcceptAll, RejectAll
+from entnet.node import AcceptAll, RejectAll, UserNode
 
 
 def two_station_scenario(**kwargs):
@@ -300,20 +303,38 @@ def test_fresh_simulation_holds_no_plates(kind):
         assert circuit.channels == {} and len(circuit.pool) == 0
 
 
+def assert_plates_on_routes_only(sim, *routes):
+    """Each built circuit holds a channel for each direction the routes use,
+    PLATE_WIDTH pairs apiece, and nothing else."""
+    used = {}
+    for route in routes:
+        for src, dst, circuit, channel in route:
+            assert channel is circuit.channels[src, dst]
+            used.setdefault(circuit.circuit_id, set()).add((src, dst))
+    for circuit in sim.circuits.values():
+        directions = used.get(circuit.circuit_id, set())
+        assert set(circuit.channels) == directions, circuit.circuit_id
+        assert len(circuit.pool) == len(directions) * PLATE_WIDTH, circuit.circuit_id
+
+
 @pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
 def test_established_session_builds_plates_on_its_route_only(kind):
     sim, rec = established_example(kind)
-    routed = {circuit.circuit_id: (src, dst) for src, dst, circuit, _ in rec.route[FORWARD]}
-    assert list(routed) == rec.circuits and list(rec.route) == [FORWARD]
-    for circuit in sim.circuits.values():
-        if circuit.circuit_id in routed:  # the forward channel only
-            assert list(circuit.channels) == [routed[circuit.circuit_id]]
-            assert len(circuit.pool) == PLATE_WIDTH
-        else:
-            assert circuit.channels == {} and len(circuit.pool) == 0
-    for src, dst, circuit, channel in rec.route[FORWARD]:
-        assert channel is circuit.channels[src, dst]
+    forward = rec.route[FORWARD]
+    assert [circuit.circuit_id for _, _, circuit, _ in forward] == rec.circuits
+    assert list(rec.route) == [FORWARD]
+    assert_plates_on_routes_only(sim, forward)
+    for _, _, _, channel in forward:
         assert channel.queue is None  # made when a frame first has to wait
+    # the same caller again, to another callee on the same path: the caller's
+    # home hop is the very tuple of the first route, and no plate pair is added
+    sim.register_user(rec.callee_qbs, 99, "user-z")
+    second = sim.sessions[sim.request_session(rec.caller, 99)]
+    sim.run_until_idle()
+    assert second.state is SessionState.ESTABLISHED and second.path[-1] == "user-z"
+    first_hop = second.route[FORWARD][0]
+    assert first_hop is forward[0] and first_hop[3] is forward[0][3]
+    assert_plates_on_routes_only(sim, forward, second.route[FORWARD])
 
 
 @pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
@@ -334,6 +355,18 @@ def test_a_reverse_send_builds_its_route_and_plates_then(kind):
     sim.run_until_idle()
     assert sim.users[rec.caller].receive_poll() == [(rec.session_id, b"BACK")]
     assert sim.users[rec.callee].receive_poll() == [(rec.session_id, b"HI")]
+    # another caller on the same path to the same callee: the callee's reverse
+    # route starts with the very up hop of the first, and no plate pair is added
+    sim.register_user(rec.caller_qbs, 99, "user-z")
+    second = sim.sessions[sim.request_session(99, rec.callee)]
+    sim.run_until_idle()
+    sim.send_message(second.session_id, b"AGAIN", sender=rec.callee)
+    up_hop = second.route[REVERSE][0]
+    assert up_hop is reverse[0] and up_hop[3] is reverse[0][3]
+    assert second.route[FORWARD][-1] is forward[-1]
+    assert_plates_on_routes_only(sim, forward, reverse, *second.route.values())
+    sim.run_until_idle()
+    assert sim.users[99].receive_poll() == [(second.session_id, b"AGAIN")]
     check_anti_correlation(sim)
 
 
@@ -434,6 +467,7 @@ def test_negotiation_timeout_fails_session_as_rejected():
     rejects = [r for r in sim.trace if r.type == "REJECT"]
     assert rejects and rejects[0].detail["reason"] == "timeout"
     assert rejects[0].tick == 1 + 5
+    assert rec.timeout_key is None  # the fired timeout's key is not kept
     check_circuit_conservation(sim)
 
 
@@ -445,3 +479,68 @@ def test_answer_after_timeout_is_ignored():
     rec = sim.sessions[sid]
     assert rec.state is SessionState.FAILED
     assert record_types(sim, sid).count("ESTABLISHED") == 0
+
+
+def test_no_finished_session_keeps_its_timeout_key():
+    sim = Simulation(desk_scale_scenario(children=4, users_per_child=20, sessions=200,
+                                         reject_fraction=0.2))
+    sim.run_until_idle()
+    finished = list(sim.sessions.values())
+    assert len(finished) == 200 and all(rec.terminal for rec in finished)
+    assert {rec.state for rec in finished} == {SessionState.CLOSED, SessionState.FAILED}
+    assert [rec.session_id for rec in finished if rec.timeout_key is not None] == []
+
+
+# event dispatch ----------------------------------------------------------------------
+
+
+def handler_verbs(cls):
+    return [name[len("_on_"):] for name in vars(cls) if name.startswith("_on_")]
+
+
+def test_the_handler_table_is_every_handler_of_both_classes():
+    verbs = handler_verbs(QbsNode) + handler_verbs(UserNode)
+    assert "session_lookup" in verbs and "negotiate_ask" in verbs
+    assert dict(HANDLER_NAMES) == {verb: "_on_" + verb for verb in verbs}
+    for verb, name in HANDLER_NAMES.items():
+        assert name is sys.intern("_on_" + verb)
+    with pytest.raises(TypeError):
+        HANDLER_NAMES["bogus"] = "_on_bogus"  # read-only
+
+
+@pytest.mark.parametrize("make", [lambda: QbsNode("qbs-1", "m"), lambda: UserNode("a1", 1, "qbs-1")],
+                         ids=["station", "user"])
+def test_every_handler_is_reached_through_handle(make, monkeypatch):
+    node = make()
+    verbs = handler_verbs(type(node))
+    calls = []
+    for verb in verbs:  # each class method in turn, then one set on the instance
+        monkeypatch.setattr(type(node), "_on_" + verb,
+                            lambda self, sim, p, verb=verb: calls.append((self, sim, verb, p)))
+    for verb in verbs:
+        node.handle("sim", verb, {"session": verb})
+    assert calls == [(node, "sim", verb, {"session": verb}) for verb in verbs]
+    for verb in verbs:  # a handler set on the instance wins over its class's
+        setattr(node, "_on_" + verb, lambda sim, p, verb=verb: calls.append(("own", verb)))
+        node.handle("sim", verb, {})
+    assert calls[len(verbs):] == [("own", verb) for verb in verbs]
+
+
+@pytest.mark.parametrize("target", ["qbs-1", "earth-mother", "user-a", "user-c"])
+def test_an_unknown_verb_raises_and_changes_nothing(target):
+    sim, rec = established_example("cross-qbs")
+
+    def state():
+        return (list(sim.trace_lines()), json.dumps(sim.stats()),
+                [(r.state, r.failure, list(r.path), list(r.circuits), dict(r.route),
+                  r.timeout_key) for r in sim.sessions.values()])
+
+    before = state()
+    with pytest.raises(AttributeError, match="'_on_bogus'"):
+        sim.nodes[target].handle(sim, "bogus", {"session": rec.session_id})
+    assert state() == before
+    sim.schedule(sim.now, target, "bogus", {"session": rec.session_id})
+    with pytest.raises(AttributeError, match="'_on_bogus'"):
+        sim.run_until_idle()
+    assert state() == before
+    assert "bogus" not in HANDLER_NAMES
