@@ -2,7 +2,7 @@
 """Paired benchmark runs of a parent tree and this tree, written to BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent ../entnet-parent --pairs 10 \\
-        --seconds 8 --seeds 1 2 3 9001 --out BENCH_15.json
+        --seconds 20 --seeds 1 2 3 9001 --out BENCH_15.json
 
 For each perfbench workload, a pair is one `perfbench/run.py --trace 0` run on
 the parent tree and one on this tree, each from its own checkout, one process

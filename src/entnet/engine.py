@@ -259,8 +259,12 @@ class Simulation:
 
     def schedule(self, tick: int, target: str, verb: str,
                  payload: dict | None = None) -> tuple[int, int]:
-        """Queue an event; returns a key usable with cancel()."""
-        if tick < self.now:
+        """Queue an event; returns a key usable with cancel(). A tick that is
+        not an int (a bool included) is a TypeError, and a past one a
+        SchedulingError; neither queues anything."""
+        if type(tick) is not int or tick < self.now:
+            if type(tick) is not int:
+                raise TypeError(f"a tick is an int, not {type(tick).__name__}")
             raise SchedulingError(f"cannot schedule at tick {tick} while at {self.now}")
         seq = self._seq_by_tick.get(tick, 0)
         self._seq_by_tick[tick] = seq + 1
@@ -432,7 +436,14 @@ class Simulation:
     # session control plane --------------------------------------------------
 
     def request_session(self, caller_qid: int, callee_qid: int) -> int:
-        """Create a session at the caller's Child and start the lookup chain."""
+        """Create a session at the caller's Child and start the lookup chain.
+        A QID that is not an int (a bool included) is a TypeError, and one
+        outside [0, 2**64) a ValueError; both are checked before anything changes."""
+        for qid in (caller_qid, callee_qid):
+            if not is_u64(qid):
+                if type(qid) is not int:
+                    raise TypeError(f"a QID is an int, not {type(qid).__name__}")
+                raise ValueError(f"QID {qid} is not an unsigned 64-bit integer")
         user = self.users.get(caller_qid)
         if user is None:
             raise CallerUnknown(f"QID {caller_qid} is not attached anywhere")
@@ -457,52 +468,41 @@ class Simulation:
         return circuit.circuit_id
 
     def establish_session(self, rec: SessionRecord) -> None:
-        caller, callee = self.users[rec.caller], self.users[rec.callee]
-        rec.circuits.append(callee.home_circuit)
-        rec.path = [rec.caller_node, rec.caller_qbs]
-        owned = None
-        if rec.callee_qbs != rec.caller_qbs:
-            owned = self.circuits[rec.circuits[1]]
-            assert (owned.a, owned.b) == (rec.caller_qbs, rec.callee_qbs), (rec.path, owned)
-            rec.path.append(rec.callee_qbs)
-        rec.path.append(rec.callee_node)
-        route = self._route(caller, callee, owned)
+        rec.circuits.append(self.users[rec.callee].home_circuit)
+        route = rec.route[FORWARD] = self._route(rec, rec.caller, rec.callee)
         # hop i rides rec.circuits[i]: caller home, owned child<->child, callee home
         assert [c.circuit_id for _, _, c, _ in route] == rec.circuits and route[-1][:2] == (
-            rec.callee_qbs, rec.callee_node), (rec.path, rec.circuits)
-        rec.route = {FORWARD: route}
+            rec.callee_qbs, rec.callee_node), (route, rec.circuits)
+        rec.path = [src for src, _, _, _ in route] + [rec.callee_node]
         rec.transition(_ESTABLISHED)
         self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, (tuple(rec.path),))
         if rec.workload_payload is not None:
             self.schedule(self.now + 1, rec.caller_node, "session_ready",
                           {"session": rec.session_id})
 
-    def _route(self, sender: UserNode, receiver: UserNode, owned: Circuit | None) -> list[tuple]:
-        """The hops from sender to receiver: the sender's home hop up, the
-        session's own child<->child circuit when their Children differ, and the
-        receiver's home hop down. Only the owned circuit's channel is new."""
-        route = [sender.up_hop or self._home_hop(sender, up=True)]
-        if owned is not None:
-            src, dst = sender.home_qbs, receiver.home_qbs
+    def _route(self, rec: SessionRecord, sender_qid: int, receiver_qid: int) -> list[tuple]:
+        """The hops of `rec` from sender to receiver: the sender's home hop up,
+        the session's own child<->child circuit when their Children differ, and
+        the receiver's home hop down. Each channel is made on its first route."""
+        sender, receiver = self.users[sender_qid], self.users[receiver_qid]
+        src, dst = sender.home_qbs, receiver.home_qbs
+        route = [self._home_hop(sender, sender.node_id, src)]
+        if src != dst:
+            owned = self.circuits[rec.circuits[1]]
+            assert {owned.a, owned.b} == {src, dst}, (rec.session_id, owned)
             route.append((src, dst, owned, owned.channel(src, dst)))
-        route.append(receiver.down_hop or self._home_hop(receiver, up=False))
+        route.append(self._home_hop(receiver, dst, receiver.node_id))
         return route
 
-    def _home_hop(self, user: UserNode, up: bool) -> tuple:
-        """Make the user's hop to its Child (`up`) or from it, and keep it for
-        every later route; the home circuit is built with the first of the two."""
+    def _home_hop(self, user: UserNode, src: str, dst: str) -> tuple:
+        """The hop from src to dst over the user's home circuit, which the
+        first route over it builds."""
         circuit = user.home
         if circuit is None:
             circuit = user.home = self._build_circuit(user.home_circuit, user.node_id, user.home_qbs)
         assert (circuit.circuit_id, circuit.a, circuit.b) == (
             user.home_circuit, user.node_id, user.home_qbs), (user.qid, circuit)
-        src, dst = (user.node_id, user.home_qbs) if up else (user.home_qbs, user.node_id)
-        hop = (src, dst, circuit, circuit.channel(src, dst))
-        if up:
-            user.up_hop = hop
-        else:
-            user.down_hop = hop
-        return hop
+        return src, dst, circuit, circuit.channel(src, dst)
 
     def release_session_circuits(self, rec: SessionRecord, releasing_node: str) -> None:
         """Unbind every circuit the session holds; destroy the session-owned
@@ -575,9 +575,7 @@ class Simulation:
         if sender != rec.callee:
             return rec, FORWARD
         if REVERSE not in rec.route:  # its channels, and their plates, made on first use
-            forward = rec.route[FORWARD]
-            owned = forward[1][2] if len(forward) == 3 else None
-            rec.route[REVERSE] = self._route(self.users[rec.callee], self.users[rec.caller], owned)
+            rec.route[REVERSE] = self._route(rec, rec.callee, rec.caller)
         return rec, REVERSE
 
     def _submit_frame(self, rec: SessionRecord, direction: str, frame: bytes,

@@ -49,8 +49,9 @@ _RECORD_RULES: dict[str, tuple[frozenset, SessionState | str | None]] = {
 # (tick, seq, node, type, session, values) tuple will do.
 
 
-def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
-    """Replay every session's records against the legal transition relation."""
+def check_trace_state_machine(records: Iterable[TraceRecord]) -> dict[int, SessionState | str]:
+    """Replay every session's records against the legal transition relation;
+    return each session's replayed state, `refused` after a REJECT."""
     states: dict[int, SessionState | str] = {}
     for record in records:
         session = record[4]
@@ -65,6 +66,7 @@ def check_trace_state_machine(records: Iterable[TraceRecord]) -> None:
                 f"not legal in state {getattr(state, 'value', state)}")
         if target is not None:
             states[session] = target
+    return states
 
 
 def check_causality(records: Iterable[TraceRecord]) -> None:

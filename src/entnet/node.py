@@ -41,10 +41,7 @@ class UserNode:
 
     Its `inbox` and `raw_frames` lists are made on first use: most users of
     a large network never receive anything. Its `home` circuit, id
-    `home_circuit`, is built when a session first routes over it. Its home
-    hops, `(node, child, home, channel)` up and `(child, node, home,
-    channel)` down, are each made for the first route that needs that
-    direction, and every later route starts or ends with the same tuple."""
+    `home_circuit`, is built when a session first routes over it."""
 
     node_id: str
     qid: int
@@ -52,8 +49,6 @@ class UserNode:
     policy: AcceptPolicy = field(default_factory=AcceptAll)
     home_circuit: int | None = None
     home: Circuit | None = field(default=None, repr=False)
-    up_hop: tuple | None = field(default=None, init=False, repr=False)
-    down_hop: tuple | None = field(default=None, init=False, repr=False)
     _inbox: list | None = field(default=None, init=False, repr=False)
     _raw_frames: list | None = field(default=None, init=False, repr=False)
 

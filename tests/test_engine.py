@@ -17,6 +17,7 @@ from test_qbs import established_example
 import entnet.engine
 import entnet.scenario
 from entnet import (
+    FailureReason,
     RejectAll,
     SPEED_OF_LIGHT_M_PER_S,
     Simulation,
@@ -92,6 +93,30 @@ def test_scheduling_in_the_past_is_a_bug():
     sim.nodes["probe"] = Probe()
     sim.schedule(2, "probe", "poke", {})
     sim.run_until_idle()
+
+
+def _refused_call_state(sim):
+    """What a refused `schedule` or `request_session` must leave as it was."""
+    return (list(sim.trace_lines()), sim.stats(), dict(sim.sessions),
+            sum(map(len, sim._calendar.values())), sorted(sim._calendar), dict(sim._seq_by_tick))
+
+
+@pytest.mark.parametrize("busy", [False, True], ids=["free-tick", "busy-tick"])
+def test_schedule_refuses_a_tick_that_is_not_an_int(busy):
+    sim = Simulation(example_scenario("same-qbs"))  # its workload sends at tick 0
+    if busy:
+        sim.run_until(0)  # the send's session lookup now waits at tick 1
+    assert (1 in sim._calendar) is busy
+    for bad in (True, 1.0, sim.now + 0.5):  # True and 1.0 would both land on tick 1
+        before = _refused_call_state(sim)
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}"):
+            sim.schedule(bad, "user-a", "workload_send", {"to_qid": 12, "payload": b"x"})
+        assert _refused_call_state(sim) == before, bad
+    sim.run_until_idle()
+    clean = Simulation(example_scenario("same-qbs"))
+    clean.run_until_idle()
+    assert _refused_call_state(sim) == _refused_call_state(clean)
+    check_all(sim)
 
 
 def test_per_tick_budget_catches_same_tick_storms():
@@ -1016,6 +1041,33 @@ def test_relay_data_from_a_stranger_rejected_before_scheduling():
     assert (len(sim.trace), sum(map(len, sim._calendar.values()))) == (records, events)
     sim.run_until_idle()
     assert sim.users[11].raw_frames == sim.users[12].raw_frames == []
+
+
+# what request_session refuses for either QID, and the error it raises: a QID
+# is an int in [0, 2**64), as a scenario's are
+_NOT_QIDS = [
+    ("abc", TypeError, "not str"),
+    (True, TypeError, "not bool"),
+    (None, TypeError, "not NoneType"),
+    (12.0, TypeError, "not float"),
+    (-1, ValueError, "QID -1 is not"),
+    (2**64, ValueError, f"QID {2**64} is not"),
+]
+
+
+@pytest.mark.parametrize("end", ["caller", "callee"])
+def test_request_session_refuses_a_bad_qid_before_anything_changes(end):
+    sim, rec = established_example("same-qbs")
+    for bad, error, message in _NOT_QIDS:
+        before = _refused_call_state(sim)
+        with pytest.raises(error, match=message):
+            sim.request_session(*((bad, rec.callee) if end == "caller" else (rec.caller, bad)))
+        assert _refused_call_state(sim) == before, bad
+    sid = sim.request_session(rec.caller, 424242)  # a valid QID that nobody holds
+    sim.run_until_idle()
+    assert sim.sessions[sid].failure is FailureReason.NOT_FOUND
+    sim.teardown_session(rec.session_id)
+    check_all(sim)
 
 
 # what relay_data refuses, and the error it raises: a frame is 16 immutable bytes

@@ -317,6 +317,11 @@ def assert_plates_on_routes_only(sim, *routes):
         assert len(circuit.pool) == len(directions) * PLATE_WIDTH, circuit.circuit_id
 
 
+def assert_same_hop(hop, first):
+    """`hop` has the ends of `first` and rides its very circuit and channel."""
+    assert hop[:2] == first[:2] and hop[2] is first[2] and hop[3] is first[3]
+
+
 @pytest.mark.parametrize("kind", ["same-qbs", "cross-qbs", "interplanet"])
 def test_established_session_builds_plates_on_its_route_only(kind):
     sim, rec = established_example(kind)
@@ -327,13 +332,13 @@ def test_established_session_builds_plates_on_its_route_only(kind):
     for _, _, _, channel in forward:
         assert channel.queue is None  # made when a frame first has to wait
     # the same caller again, to another callee on the same path: the caller's
-    # home hop is the very tuple of the first route, and no plate pair is added
+    # home hop rides the very circuit and channel of the first route, and no
+    # plate pair is added
     sim.register_user(rec.callee_qbs, 99, "user-z")
     second = sim.sessions[sim.request_session(rec.caller, 99)]
     sim.run_until_idle()
     assert second.state is SessionState.ESTABLISHED and second.path[-1] == "user-z"
-    first_hop = second.route[FORWARD][0]
-    assert first_hop is forward[0] and first_hop[3] is forward[0][3]
+    assert_same_hop(second.route[FORWARD][0], forward[0])
     assert_plates_on_routes_only(sim, forward, second.route[FORWARD])
 
 
@@ -356,14 +361,13 @@ def test_a_reverse_send_builds_its_route_and_plates_then(kind):
     assert sim.users[rec.caller].receive_poll() == [(rec.session_id, b"BACK")]
     assert sim.users[rec.callee].receive_poll() == [(rec.session_id, b"HI")]
     # another caller on the same path to the same callee: the callee's reverse
-    # route starts with the very up hop of the first, and no plate pair is added
+    # route starts with the up hop of the first, and no plate pair is added
     sim.register_user(rec.caller_qbs, 99, "user-z")
     second = sim.sessions[sim.request_session(99, rec.callee)]
     sim.run_until_idle()
     sim.send_message(second.session_id, b"AGAIN", sender=rec.callee)
-    up_hop = second.route[REVERSE][0]
-    assert up_hop is reverse[0] and up_hop[3] is reverse[0][3]
-    assert second.route[FORWARD][-1] is forward[-1]
+    assert_same_hop(second.route[REVERSE][0], reverse[0])
+    assert_same_hop(second.route[FORWARD][-1], forward[-1])
     assert_plates_on_routes_only(sim, forward, reverse, *second.route.values())
     sim.run_until_idle()
     assert sim.users[99].receive_poll() == [(second.session_id, b"AGAIN")]
