@@ -2,14 +2,33 @@
 """Desk-scale experiment: one planet, many users, a randomized workload.
 
 Builds the topology, runs every session to completion, verifies all
-whole-run invariants, and reports timing plus outcome counts.
+whole-run invariants, and reports timing plus outcome counts. It also
+reports the cyclic collector's pauses during the run, per generation, from a
+`gc.callbacks` hook that is in place only around `run_until_idle`.
 """
 
 import argparse
+import gc
 import time
 
 from entnet import Simulation, desk_scale_scenario
 from entnet.invariants import check_all
+
+
+class CollectorPauses:
+    """A `gc.callbacks` hook: seconds and collections per generation."""
+
+    def __init__(self) -> None:
+        self.seconds = [0.0, 0.0, 0.0]
+        self.counts = [0, 0, 0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds[info["generation"]] += time.perf_counter() - self._started
+            self.counts[info["generation"]] += 1
 
 
 def main() -> None:
@@ -27,7 +46,12 @@ def main() -> None:
                                    sessions=args.sessions)
     sim = Simulation(scenario)
     built = time.perf_counter()
-    final_tick = sim.run_until_idle()
+    pauses = CollectorPauses()
+    gc.callbacks.append(pauses)
+    try:
+        final_tick = sim.run_until_idle()
+    finally:
+        gc.callbacks.remove(pauses)
     ran = time.perf_counter()
     check_all(sim)
     checked = time.perf_counter()
@@ -44,6 +68,9 @@ def main() -> None:
     print(f"trace records: {len(sim.trace)}")
     print(f"build {built - started:.2f}s | run {ran - built:.2f}s | "
           f"invariants {checked - ran:.2f}s | total {checked - started:.2f}s")
+    print("collector pauses during run: " + " | ".join(
+        f"gen{generation} {seconds:.3f}s x{count}"
+        for generation, (seconds, count) in enumerate(zip(pauses.seconds, pauses.counts))))
     print("all invariants green")
 
 

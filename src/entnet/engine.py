@@ -450,9 +450,8 @@ class Simulation:
         if caller_qid == callee_qid:
             raise SelfCall(f"QID {caller_qid} cannot call itself")
         session_id = next(self._next_session)
-        rec = SessionRecord(session_id, caller_qid, callee_qid,
-                            user.node_id, user.home_qbs)
-        rec.circuits.append(user.home_circuit)
+        rec = SessionRecord(session_id, caller_qid, callee_qid, user.node_id,
+                            user.home_qbs, circuits=(user.home_circuit,))
         self.sessions[session_id] = rec
         self.emit(user.node_id, "SESSION_REQUEST", session_id, (callee_qid, caller_qid))
         self.schedule(self.now + 1, user.home_qbs, "session_lookup", {"session": session_id})
@@ -462,20 +461,21 @@ class Simulation:
                                    session_id: int) -> int:
         """Broker a direct child<->child circuit, owned by the session it serves."""
         circuit = self._create_circuit(qbs_a, qbs_b, owner_session=session_id)
-        self.sessions[session_id].circuits.append(circuit.circuit_id)
+        self.sessions[session_id].circuits += (circuit.circuit_id,)
         self.emit(mother_id, "CIRCUIT_PROVISIONED", session_id,
                   (qbs_a, qbs_b, circuit.circuit_id))
         return circuit.circuit_id
 
     def establish_session(self, rec: SessionRecord) -> None:
-        rec.circuits.append(self.users[rec.callee].home_circuit)
-        route = rec.route[FORWARD] = self._route(rec, rec.caller, rec.callee)
+        rec.circuits += (self.users[rec.callee].home_circuit,)
+        route = self._route(rec, rec.caller, rec.callee)
+        rec.route, rec.rx_buffers = {FORWARD: route}, {}
         # hop i rides rec.circuits[i]: caller home, owned child<->child, callee home
-        assert [c.circuit_id for _, _, c, _ in route] == rec.circuits and route[-1][:2] == (
+        assert tuple(c.circuit_id for _, _, c, _ in route) == rec.circuits and route[-1][:2] == (
             rec.callee_qbs, rec.callee_node), (route, rec.circuits)
-        rec.path = [src for src, _, _, _ in route] + [rec.callee_node]
+        rec.path = (*(src for src, _, _, _ in route), rec.callee_node)
         rec.transition(_ESTABLISHED)
-        self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, (tuple(rec.path),))
+        self.emit(rec.caller_qbs, "ESTABLISHED", rec.session_id, (rec.path,))
         if rec.workload_payload is not None:
             self.schedule(self.now + 1, rec.caller_node, "session_ready",
                           {"session": rec.session_id})
@@ -518,11 +518,11 @@ class Simulation:
             if owned:
                 self.released_plate_draws += circuit.pool.plate_draws
                 del self.circuits[circuit_id]
-        rec.circuits.clear()
-        rec.rx_buffers.clear()
-        rec.route.clear()
+        rec.circuits, rec.route, rec.rx_buffers = (), None, None
 
     def _session(self, session_id: int) -> SessionRecord:
+        if type(session_id) is not int:  # a bool or 2.0 would find session 1 or 2
+            raise TypeError(f"a session id is an int, not {type(session_id).__name__}")
         rec = self.sessions.get(session_id)
         if rec is None:
             raise UnknownSession(f"no session {session_id}")
@@ -566,6 +566,8 @@ class Simulation:
 
     def _established(self, session_id: int, sender: int | None) -> tuple[SessionRecord, str]:
         """The established session and the direction `sender` (default: caller) sends in."""
+        if sender is not None and type(sender) is not int:
+            raise TypeError(f"a sender QID is an int, not {type(sender).__name__}")
         rec = self._session(session_id)
         if rec.state is not _ESTABLISHED:
             raise SessionNotEstablished(

@@ -60,9 +60,10 @@ _QUERYING_MOTHER, _NEGOTIATING, _ESTABLISHED, _TEARING_DOWN, _CLOSED, _FAILED = 
     SessionState.TEARING_DOWN, SessionState.CLOSED, SessionState.FAILED)
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionRecord:
-    """One caller<->callee association and everything it holds."""
+    """One caller<->callee association and everything it holds. Slotted: a
+    finished session keeps no instance dict."""
 
     session_id: int
     caller: int
@@ -73,13 +74,13 @@ class SessionRecord:
     failure: FailureReason | None = None
     callee_node: str | None = None
     callee_qbs: str | None = None
-    path: list[str] = field(default_factory=list)
-    circuits: list[int] = field(default_factory=list)
+    path: tuple[str, ...] = ()  # set at establish: the tuple ESTABLISHED logs
+    circuits: tuple[int, ...] = ()
     # per direction, hop i of the path as (src, dst, circuit, channel): forward
-    # set at establish, reverse at the first reverse send; release clears it
-    route: dict[str, list[tuple]] = field(default_factory=dict)
-    # per direction, the message its receiving user is reassembling
-    rx_buffers: dict[str, MessageBuffer] = field(default_factory=dict)
+    # set at establish, reverse at the first reverse send; None unless established
+    route: dict[str, list[tuple]] | None = None
+    # per direction, the message its receiving user is reassembling; as `route`
+    rx_buffers: dict[str, MessageBuffer] | None = None
     # workload plumbing: a payload queued at request time, sent on establish
     workload_payload: bytes | None = None
     timeout_key: tuple[int, int] | None = None

@@ -96,7 +96,7 @@ def test_scheduling_in_the_past_is_a_bug():
 
 
 def _refused_call_state(sim):
-    """What a refused `schedule` or `request_session` must leave as it was."""
+    """What a refused call must leave as it was."""
     return (list(sim.trace_lines()), sim.stats(), dict(sim.sessions),
             sum(map(len, sim._calendar.values())), sorted(sim._calendar), dict(sim._seq_by_tick))
 
@@ -1070,6 +1070,36 @@ def test_request_session_refuses_a_bad_qid_before_anything_changes(end):
     check_all(sim)
 
 
+# each call that takes a session id, with a valid payload or frame; `sender` is
+# passed on where the call takes one
+_SESSION_CALLS = {
+    "send_message": lambda sim, sid, sender: sim.send_message(sid, b"x", sender=sender),
+    "relay_data": lambda sim, sid, sender: sim.relay_data(sid, bytes(16), sender=sender),
+    "teardown_session": lambda sim, sid, sender: sim.teardown_session(sid),
+    "latency_report": lambda sim, sid, sender: sim.latency_report(sid),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_SESSION_CALLS))
+def test_a_session_id_or_sender_that_is_not_an_int_is_refused(call):
+    sim, rec = established_example("same-qbs")
+    sid, callee = rec.session_id, rec.callee
+    # True and 1.0 equal session 1, and 12.0 the callee's QID: none may stand for it
+    bad_calls = [(bad, None, bad) for bad in (True, float(sid), str(sid), None)]
+    if call in ("send_message", "relay_data"):
+        bad_calls += [(sid, bad, bad) for bad in (True, float(callee), str(callee))]
+    for bad_sid, bad_sender, bad in bad_calls:
+        before = _refused_call_state(sim)
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+            _SESSION_CALLS[call](sim, bad_sid, bad_sender)
+        assert _refused_call_state(sim) == before, (bad_sid, bad_sender)
+    _SESSION_CALLS[call](sim, sid, callee)  # the same call with ints goes through
+    sim.run_until_idle()
+    if not rec.terminal:
+        sim.teardown_session(sid)
+    check_all(sim)
+
+
 # what relay_data refuses, and the error it raises: a frame is 16 immutable bytes
 _NOT_FRAMES = [
     ("0123456789abcdef", TypeError, "takes bytes, not str"),
@@ -1175,7 +1205,7 @@ def test_release_leaves_the_route_of_frames_in_flight_unchanged():
     sim.send_message(sid, bytes(40))  # 4 frames
     sim.run_until(sim.now + 1)
     sim.teardown_session(sid)
-    assert rec.route == {} and hops == before  # frames in flight keep their hops
+    assert rec.route is None and hops == before  # frames in flight keep their hops
     sim.run_until_idle()
     assert set(sim.dropped_frames) == {"session_closed"}
     check_all(sim)

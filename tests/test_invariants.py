@@ -270,9 +270,21 @@ def test_a_deliver_ahead_of_its_send_is_caught(run_example):
     records = list(run_example("same-qbs").trace)
     check_causality(records)
     types = [r.type for r in records]
-    records.insert(types.index("SEND"), records.pop(types.index("DELIVER")))
+    deliver = types.index("DELIVER")
+    # the one DELIVER repeated after its SEND: that SEND pairs with the first only
+    with pytest.raises(InvariantViolation, match="session 1: DELIVER .* precedes its SEND"):
+        check_causality(records[:deliver + 1] + records[deliver:])
+    records.insert(types.index("SEND"), records.pop(deliver))
     with pytest.raises(InvariantViolation, match="session 1: DELIVER .* precedes its SEND"):
         check_causality(records)
+
+
+def test_a_record_without_a_session_is_not_replayed(run_example):
+    sim = run_example("same-qbs")
+    states = check_trace_state_machine(sim.trace)
+    # DATA is legal in no state but ESTABLISHED: replayed, this record would raise
+    sim.emit("qbs-1", "DATA", None, ("fwd", bytes(16), None))
+    assert check_trace_state_machine(sim.trace) == states
 
 
 def test_circuit_conservation_needs_quiescence():
@@ -296,9 +308,9 @@ def test_a_session_circuit_list_at_odds_with_its_state_is_caught(terminal):
     assert rec.terminal == terminal
     check_session_circuit_binding(sim)
     if terminal:
-        rec.circuits.append(sim.users[11].home_circuit)
+        rec.circuits += (sim.users[11].home_circuit,)
     else:
-        rec.circuits.clear()
+        rec.circuits = ()
     state = "closed" if terminal else rec.state.value
     with pytest.raises(InvariantViolation, match=rf"session 1 \({state}\) holds circuits"):
         check_session_circuit_binding(sim)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import sys
 
@@ -148,7 +149,7 @@ def test_registration_takes_the_childs_own_mother():
     assert sim.nodes["earth-mother"].registry[99] == "mars-mother"
     sid = sim.request_session(11, 99)
     sim.run_until_idle()
-    assert sim.sessions[sid].path == ["user-a", "qbs-1", "qbs-2", "user-x"]
+    assert sim.sessions[sid].path == ("user-a", "qbs-1", "qbs-2", "user-x")
     sim.teardown_session(sid)
     check_all(sim)
 
@@ -190,14 +191,14 @@ def test_same_qbs_session_establishes_with_path_of_three():
     sim.run_until_idle()
     rec = sim.sessions[sid]
     assert rec.state is SessionState.ESTABLISHED
-    assert rec.path == ["a1", "qbs-1", "a2"]
+    assert rec.path == ("a1", "qbs-1", "a2")
 
 
 def test_cross_qbs_session_path_is_caller_qbs1_qbs2_callee():
     sim = Simulation(two_station_scenario())
     sid = sim.request_session(1, 3)
     sim.run_until_idle()
-    assert sim.sessions[sid].path == ["a1", "qbs-1", "qbs-2", "c1"]
+    assert sim.sessions[sid].path == ("a1", "qbs-1", "qbs-2", "c1")
 
 
 def test_rejected_session_holds_no_circuits():
@@ -214,7 +215,7 @@ def test_rejected_session_holds_no_circuits():
     rec = sim.sessions[1]
     assert rec.state is SessionState.FAILED
     assert rec.failure is FailureReason.REJECTED
-    assert rec.circuits == []
+    assert rec.circuits == ()
     assert "DATA" not in record_types(sim)
     check_circuit_conservation(sim)
 
@@ -326,7 +327,7 @@ def assert_same_hop(hop, first):
 def test_established_session_builds_plates_on_its_route_only(kind):
     sim, rec = established_example(kind)
     forward = rec.route[FORWARD]
-    assert [circuit.circuit_id for _, _, circuit, _ in forward] == rec.circuits
+    assert tuple(circuit.circuit_id for _, _, circuit, _ in forward) == rec.circuits
     assert list(rec.route) == [FORWARD]
     assert_plates_on_routes_only(sim, forward)
     for _, _, _, channel in forward:
@@ -475,6 +476,18 @@ def test_negotiation_timeout_fails_session_as_rejected():
     check_circuit_conservation(sim)
 
 
+def test_a_timeout_for_an_established_session_changes_nothing():
+    sim, rec = established_example("cross-qbs")
+    before = (list(sim.trace_lines()), sim.stats(), rec.state, rec.path, rec.circuits)
+    # the answer cancelled the real timeout; this one fires all the same
+    sim.schedule(sim.now, rec.caller_qbs, "negotiation_timeout", {"session": rec.session_id})
+    sim.run_until_idle()
+    assert (list(sim.trace_lines()), sim.stats(), rec.state, rec.path, rec.circuits) == before
+    assert rec.timeout_key is None
+    sim.teardown_session(rec.session_id)
+    check_all(sim)
+
+
 def test_answer_after_timeout_is_ignored():
     sim = Simulation(two_station_scenario())
     sim.nodes["qbs-1"].negotiation_budget = 0
@@ -493,6 +506,25 @@ def test_no_finished_session_keeps_its_timeout_key():
     assert len(finished) == 200 and all(rec.terminal for rec in finished)
     assert {rec.state for rec in finished} == {SessionState.CLOSED, SessionState.FAILED}
     assert [rec.session_id for rec in finished if rec.timeout_key is not None] == []
+
+
+def test_a_finished_session_keeps_no_container_the_collector_scans():
+    sim = Simulation(desk_scale_scenario(sessions=400))
+    sim.run_until_idle()
+    finished = list(sim.sessions.values())
+    assert len(finished) == 400 and all(rec.terminal for rec in finished)
+    for rec in finished:
+        assert not hasattr(rec, "__dict__"), rec.session_id
+        assert (rec.circuits, rec.route, rec.rx_buffers) == ((), None, None), rec.session_id
+    with pytest.raises(AttributeError):
+        finished[0].extra = 1  # slotted: no attribute it does not declare
+    # a record's last field holds its values as emitted: ESTABLISHED's is (path,)
+    established = {r.session: r[5][0] for r in sim.trace if r.type == "ESTABLISHED"}
+    assert established and established.keys() == {rec.session_id for rec in finished if rec.path}
+    for sid, logged in established.items():
+        assert sim.sessions[sid].path is logged  # the one tuple, not a copy
+    gc.collect()
+    assert [rec.session_id for rec in finished if gc.is_tracked(rec.path)] == []
 
 
 # event dispatch ----------------------------------------------------------------------
